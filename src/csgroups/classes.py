@@ -90,32 +90,28 @@ def conjugacy_classes(G: FiniteGroup) -> ClassProfile:
     """Partition the element table into conjugation orbits.
 
     Orbits are grown by conjugating with generators only, which
-    suffices since conjugation by a product factors through generators.
+    suffices since conjugation by a product factors through generators;
+    each generator's conjugation map is computed once, for all elements.
     """
     n = G.order
-    class_of = np.full(n, -1, dtype=np.int64)
+    class_of = [-1] * n
     classes: list[tuple[int, frozenset[int]]] = []
-    gens = G.generator_indices
+    maps = [G.conjugate_many(np.arange(n), g).tolist() for g in G.generator_indices]
     for start in range(n):
         if class_of[start] != -1:
             continue
         cid = len(classes)
         class_of[start] = cid
         members = [start]
-        frontier = np.array([start], dtype=np.int64)
-        while len(frontier):
-            new: list[int] = []
-            for g in gens:
-                conj = G.conjugate_many(frontier, g)
-                for y in conj.tolist():
-                    if class_of[y] == -1:
-                        class_of[y] = cid
-                        new.append(y)
-            members.extend(new)
-            frontier = np.array(new, dtype=np.int64)
+        for x in members:  # grows while it is read: a breadth-first orbit
+            for conj in maps:
+                y = conj[x]
+                if class_of[y] == -1:
+                    class_of[y] = cid
+                    members.append(y)
         classes.append((start, frozenset(members)))
     cs_set = tuple(sorted({len(m) for _, m in classes}))
-    return ClassProfile(G, classes, class_of, cs_set)
+    return ClassProfile(G, classes, np.array(class_of, dtype=np.int64), cs_set)
 
 
 def centralizer(G: FiniteGroup, x: int) -> frozenset[int]:

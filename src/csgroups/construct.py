@@ -24,6 +24,8 @@ from .perm import (
     identity,
 )
 
+ROW_MEMO_ENTRIES = 4096  # indices a group may hold in memoized multiplication rows
+
 LEAF_KINDS = {"cyclic", "symmetric", "alternating", "dihedral", "quaternion8",
               "extraspecial_p3", "frobenius_pq"}
 
@@ -64,8 +66,12 @@ class FiniteGroup:
     """A fully enumerated permutation group.
 
     Elements are referred to by their index in ``table``; index 0 is the
-    identity.  Immutable after construction; multiplication rows are
-    memoized internally.
+    identity.  Products and conjugates are found by their images of the
+    table's base, gathered for a whole row or batch at once and looked up
+    in one go.  Immutable after construction.  Inverses and element
+    orders are memoized, and so are multiplication rows while the memo
+    holds at most ``ROW_MEMO_ENTRIES`` indices in all: small groups reuse
+    their rows, and large ones do not grow by n indices per row.
     """
 
     def __init__(self, table: ElementTable, generator_indices: Sequence[int],
@@ -94,32 +100,45 @@ class FiniteGroup:
 
     # -- index-level algebra -------------------------------------------------
 
-    def _index_rows(self, images: np.ndarray) -> np.ndarray:
-        lookup = self.table.lookup
-        return np.fromiter((lookup[tuple(row.tolist())] for row in images),
-                           dtype=np.int32, count=len(images))
+    def products(self, xs: Sequence[int], ys: Sequence[int]) -> np.ndarray:
+        """Indices of ``x * y`` for x in ``xs`` (rows) and y in ``ys`` (columns)."""
+        mat, base = self.table.matrix, self.table.base
+        cols = mat[:, base][np.asarray(ys, dtype=np.intp)]   # y's images of the base
+        images = np.take(mat[np.asarray(xs, dtype=np.intp)], cols, axis=1)
+        found = self.table.indices_of_base(images.reshape(len(xs) * len(ys), len(base)))
+        return found.reshape(len(xs), len(ys))
 
     def mul_row(self, i: int) -> np.ndarray:
-        """Indices of ``i * j`` for every ``j``, memoized per ``i``."""
+        """Indices of ``i * j`` for every ``j``."""
         row = self._mul_rows.get(i)
         if row is None:
             mat = self.table.matrix
-            row = self._index_rows(mat[i][mat])
-            self._mul_rows[i] = row
+            row = self.table.indices_of_base(mat[i][mat[:, self.table.base]])
+            if (len(self._mul_rows) + 1) * self.order <= ROW_MEMO_ENTRIES:
+                self._mul_rows[i] = row
         return row
+
+    def mul_column(self, j: int) -> np.ndarray:
+        """Indices of ``i * j`` for every ``i``."""
+        mat = self.table.matrix
+        return self.table.indices_of_base(mat[:, mat[j][self.table.base]])
 
     def mul(self, i: int, j: int) -> int:
         row = self._mul_rows.get(i)
         if row is not None:
             return int(row[j])
-        mat = self.table.matrix
-        return self.table.lookup[tuple(mat[i][mat[j]].tolist())]
+        pi, pj = self.table.elements[i].images, self.table.elements[j].images
+        return self.table.index_of_base([pi[pj[b]] for b in self.table.base])
 
     @property
     def inv(self) -> np.ndarray:
         if self._inv is None:
-            inv_images = np.argsort(self.table.matrix, axis=1).astype(np.int32)
-            self._inv = self._index_rows(inv_images)
+            mat = self.table.matrix
+            images = np.empty((self.order, len(self.table.base)), dtype=np.int32)
+            for col, b in enumerate(self.table.base):
+                # the inverse of x maps b to the point that x maps to b
+                images[:, col] = (mat == b).argmax(axis=1)
+            self._inv = self.table.indices_of_base(images)
         return self._inv
 
     @property
@@ -131,23 +150,22 @@ class FiniteGroup:
 
     def conjugate(self, x: int, g: int) -> int:
         """Index of ``g^-1 x g``."""
-        mat = self.table.matrix
-        gi, xi, ginv = mat[g], mat[x], mat[int(self.inv[g])]
-        return self.table.lookup[tuple(ginv[xi[gi]].tolist())]
+        els = self.table.elements
+        gi, xi, ginv = els[g].images, els[x].images, els[int(self.inv[g])].images
+        return self.table.index_of_base([ginv[xi[gi[b]]] for b in self.table.base])
 
     def conjugate_many(self, xs: np.ndarray, g: int) -> np.ndarray:
         """Indices of ``g^-1 x g`` for each x in ``xs`` (vectorized)."""
         mat = self.table.matrix
-        gi, ginv = mat[g], mat[int(self.inv[g])]
-        images = ginv[mat[xs][:, gi]]
-        return self._index_rows(images)
+        cols = mat[g][self.table.base]
+        images = mat[int(self.inv[g])][mat[np.asarray(xs, dtype=np.intp)[:, None], cols]]
+        return self.table.indices_of_base(images)
 
     def conjugate_by_all(self, x: int) -> np.ndarray:
         """Indices of ``g^-1 x g`` for every g in the group (vectorized)."""
         mat = self.table.matrix
-        xg = mat[x][mat]                                    # row g -> x*g images
-        gxg = np.take_along_axis(mat[self.inv], xg, axis=1)  # g^-1 * (x*g)
-        return self._index_rows(gxg)
+        xg = mat[x][mat[:, self.table.base]]          # row g -> x*g on the base
+        return self.table.indices_of_base(mat[self.inv[:, None], xg])
 
     def commutator(self, x: int, y: int) -> int:
         """Index of ``x^-1 y^-1 x y``."""
@@ -165,17 +183,29 @@ class FiniteGroup:
             k >>= 1
         return result
 
-    def subgroup_closure(self, seed: Sequence[int]) -> frozenset[int]:
-        """Element indices of the subgroup generated by ``seed``."""
+    def subgroup_closure(self, seed: Sequence[int],
+                         rows: Optional[dict[int, list[int]]] = None) -> frozenset[int]:
+        """Element indices of the subgroup generated by ``seed``.
+
+        Breadth first from the identity, multiplying on the left by each
+        generator through its multiplication row.  A caller that closes
+        several seeds sharing generators may pass a dict in ``rows``,
+        which keeps the rows across those calls.
+        """
+        if rows is None:
+            rows = {}
+        gens = sorted({int(s) for s in seed} - {0})
+        for g in gens:
+            if g not in rows:
+                rows[g] = self.mul_row(g).tolist()
+        gen_rows = [rows[g] for g in gens]
         members = {0}
         frontier = [0]
-        gens = sorted({int(s) for s in seed} | {int(self.inv[s]) for s in seed})
         while frontier:
             nxt = []
-            for x in frontier:
-                row = None
-                for g in gens:
-                    y = self.mul(x, g) if row is None else int(row[g])
+            for row in gen_rows:
+                for x in frontier:
+                    y = row[x]
                     if y not in members:
                         members.add(y)
                         nxt.append(y)

@@ -3,6 +3,10 @@
 Everything downstream computes on the two types defined here: a
 ``Permutation`` (a bijection on ``{0, ..., deg-1}``) and an
 ``ElementTable`` (the fully enumerated closure of a generating set).
+Within a table an element is identified by its images of a base, a few
+points that only the identity fixes (Sims 1970; Holt, Eick and O'Brien,
+*Handbook of Computational Group Theory*, ch. 4), so that finding a
+product or conjugate reads a few columns instead of whole permutations.
 
 Composition convention: ``compose(p, q)`` applies the *right* factor
 first, i.e. the result maps ``i -> p(q(i))``.  All fixtures and tests
@@ -12,11 +16,17 @@ assume this convention.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+import random
+from array import array
+from bisect import bisect_left
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 DEFAULT_CLOSURE_CAP = 5000
+KEY_SEED = 0x6373  # seeds the fixed weights of the base-image hash
+_KEY_MASK = (1 << 64) - 1
 
 
 class DegreeMismatchError(ValueError):
@@ -137,12 +147,46 @@ def format_cycles(p: Permutation) -> str:
     return "".join("(" + ",".join(str(pt) for pt in cyc) + ")" for cyc in cycs)
 
 
+@lru_cache(maxsize=None)
+def _key_weights(count: int) -> tuple[int, ...]:
+    """The fixed 64-bit weights of the first ``count`` base points."""
+    rng = random.Random(KEY_SEED)
+    return tuple(rng.getrandbits(64) for _ in range(count))
+
+
+def _base_of(matrix: np.ndarray) -> list[int]:
+    """Points that only the first row (the identity) fixes pointwise.
+
+    Takes the first other row that fixes every point chosen so far and
+    adds the first point it moves, until no other row fixes them all.  In
+    a group each point at least halves the pointwise stabilizer, so the
+    base has at most log2(n) points, and two elements with the same base
+    images are equal.
+    """
+    points = np.arange(matrix.shape[1], dtype=matrix.dtype)
+    fixing = np.ones(len(matrix), dtype=bool)
+    fixing[0] = False
+    base: list[int] = []
+    while row := int(fixing.argmax()):  # 0 once no other row is left
+        b = int((matrix[row] != points).argmax())
+        if matrix[row, b] == b:
+            raise ValueError("duplicate elements in table")
+        base.append(b)
+        fixing &= matrix[:, b] == b
+    return base
+
+
 class ElementTable:
     """Fully enumerated group of permutations, closed under the operations.
 
     ``elements[0]`` is the identity; the index of an element in
     ``elements`` is its canonical identifier everywhere else in the
-    package.  Immutable after construction.
+    package.  ``matrix`` holds every element's images as a row.  Elements
+    are found by their images of ``base``: a 64-bit hash of those images,
+    kept sorted with the element each key belongs to (12 bytes per
+    element), narrows a search to the elements of one key, and comparing
+    images settles it, so a hash collision never gives a wrong index.
+    Immutable after construction.
     """
 
     def __init__(self, elements: list[Permutation]):
@@ -150,23 +194,76 @@ class ElementTable:
             raise ValueError("elements[0] must be the identity")
         self.elements = elements
         self.deg = elements[0].deg
-        self.lookup: dict[tuple[int, ...], int] = {p.images: i for i, p in enumerate(elements)}
-        if len(self.lookup) != len(elements):
-            raise ValueError("duplicate elements in table")
         # dense image matrix for vectorized composition/conjugation
         self.matrix = np.array([p.images for p in elements], dtype=np.int32)
+        self.base = _base_of(self.matrix)
+        self._weights = _key_weights(len(self.base))
+        self._weight_vector = np.array(self._weights, dtype=np.uint64)
+        keys = self._keys_of(self.matrix[:, self.base])
+        order = np.argsort(keys, kind="stable")
+        # arrays for the scalar path, numpy views of them for batches
+        self._key_list = array("Q", keys[order].tobytes())
+        self._order_list = array("i", order.astype(np.int32).tobytes())
+        self._keys = np.frombuffer(self._key_list, dtype=np.uint64)
+        self._key_order = np.frombuffer(self._order_list, dtype=np.int32)
+        tied = np.flatnonzero(self._keys[1:] == self._keys[:-1]).tolist()
+        rows = {pos for t in tied for pos in (t, t + 1)}
+        if len({self.matrix[self._key_order[pos]].tobytes() for pos in rows}) < len(rows):
+            raise ValueError("duplicate elements in table")
 
     def __len__(self) -> int:
         return len(self.elements)
 
+    def _keys_of(self, images: np.ndarray) -> np.ndarray:
+        """Hash of each row of base images (wrapping uint64 arithmetic)."""
+        return images.astype(np.uint64) @ self._weight_vector
+
+    def _candidates(self, images: list[int]) -> Iterator[int]:
+        """Indices of the elements whose key is that of ``images``."""
+        key = sum(w * v for w, v in zip(self._weights, images)) & _KEY_MASK
+        keys = self._key_list
+        pos = bisect_left(keys, key)
+        while pos < len(keys) and keys[pos] == key:
+            yield self._order_list[pos]
+            pos += 1
+
+    def index_of_base(self, images: list[int]) -> int:
+        """Index of the element with these images of ``base``.
+
+        Only for products and conjugates of table elements, whose base
+        images belong to exactly one element.
+        """
+        base = self.base
+        for idx in self._candidates(images):
+            row = self.elements[idx].images
+            if [row[b] for b in base] == images:
+                return idx
+        raise KeyError(f"no element has base images {images}")
+
+    def indices_of_base(self, images: np.ndarray) -> np.ndarray:
+        """``index_of_base`` of every row of ``images``, in one batch."""
+        keys = self._keys_of(images)
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        idx = self._key_order[pos]
+        miss = np.flatnonzero((self._keys[pos] != keys)
+                              | (self.matrix[idx[:, None], self.base] != images).any(axis=1))
+        for m in miss.tolist():  # hash collisions: scan the elements of the key
+            idx[m] = self.index_of_base(images[m].tolist())
+        return idx
+
     def index_of(self, p: Permutation) -> int:
-        try:
-            return self.lookup[p.images]
-        except KeyError:
-            raise KeyError(f"permutation {format_cycles(p)} not in table") from None
+        if p.deg == self.deg:
+            for idx in self._candidates([p.images[b] for b in self.base]):
+                if self.elements[idx] == p:
+                    return idx
+        raise KeyError(f"permutation {format_cycles(p)} not in table")
 
     def __contains__(self, p: Permutation) -> bool:
-        return p.images in self.lookup
+        try:
+            self.index_of(p)
+        except KeyError:
+            return False
+        return True
 
 
 def close(generators: Sequence[Permutation], cap: int = DEFAULT_CLOSURE_CAP) -> ElementTable:

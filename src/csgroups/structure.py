@@ -16,6 +16,7 @@ from .construct import FiniteGroup, GroupSpec
 from .perm import ElementTable, Permutation
 
 DEFAULT_NORMAL_SUBGROUP_LIMIT = 10000
+QUOTIENT_BATCH = 1 << 16  # products looked up at once for a quotient's action
 
 
 class EnumerationLimitError(RuntimeError):
@@ -67,10 +68,11 @@ def generating_set(G: FiniteGroup, members: frozenset[int]) -> list[int]:
         return []
     gens: list[int] = []
     have: frozenset[int] = frozenset([0])
+    rows: dict[int, list[int]] = {}
     for x in sorted(members):
         if x not in have:
             gens.append(x)
-            have = G.subgroup_closure(gens)
+            have = G.subgroup_closure(gens, rows)
             if have == members:
                 return gens
     raise ValueError("member set is not closed")
@@ -101,22 +103,18 @@ def normal_closure(G: FiniteGroup, seed: list[int]) -> frozenset[int]:
 
 def center(G: FiniteGroup) -> Subgroup:
     """Z(G): elements commuting with every generator."""
-    mat = G.table.matrix
-    mask = np.ones(G.order, dtype=bool)
-    for g in G.generator_indices:
-        grow = mat[g]
-        gx = grow[mat]        # g * x images for all x
-        xg = mat[:, grow]     # x * g images for all x
-        mask &= (gx == xg).all(axis=1)
-    return subgroup(G, frozenset(np.nonzero(mask)[0].tolist()), "center")
+    return subgroup(G, centralizer_of_set(G, G.generator_indices), "center")
 
 
 def centralizer_of_set(G: FiniteGroup, xs: list[int]) -> frozenset[int]:
+    """Elements g with gx = xg for every x in ``xs``, compared on the base,
+    whose images tell elements apart."""
     mat = G.table.matrix
+    on_base = mat[:, G.table.base]
     mask = np.ones(G.order, dtype=bool)
     for x in xs:
         xrow = mat[x]
-        mask &= (mat[:, xrow] == xrow[mat]).all(axis=1)
+        mask &= (mat[:, xrow[G.table.base]] == xrow[on_base]).all(axis=1)
     return frozenset(np.nonzero(mask)[0].tolist())
 
 
@@ -132,13 +130,25 @@ def normalizer(G: FiniteGroup, members: frozenset[int]) -> frozenset[int]:
 
 def derived_subgroup(G: FiniteGroup, members: frozenset[int]) -> frozenset[int]:
     """Derived subgroup of the given subgroup (as a subset of G)."""
-    gens = generating_set(G, members)
-    comms = sorted({G.commutator(x, y) for x in gens for y in gens} - {0})
-    if not comms:
-        return frozenset([0])
+    return _derived_with_generators(G, generating_set(G, members))[0]
+
+
+def _derived_with_generators(G: FiniteGroup, gens: list[int]) -> tuple[frozenset[int], list[int]]:
+    """[H, H] for H generated by ``gens``, with a generating set of it.
+
+    That is the normal closure in H of the commutators of the generators.
+    A commutator or conjugate joins the generating set only when it lies
+    outside the subgroup found so far, so the set stays small.
+    """
+    rows: dict[int, list[int]] = {}
+    comms: list[int] = []
+    sub = frozenset([0])
+    for c in sorted({G.commutator(x, y) for i, x in enumerate(gens) for y in gens[:i]}):
+        if c not in sub:
+            comms.append(c)
+            sub = G.subgroup_closure(comms, rows)
     # [H,H] is normal in H: take the closure under H-conjugation
-    sub = G.subgroup_closure(comms)
-    changed = True
+    changed = bool(comms)
     while changed:
         changed = False
         for x in list(comms):
@@ -146,16 +156,21 @@ def derived_subgroup(G: FiniteGroup, members: frozenset[int]) -> frozenset[int]:
                 y = G.conjugate(x, h)
                 if y not in sub:
                     comms.append(y)
-                    sub = G.subgroup_closure(comms)
+                    sub = G.subgroup_closure(comms, rows)
                     changed = True
-    return sub
+    return sub, comms
 
 
 def derived_series(G: FiniteGroup) -> tuple[list[Subgroup], bool]:
-    """G >= G' >= G'' >= ... until stabilization; soluble iff it hits 1."""
+    """G >= G' >= G'' >= ... until stabilization; soluble iff it hits 1.
+
+    Each term is generated by the commutators of the previous term's
+    generators and their conjugates, starting from G's generators.
+    """
     series = [whole_group(G)]
+    gens = G.generator_indices
     while True:
-        nxt = derived_subgroup(G, series[-1].members)
+        nxt, gens = _derived_with_generators(G, gens)
         if nxt == series[-1].members:
             break
         series.append(subgroup(G, nxt))
@@ -219,10 +234,10 @@ def core_p(G: FiniteGroup, p: int) -> Subgroup:
 
 def fitting(G: FiniteGroup) -> Subgroup:
     """F(G): the join of the O_p(G) over the primes dividing |G|."""
-    seed: set[int] = {0}
+    gens: list[int] = []
     for p in arithmetic_profile(G.order).primes:
-        seed |= core_p(G, p).members
-    members = G.subgroup_closure(sorted(seed))
+        gens += generating_set(G, core_p(G, p).members)
+    members = G.subgroup_closure(gens)
     return subgroup(G, members, "fitting", "normal")
 
 
@@ -242,40 +257,38 @@ class Quotient:
 def quotient(G: FiniteGroup, N: Subgroup | frozenset[int]) -> Quotient:
     """G/N realized on the left cosets of N by translation."""
     members = N.members if isinstance(N, Subgroup) else N
-    if not is_normal(G, members):
+    gens = generating_set(G, members)
+    if not all(G.conjugate(x, g) in members for x in gens for g in G.generator_indices):
         raise ValueError("quotient by a non-normal subgroup")
-    nlist = sorted(members)
-    coset_of = np.full(G.order, -1, dtype=np.int64)
+    # the coset xN is the orbit of x under right multiplication by N's generators
+    columns = [G.mul_column(g).tolist() for g in gens]
+    coset_of = [-1] * G.order
     reps: list[int] = []
     for x in range(G.order):
         if coset_of[x] == -1:
-            cid = len(reps)
+            coset_of[x] = len(reps)
+            coset = [x]
+            for y in coset:  # grows while it is read
+                for col in columns:
+                    if coset_of[col[y]] == -1:
+                        coset_of[col[y]] = len(reps)
+                        coset.append(col[y])
             reps.append(x)
-            coset_of[G.mul_row(x)[nlist]] = cid
-    k = len(reps)
-
-    def action_of(g: int) -> Permutation:
-        return Permutation([int(coset_of[G.mul(g, r)]) for r in reps])
-
-    perms = [action_of(x) for x in range(G.order)]
-    # enumerate the quotient directly; translation action is the full group
-    seen: dict[tuple[int, ...], int] = {}
-    elements: list[Permutation] = [Permutation(range(k))]
-    seen[elements[0].images] = 0
-    projection = np.zeros(G.order, dtype=np.int64)
-    for x, p in enumerate(perms):
-        idx = seen.get(p.images)
-        if idx is None:
-            idx = len(elements)
-            seen[p.images] = idx
-            elements.append(p)
-        projection[x] = idx
+    projection = np.array(coset_of, dtype=np.int64)
+    # an element acts on the cosets as its coset's representative does,
+    # and as N is normal distinct cosets act differently: coset c is
+    # element c of the quotient
+    elements: list[Permutation] = []
+    step = max(1, QUOTIENT_BATCH // len(reps))
+    for start in range(0, len(reps), step):
+        block = projection[G.products(reps[start:start + step], reps)]
+        elements.extend(Permutation(images) for images in block.tolist())
     table = ElementTable(elements)
     gen_idx = sorted({int(projection[g]) for g in G.generator_indices} - {0})
     name = f"{G.name}/N{len(members)}"
     spec = GroupSpec("fixture", fixture_path=name)
     Q = FiniteGroup(table, gen_idx, name, spec)
-    return Quotient(Q, projection, coset_of)
+    return Quotient(Q, projection, projection)
 
 
 def fitting2(G: FiniteGroup) -> Subgroup:

@@ -18,6 +18,7 @@ from .classes import (
 from .construct import FiniteGroup
 from .structure import (
     EnumerationLimitError,
+    NotNilpotentError,
     center,
     derived_series,
     fitting2,
@@ -191,7 +192,7 @@ def _check_theorem_A_decomposition(a: GroupAnalysis, lab: dict,
     is_p1_group = arithmetic_profile(P_grp.order).primes == (p1,)
     try:
         nclass = nilpotency_class(P_grp)
-    except Exception:
+    except NotNilpotentError:
         nclass = None
     verdict.conclusions.append(Conclusion(
         "P-is-p1-group-class-le-2-cs-1-p1",
@@ -304,7 +305,12 @@ def _theorem_C_for_labeling(a: GroupAnalysis, reason: str, pa: int, n: int) -> T
     match = matches[0]
     verdict.witnesses.update(match)
     if match["case"] in ("b", "c"):
-        core, _ = a.stripped
+        try:
+            core, _ = a.stripped
+        except EnumerationLimitError as exc:
+            verdict.incomplete = True
+            verdict.witnesses["limit"] = str(exc)
+            return verdict
         pi = {p, match["q"]}
         ok = arithmetic_profile(core.order).is_pi_number(pi)
         verdict.conclusions.append(Conclusion(
@@ -349,7 +355,7 @@ def check_chillag_herzog(G: FiniteGroup, analysis: Optional[GroupAnalysis] = Non
         p = prof.primes[0]
         try:
             nclass = nilpotency_class(core)
-        except Exception:
+        except NotNilpotentError:
             nclass = None
         verdict.conclusions.append(Conclusion(
             "p-group-class-le-2-cs-1-p",

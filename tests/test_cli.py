@@ -53,6 +53,16 @@ class TestAnalyze:
         assert entry["theorems"]["C"]["status"] == "pass"
         assert entry["timings_ms"] is None
 
+    def test_limit_in_case_c_is_inconclusive(self, tmp_path, capsys):
+        # case (c) strips abelian factors, which needs the normal subgroups
+        report = tmp_path / "out.json"
+        assert main(["analyze", "fixture:g162_5", "--max-normal-subgroups", "3",
+                     "--report", str(report)]) == EXIT_OK
+        assert "theorem C: inconclusive" in capsys.readouterr().out
+        verdict = json.loads(report.read_text())["entries"][0]["theorems"]["C"]
+        assert verdict["witnesses"]["case"] == "c"
+        assert verdict["witnesses"]["limit"] == "more than 3 normal subgroups in g162_5"
+
     def test_unknown_target_is_usage_error(self, capsys):
         assert main(["analyze", "builtin:nope(3)"]) == EXIT_USAGE
         assert "error" in capsys.readouterr().err

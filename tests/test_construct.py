@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csgroups import perm
 from csgroups.classes import conjugacy_classes
 from csgroups.construct import (
+    FiniteGroup,
     FixtureError,
     GroupSpec,
     ParameterError,
@@ -21,6 +23,7 @@ from csgroups.construct import (
     semidirect_product,
     symmetric,
 )
+from csgroups.perm import Permutation, close_with_degree, compose, inverse
 
 
 class TestConstructors:
@@ -132,3 +135,47 @@ class TestFixtures:
         path.write_text("name bad\n(1 2)\n")
         with pytest.raises(FixtureError):
             load_fixture(path)
+
+
+def check_against_elements(G: FiniteGroup, picks: list[int]) -> None:
+    """Index-level algebra equals element-level compose/inverse followed
+    by a linear search of the elements, on rows of the picked elements."""
+    els = G.table.elements
+    find = els.index
+    all_idx = list(range(G.order))
+    assert G.inv.tolist() == [find(inverse(p)) for p in els]
+    for i in picks:
+        row = [find(compose(els[i], q)) for q in els]
+        # the same table without memoized rows, so that mul takes its scalar path
+        scalar = FiniteGroup(G.table, G.generator_indices, G.name)
+        assert [scalar.mul(i, j) for j in all_idx] == row
+        assert G.mul_row(i).tolist() == row
+        assert G.products([i], picks[::-1]).tolist() == [[row[j] for j in picks[::-1]]]
+        assert G.mul_column(i).tolist() == [find(compose(p, els[i])) for p in els]
+        assert [G.mul(i, j) for j in all_idx] == row  # from the memoized row
+        conj = [find(compose(compose(inverse(els[i]), x), els[i])) for x in els]
+        assert G.conjugate_many(all_idx, i).tolist() == conj
+        assert [G.conjugate(x, i) for x in all_idx] == conj
+        by_all = [find(compose(compose(inverse(g), els[i]), g)) for g in els]
+        assert G.conjugate_by_all(i).tolist() == by_all
+
+
+class TestIndexAlgebra:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_element_level_products(self, data):
+        n = data.draw(st.integers(2, 6))
+        gens = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+        G = FiniteGroup(close_with_degree([Permutation(g) for g in gens], n), [], "random")
+        picks = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3))
+        check_against_elements(G, picks)
+        els = G.table.elements
+        table = [[els.index(compose(els[x], els[y])) for y in picks] for x in picks]
+        assert G.products(picks, picks).tolist() == table
+
+    def test_exact_when_every_key_collides(self, monkeypatch):
+        monkeypatch.setattr(perm, "_key_weights", lambda count: [0] * count)
+        G = direct_product(symmetric(3), dihedral(4))
+        assert len(set(G.table._keys.tolist())) == 1
+        check_against_elements(G, [0, 5, 17, G.order - 1])
+        assert conjugacy_classes(G).cs_set == (1, 2, 3, 4, 6)

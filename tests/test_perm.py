@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from csgroups import perm
 from csgroups.perm import (
     DegreeMismatchError,
     OrderCapExceededError,
@@ -72,7 +73,7 @@ class TestClosure:
         b = from_cycles(4, [(0, 1, 2, 3)])
         t1 = close([a, b])
         t2 = close([b, a])
-        assert set(t1.lookup) == set(t2.lookup)
+        assert set(t1.elements) == set(t2.elements)
         assert len(t1) == 24
 
     def test_closure_cap(self):
@@ -83,3 +84,49 @@ class TestClosure:
     def test_single_generator_cyclic(self):
         table = close([from_cycles(5, [tuple(range(5))])])
         assert len(table) == 5
+
+
+class TestElementTable:
+    def test_non_member_agreeing_on_the_base(self):
+        table = close([from_cycles(4, [(0, 1, 2)])])
+        outsider = from_cycles(4, [(0, 1), (2, 3)])
+        # (0 1)(2 3) maps the base point as (0 1 2) does
+        member = table.elements[table.index_of_base([outsider(b) for b in table.base])]
+        assert member == from_cycles(4, [(0, 1, 2)])
+        with pytest.raises(KeyError):
+            table.index_of(outsider)
+        assert outsider not in table
+        assert from_cycles(4, [(0, 2, 1)]) in table
+
+    def test_other_degree_is_not_a_member(self):
+        table = close([from_cycles(4, [(0, 1, 2)])])
+        assert identity(5) not in table
+        assert identity(3) not in table
+
+    def test_regular_representation_needs_one_base_point(self):
+        table = close([from_cycles(6, [tuple(range(6))])])
+        assert len(table.base) == 1
+
+    def test_only_the_identity_fixes_the_base(self):
+        table = close([from_cycles(6, [(0, 1)]), from_cycles(6, [tuple(range(6))])])
+        fixers = [p for p in table.elements if all(p(b) == b for b in table.base)]
+        assert fixers == [identity(6)]
+
+    def test_lookups_stay_exact_when_every_key_collides(self, monkeypatch):
+        monkeypatch.setattr(perm, "_key_weights", lambda count: [0] * count)
+        table = close([from_cycles(5, [tuple(range(5))]), from_cycles(5, [(1, 4), (2, 3)])])
+        assert len(table) == 10
+        assert len(set(table._keys.tolist())) == 1
+        for i, p in enumerate(table.elements):
+            assert table.index_of(p) == i
+            assert table.index_of_base([p(b) for b in table.base]) == i
+        images = table.matrix[::-1][:, table.base]
+        assert table.indices_of_base(images).tolist() == list(range(10))[::-1]
+        assert from_cycles(5, [(0, 1, 2)]) not in table
+
+    def test_duplicate_elements_rejected(self):
+        e, t = identity(3), from_cycles(3, [(0, 1)])
+        with pytest.raises(ValueError):
+            perm.ElementTable([e, t, t])
+        with pytest.raises(ValueError):
+            perm.ElementTable([e, e])
