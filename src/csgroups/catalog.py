@@ -19,6 +19,7 @@ from .construct import (
     quaternion8,
     symmetric,
 )
+from .perm import DEFAULT_CLOSURE_CAP, OrderCapExceededError
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -28,9 +29,9 @@ class CatalogError(ValueError):
 
 
 _ALIASES = {
-    "q8": lambda: quaternion8(),
-    "quaternion8": lambda: quaternion8(),
-    "F21": lambda: frobenius_pq(7, 3),
+    "q8": quaternion8,
+    "quaternion8": quaternion8,
+    "F21": lambda cap: frobenius_pq(7, 3, cap),
 }
 
 _CONSTRUCTORS = {
@@ -66,10 +67,10 @@ def _split_factors(spec: str) -> list[str]:
     return parts
 
 
-def _parse_atom(atom: str) -> FiniteGroup:
+def _parse_atom(atom: str, cap: int) -> FiniteGroup:
     atom = atom.strip()
     if atom in _ALIASES:
-        return _ALIASES[atom]()
+        return _ALIASES[atom](cap=cap)
     if "(" in atom and atom.endswith(")"):
         name, argstr = atom[:-1].split("(", 1)
         if name not in _CONSTRUCTORS:
@@ -81,19 +82,19 @@ def _parse_atom(atom: str) -> FiniteGroup:
             raise CatalogError(f"bad arguments in {atom!r}") from None
         if len(args) != arity:
             raise CatalogError(f"{name} takes {arity} argument(s), got {len(args)}")
-        return ctor(*args)
+        return ctor(*args, cap=cap)
     raise CatalogError(f"unknown group spec {atom!r}")
 
 
-def make_builtin(spec: str) -> FiniteGroup:
+def make_builtin(spec: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Build a group from a spec string, e.g. 'sym(4)', 'q8xF21',
-    'cyclic(3)xdihedral(5)'."""
-    factors = [_parse_atom(part) for part in _split_factors(spec)]
+    'cyclic(3)xdihedral(5)', closing no group past ``cap`` elements."""
+    factors = [_parse_atom(part, cap) for part in _split_factors(spec)]
     if not factors:
         raise CatalogError("empty group spec")
     G = factors[0]
     for H in factors[1:]:
-        G = direct_product(G, H)
+        G = direct_product(G, H, cap)
     if len(factors) > 1:
         G.name = spec
     return G
@@ -103,11 +104,11 @@ def fixture_names() -> list[str]:
     return sorted(p.stem for p in FIXTURE_DIR.glob("*.txt"))
 
 
-def fixture_group(name: str) -> FiniteGroup:
+def fixture_group(name: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     path = FIXTURE_DIR / f"{name}.txt"
     if not path.exists():
         raise CatalogError(f"no bundled fixture named {name!r}")
-    return load_fixture(path)
+    return load_fixture(path, cap)
 
 
 def psl_2_8_fixture() -> FiniteGroup:
@@ -140,17 +141,19 @@ def iter_catalog(builtins: Optional[list[str]] = None,
                  fixtures: Optional[list[str]] = None,
                  fixture_paths: Optional[list[str]] = None,
                  max_elements: Optional[int] = None) -> Iterator[CatalogEntry]:
-    """Yield the groups of a sweep in a deterministic order."""
+    """Yield the groups of a sweep of at most ``max_elements`` elements
+    in a deterministic order."""
+    cap = DEFAULT_CLOSURE_CAP if max_elements is None else max_elements
+    sources = ([(spec, "builtin", make_builtin, spec)
+                for spec in (BUILTIN_GRID if builtins is None else builtins)]
+               + [(name, "fixture", fixture_group, name)
+                  for name in (fixture_names() if fixtures is None else fixtures)]
+               + [(None, "fixture", load_fixture, Path(path)) for path in fixture_paths or []])
     entries: list[CatalogEntry] = []
-    for spec in (BUILTIN_GRID if builtins is None else builtins):
-        entries.append(CatalogEntry(spec, "builtin", make_builtin(spec)))
-    for name in (fixture_names() if fixtures is None else fixtures):
-        entries.append(CatalogEntry(name, "fixture", fixture_group(name)))
-    for path in fixture_paths or []:
-        G = load_fixture(Path(path))
-        entries.append(CatalogEntry(G.name, "fixture", G))
-    entries.sort(key=lambda e: (e.group.order, e.name))
-    for entry in entries:
-        if max_elements is not None and entry.group.order > max_elements:
+    for name, source, build, locator in sources:
+        try:
+            G = build(locator, cap=cap)
+        except OrderCapExceededError:
             continue
-        yield entry
+        entries.append(CatalogEntry(name or G.name, source, G))
+    yield from sorted(entries, key=lambda e: (e.group.order, e.name))

@@ -167,16 +167,8 @@ def composite_split(profile: ClassProfile) -> tuple[frozenset[int], frozenset[in
     return primes, composites
 
 
-def element_order_of(G: FiniteGroup, x: int) -> int:
-    return int(G.element_orders[x])
-
-
 def is_p_element(G: FiniteGroup, x: int, p: int) -> bool:
     o = int(G.element_orders[x])
     while o % p == 0:
         o //= p
     return o == 1
-
-
-def is_pi_element(G: FiniteGroup, x: int, pi: set[int] | frozenset[int]) -> bool:
-    return arithmetic_profile(int(G.element_orders[x])).is_pi_number(pi)

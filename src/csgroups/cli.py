@@ -50,24 +50,21 @@ class TargetError(ValueError):
 
 def resolve_target(target: str, max_elements: int) -> tuple[str, str, FiniteGroup]:
     """Resolve 'builtin:SPEC', 'fixture:NAME', or a fixture file path."""
-    if target.startswith("builtin:"):
-        G = make_builtin(target[len("builtin:"):])
-        source = "builtin"
-        name = target[len("builtin:"):]
-    elif target.startswith("fixture:"):
-        name = target[len("fixture:"):]
-        G = fixture_group(name)
-        source = "fixture"
-    elif Path(target).is_file():
-        G = load_fixture(Path(target), cap=max_elements)
-        source = "fixture"
-        name = G.name
-    else:
-        raise TargetError(
-            f"cannot resolve target {target!r}: expected builtin:SPEC, "
-            "fixture:NAME, or a fixture file path")
-    if G.order > max_elements:
-        raise TargetError(f"group order {G.order} exceeds --max-elements {max_elements}")
+    source, _, name = target.partition(":")
+    try:
+        if source in ("builtin", "fixture"):
+            build = make_builtin if source == "builtin" else fixture_group
+            G = build(name, cap=max_elements)
+        elif Path(target).is_file():
+            G, source = load_fixture(Path(target), cap=max_elements), "fixture"
+            name = G.name
+        else:
+            raise TargetError(
+                f"cannot resolve target {target!r}: expected builtin:SPEC, "
+                "fixture:NAME, or a fixture file path")
+    except OrderCapExceededError as exc:
+        raise TargetError(f"group order exceeds --max-elements {max_elements}: "
+                          f"found at least {exc.partial_count} elements") from None
     return name, source, G
 
 
@@ -114,19 +111,11 @@ def entry_for_group(name: str, source: str, G: FiniteGroup,
 
 def _sweep_worker(args: tuple) -> tuple[dict, list]:
     name, source, locator, config, with_timing = args
+    target = locator if locator.endswith(".txt") else f"{source}:{locator}"
     try:
-        if source == "builtin":
-            G = make_builtin(locator)
-        elif locator.endswith(".txt"):
-            G = load_fixture(Path(locator), cap=config["max_elements"])
-        else:
-            G = fixture_group(locator)
-        if G.order > config["max_elements"]:
-            raise TargetError(
-                f"group order {G.order} exceeds --max-elements {config['max_elements']}")
+        _, _, G = resolve_target(target, config["max_elements"])
         return entry_for_group(name, source, G, config, with_timing)
-    except (TargetError, CatalogError, FixtureError,
-            OrderCapExceededError, OSError) as exc:
+    except (TargetError, CatalogError, FixtureError, OSError) as exc:
         return ({"name": name, "source": source, "error": str(exc),
                  "timings_ms": None}, [])
 
@@ -301,7 +290,8 @@ def cmd_verify(args) -> int:
             groups = [e.group for e in iter_catalog(max_elements=config["max_elements"])]
         total = LemmaReport()
         for G in groups:
-            total.merge(lemma_suite_for_group(G, seed=config["pair_sample_seed"]))
+            analysis = GroupAnalysis(G, normal_limit=config["max_normal_subgroups"])
+            total.merge(lemma_suite_for_group(G, analysis, seed=config["pair_sample_seed"]))
         _emit_verify(lemma_report_to_dict(total), args, config)
         return EXIT_OK if total.ok() else EXIT_FAIL
 

@@ -19,7 +19,6 @@ from .perm import (
     ElementTable,
     Permutation,
     close_with_degree,
-    element_order,
     from_cycles,
     identity,
 )
@@ -65,13 +64,14 @@ class GroupSpec:
 class FiniteGroup:
     """A fully enumerated permutation group.
 
-    Elements are referred to by their index in ``table``; index 0 is the
-    identity.  Products and conjugates are found by their images of the
-    table's base, gathered for a whole row or batch at once and looked up
-    in one go.  Immutable after construction.  Inverses and element
-    orders are memoized, and so are multiplication rows while the memo
-    holds at most ``ROW_MEMO_ENTRIES`` indices in all: small groups reuse
-    their rows, and large ones do not grow by n indices per row.
+    Elements are referred to by their index in ``table``, their row of
+    ``table.matrix``; index 0 is the identity, and ``element`` builds a
+    ``Permutation`` for output only.  Products and conjugates are found by
+    their images of the table's base, gathered for a whole row or batch at
+    once and looked up in one go.  Immutable after construction.  Inverses
+    and element orders are memoized, and so are multiplication rows while
+    the memo holds at most ``ROW_MEMO_ENTRIES`` indices in all: small
+    groups reuse their rows, and large ones do not grow by n indices per row.
     """
 
     def __init__(self, table: ElementTable, generator_indices: Sequence[int],
@@ -96,7 +96,7 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
     def element(self, i: int) -> Permutation:
-        return self.table.elements[i]
+        return self.table.element(i)
 
     # -- index-level algebra -------------------------------------------------
 
@@ -127,8 +127,8 @@ class FiniteGroup:
         row = self._mul_rows.get(i)
         if row is not None:
             return int(row[j])
-        pi, pj = self.table.elements[i].images, self.table.elements[j].images
-        return self.table.index_of_base([pi[pj[b]] for b in self.table.base])
+        im = self.table.images
+        return self.table.index_of_base([im[i, im[j, b]] for b in self.table.base])
 
     @property
     def inv(self) -> np.ndarray:
@@ -143,16 +143,25 @@ class FiniteGroup:
 
     @property
     def element_orders(self) -> np.ndarray:
+        """Order of each element: x^k = 1 exactly when x^k fixes the base,
+        so it is the lcm of the lengths of x's cycles through the base."""
         if self._orders is None:
-            self._orders = np.array([element_order(p) for p in self.table.elements],
-                                    dtype=np.int64)
+            mat, base = self.table.matrix, np.array(self.table.base, dtype=np.int32)
+            rows = np.arange(self.order)[:, None] * self.deg  # row starts in mat.ravel()
+            points = mat[:, base]  # x^k(b), k = 1, 2, ...
+            lengths = np.ones(points.shape, dtype=np.int64)
+            pending = points != base
+            while np.count_nonzero(pending):
+                lengths += pending
+                points = mat.ravel()[rows + points]
+                pending &= points != base
+            self._orders = np.lcm.reduce(lengths, axis=1, initial=1)
         return self._orders
 
     def conjugate(self, x: int, g: int) -> int:
         """Index of ``g^-1 x g``."""
-        els = self.table.elements
-        gi, xi, ginv = els[g].images, els[x].images, els[int(self.inv[g])].images
-        return self.table.index_of_base([ginv[xi[gi[b]]] for b in self.table.base])
+        im, h = self.table.images, int(self.inv[g])
+        return self.table.index_of_base([im[h, im[x, im[g, b]]] for b in self.table.base])
 
     def conjugate_many(self, xs: np.ndarray, g: int) -> np.ndarray:
         """Indices of ``g^-1 x g`` for each x in ``xs`` (vectorized)."""
@@ -217,7 +226,7 @@ class FiniteGroup:
 
 
 def _trivial(deg: int = 1) -> ElementTable:
-    return ElementTable([identity(deg)])
+    return ElementTable(np.arange(deg)[None, :])
 
 
 def cyclic(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:

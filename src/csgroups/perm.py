@@ -1,12 +1,12 @@
 """Permutation arithmetic and breadth-first group closure.
 
-Everything downstream computes on the two types defined here: a
-``Permutation`` (a bijection on ``{0, ..., deg-1}``) and an
-``ElementTable`` (the fully enumerated closure of a generating set).
-Within a table an element is identified by its images of a base, a few
-points that only the identity fixes (Sims 1970; Holt, Eick and O'Brien,
-*Handbook of Computational Group Theory*, ch. 4), so that finding a
-product or conjugate reads a few columns instead of whole permutations.
+Everything downstream computes on an ``ElementTable``, the fully
+enumerated closure of a generating set, whose elements are the rows of
+an int32 image matrix; a ``Permutation`` (a bijection on ``{0, ...,
+deg-1}``) is for I/O only.  Within a table an element is identified by
+its images of a base, a few points that only the identity fixes (Sims
+1970; Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
+ch. 4), so that finding a product or conjugate reads a few columns.
 
 Composition convention: ``compose(p, q)`` applies the *right* factor
 first, i.e. the result maps ``i -> p(q(i))``.  All fixtures and tests
@@ -20,6 +20,7 @@ import random
 from array import array
 from bisect import bisect_left
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -179,24 +180,28 @@ def _base_of(matrix: np.ndarray) -> list[int]:
 class ElementTable:
     """Fully enumerated group of permutations, closed under the operations.
 
-    ``elements[0]`` is the identity; the index of an element in
-    ``elements`` is its canonical identifier everywhere else in the
-    package.  ``matrix`` holds every element's images as a row.  Elements
-    are found by their images of ``base``: a 64-bit hash of those images,
-    kept sorted with the element each key belongs to (12 bytes per
-    element), narrows a search to the elements of one key, and comparing
-    images settles it, so a hash collision never gives a wrong index.
-    Immutable after construction.
+    ``matrix`` is the element store: row ``i`` holds the images of
+    element ``i``, row 0 is the identity, and the row index is the
+    element's canonical identifier everywhere else in the package.
+    ``images[i, p]`` reads one image through a memoryview of ``matrix``,
+    which is faster than ``ndarray.item``; ``element(i)`` builds a
+    ``Permutation`` on demand.  Elements are found by their images of
+    ``base``: a 64-bit hash of those images, kept sorted with the element
+    each key belongs to (12 bytes per element), narrows a search to the
+    elements of one key, and comparing images settles it, so a hash
+    collision never gives a wrong index.  Immutable after construction.
     """
 
-    def __init__(self, elements: list[Permutation]):
-        if not elements or not elements[0].is_identity():
-            raise ValueError("elements[0] must be the identity")
-        self.elements = elements
-        self.deg = elements[0].deg
-        # dense image matrix for vectorized composition/conjugation
-        self.matrix = np.array([p.images for p in elements], dtype=np.int32)
-        self.base = _base_of(self.matrix)
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix = np.ascontiguousarray(matrix, dtype=np.int32)
+        points = np.arange(matrix.shape[-1], dtype=np.int32)
+        if matrix.ndim != 2 or not len(matrix) or (matrix[0] != points).any():
+            raise ValueError("row 0 must be the identity")
+        self.deg = len(points)
+        self.images = memoryview(matrix)
+        if (np.sort(matrix, axis=1) != points).any():
+            raise ValueError(f"not every row is a bijection on 0..{self.deg - 1}")
+        self.base = _base_of(matrix)
         self._weights = _key_weights(len(self.base))
         self._weight_vector = np.array(self._weights, dtype=np.uint64)
         keys = self._keys_of(self.matrix[:, self.base])
@@ -212,7 +217,15 @@ class ElementTable:
             raise ValueError("duplicate elements in table")
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.matrix)
+
+    def element(self, i: int) -> Permutation:
+        return Permutation(self.matrix[i].tolist())
+
+    @property
+    def elements(self) -> list[Permutation]:
+        """Every element as a ``Permutation``, built anew on each access."""
+        return [Permutation(row) for row in self.matrix.tolist()]
 
     def _keys_of(self, images: np.ndarray) -> np.ndarray:
         """Hash of each row of base images (wrapping uint64 arithmetic)."""
@@ -220,7 +233,7 @@ class ElementTable:
 
     def _candidates(self, images: list[int]) -> Iterator[int]:
         """Indices of the elements whose key is that of ``images``."""
-        key = sum(w * v for w, v in zip(self._weights, images)) & _KEY_MASK
+        key = sum(map(mul, self._weights, images)) & _KEY_MASK
         keys = self._key_list
         pos = bisect_left(keys, key)
         while pos < len(keys) and keys[pos] == key:
@@ -233,10 +246,9 @@ class ElementTable:
         Only for products and conjugates of table elements, whose base
         images belong to exactly one element.
         """
-        base = self.base
+        rows = self.images
         for idx in self._candidates(images):
-            row = self.elements[idx].images
-            if [row[b] for b in base] == images:
+            if [rows[idx, b] for b in self.base] == images:
                 return idx
         raise KeyError(f"no element has base images {images}")
 
@@ -253,8 +265,9 @@ class ElementTable:
 
     def index_of(self, p: Permutation) -> int:
         if p.deg == self.deg:
-            for idx in self._candidates([p.images[b] for b in self.base]):
-                if self.elements[idx] == p:
+            images = list(p.images)
+            for idx in self._candidates([images[b] for b in self.base]):
+                if self.matrix[idx].tolist() == images:
                     return idx
         raise KeyError(f"permutation {format_cycles(p)} not in table")
 
@@ -269,9 +282,9 @@ class ElementTable:
 def close(generators: Sequence[Permutation], cap: int = DEFAULT_CLOSURE_CAP) -> ElementTable:
     """Breadth-first closure of ``generators`` under composition.
 
-    Raises ``OrderCapExceededError`` as soon as more than ``cap``
-    elements are discovered.  An empty generator list needs an explicit
-    degree; use ``close_with_degree``.
+    Raises ``OrderCapExceededError``, with ``partial_count == cap + 1``,
+    once a level takes the count past ``cap``.  An empty generator list
+    needs an explicit degree; use ``close_with_degree``.
     """
     if not generators:
         raise ValueError("empty generator list; use close_with_degree")
@@ -281,29 +294,31 @@ def close(generators: Sequence[Permutation], cap: int = DEFAULT_CLOSURE_CAP) -> 
 
 def close_with_degree(generators: Sequence[Permutation], deg: int,
                       cap: int = DEFAULT_CLOSURE_CAP) -> ElementTable:
+    """``close`` on ``deg`` points, a level at a time: the next level is
+    each element of the last one times the first generator, then each
+    times the second, and so on, keeping the first of each new element."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     for g in generators:
         if g.deg != deg:
             raise DegreeMismatchError(f"generator degree {g.deg} != {deg}")
-    gens = [np.array(g.images, dtype=np.int32) for g in generators]
-    ident = np.arange(deg, dtype=np.int32)
-    seen: dict[bytes, int] = {ident.tobytes(): 0}
-    rows: list[np.ndarray] = [ident]
-    frontier = [ident]
-    while frontier:
-        fmat = np.stack(frontier)
-        nxt: list[np.ndarray] = []
-        for g in gens:
-            # row-wise composition: (e * g)(i) = e[g[i]]
-            prods = fmat[:, g]
-            for row in prods:
-                key = row.tobytes()
-                if key not in seen:
-                    if len(rows) >= cap:
-                        raise OrderCapExceededError(cap, len(rows) + 1)
-                    seen[key] = len(rows)
-                    rows.append(row)
-                    nxt.append(row)
-        frontier = nxt
-    return ElementTable([Permutation(row.tolist()) for row in rows])
+    gens = np.array([g.images for g in generators], dtype=np.int32).reshape(len(generators), deg)
+    row_bytes = np.dtype((np.void, 4 * deg))
+    frontier = np.arange(deg, dtype=np.int32)[None, :]
+    seen = {frontier.tobytes()}
+    levels = [frontier]
+    count = 1
+    while len(frontier):
+        # row-wise composition: (e * g)(i) = e[g[i]], grouped by generator
+        level = frontier[:, gens].swapaxes(0, 1).reshape(len(gens) * len(frontier), deg)
+        fresh = []
+        for i, key in enumerate(level.view(row_bytes).ravel().tolist()):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        count += len(fresh)
+        if count > cap:
+            raise OrderCapExceededError(cap, cap + 1)
+        frontier = level[fresh]
+        levels.append(frontier)
+    return ElementTable(np.concatenate(levels))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .classes import arithmetic_profile, conjugacy_classes, pi_part_of_element
 from .construct import FiniteGroup, GroupSpec
-from .perm import ElementTable, Permutation
+from .perm import ElementTable
 
 DEFAULT_NORMAL_SUBGROUP_LIMIT = 10000
 QUOTIENT_BATCH = 1 << 16  # products looked up at once for a quotient's action
@@ -247,7 +247,6 @@ class Quotient:
 
     group: FiniteGroup
     projection: np.ndarray   # element index of G -> element index of G/N
-    coset_of: np.ndarray     # element index of G -> coset point
 
     def preimage(self, members: frozenset[int]) -> frozenset[int]:
         mask = np.isin(self.projection, list(members))
@@ -278,17 +277,14 @@ def quotient(G: FiniteGroup, N: Subgroup | frozenset[int]) -> Quotient:
     # an element acts on the cosets as its coset's representative does,
     # and as N is normal distinct cosets act differently: coset c is
     # element c of the quotient
-    elements: list[Permutation] = []
     step = max(1, QUOTIENT_BATCH // len(reps))
-    for start in range(0, len(reps), step):
-        block = projection[G.products(reps[start:start + step], reps)]
-        elements.extend(Permutation(images) for images in block.tolist())
-    table = ElementTable(elements)
+    table = ElementTable(np.concatenate([projection[G.products(reps[start:start + step], reps)]
+                                         for start in range(0, len(reps), step)]))
     gen_idx = sorted({int(projection[g]) for g in G.generator_indices} - {0})
     name = f"{G.name}/N{len(members)}"
     spec = GroupSpec("fixture", fixture_path=name)
     Q = FiniteGroup(table, gen_idx, name, spec)
-    return Quotient(Q, projection, projection)
+    return Quotient(Q, projection)
 
 
 def fitting2(G: FiniteGroup) -> Subgroup:
@@ -416,16 +412,15 @@ def subgroup_as_group(G: FiniteGroup, members: frozenset[int],
     Returns the group and a map from new element indices back to the
     ambient indices.
     """
-    order = sorted(members)
-    order.remove(0)
-    order = [0] + order
-    elements = [G.element(i) for i in order]
-    table = ElementTable(elements)
-    gens = generating_set(G, frozenset(members))
-    gen_idx = [table.index_of(G.element(g)) for g in gens]
+    order = sorted(members)  # the identity, index 0, comes first
+    back = dict(enumerate(order))
+    position = {old: new for new, old in back.items()}
+    gen_idx = [position[g] for g in generating_set(G, frozenset(members))]
     label = name or f"{G.name}|sub{len(members)}"
-    H = FiniteGroup(table, gen_idx, label, GroupSpec("fixture", fixture_path=label))
-    back = {new: old for new, old in enumerate(order)}
+    H = FiniteGroup(ElementTable(G.table.matrix[order]), gen_idx, label,
+                    GroupSpec("fixture", fixture_path=label))
+    if G._orders is not None:  # the same permutations, so the same orders
+        H._orders = G._orders[order]
     return H, back
 
 

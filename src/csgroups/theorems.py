@@ -101,10 +101,6 @@ class GroupAnalysis:
         return self.center.order == self.group.order
 
 
-def analyze_group(G: FiniteGroup) -> GroupAnalysis:
-    return GroupAnalysis(G)
-
-
 # -- Theorem A ----------------------------------------------------------------
 
 

@@ -35,6 +35,10 @@ class TestTargets:
         with pytest.raises(Exception):
             resolve_target("builtin:sym(5)", 100)
 
+    def test_element_cap_applies_to_bundled_fixtures(self, capsys):
+        assert main(["analyze", "fixture:g480_166", "--max-elements", "100"]) == EXIT_USAGE
+        assert "exceeds --max-elements 100" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_analyze_prints_class_sizes(self, capsys):
@@ -62,6 +66,10 @@ class TestAnalyze:
         verdict = json.loads(report.read_text())["entries"][0]["theorems"]["C"]
         assert verdict["witnesses"]["case"] == "c"
         assert verdict["witnesses"]["limit"] == "more than 3 normal subgroups in g162_5"
+
+    def test_max_elements_raises_the_closure_cap(self, capsys):
+        assert main(["analyze", "builtin:sym(7)", "--max-elements", "6000"]) == EXIT_OK
+        assert "sym(7) (builtin): order 5040" in capsys.readouterr().out
 
     def test_unknown_target_is_usage_error(self, capsys):
         assert main(["analyze", "builtin:nope(3)"]) == EXIT_USAGE
@@ -100,6 +108,15 @@ class TestVerify:
         data = json.loads(capsys.readouterr().out)
         assert data["verdict"]["failures"] == []
         assert data["verdict"]["instances"]["2.6"] >= 1
+
+    def test_verify_lemmas_honours_normal_subgroup_limit(self, capsys):
+        # sym(4) has four normal subgroups
+        assert main(["verify", "lemmas", "builtin:sym(4)",
+                     "--max-normal-subgroups", "1"]) == EXIT_OK
+        skipped = json.loads(capsys.readouterr().out)["verdict"]["skipped"]
+        assert skipped == [{"lemma": "*", "group": "symmetric(4)",
+                            "reason": "structural limit: more than 1 normal "
+                                      "subgroups in symmetric(4)"}]
 
 
 class TestSweep:

@@ -23,7 +23,7 @@ from csgroups.construct import (
     semidirect_product,
     symmetric,
 )
-from csgroups.perm import Permutation, close_with_degree, compose, inverse
+from csgroups.perm import Permutation, close_with_degree, compose, element_order, inverse
 
 
 class TestConstructors:
@@ -172,6 +172,23 @@ class TestIndexAlgebra:
         els = G.table.elements
         table = [[els.index(compose(els[x], els[y])) for y in picks] for x in picks]
         assert G.products(picks, picks).tolist() == table
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_element_orders_match_cycle_lengths(self, data):
+        n = data.draw(st.integers(2, 7))
+        gens = data.draw(st.lists(st.permutations(range(n)), max_size=3))
+        G = FiniteGroup(close_with_degree([Permutation(g) for g in gens], n, cap=5040),
+                        [], "random")
+        assert G.element_orders.tolist() == [element_order(G.element(i))
+                                             for i in range(G.order)]
+
+    def test_element_orders_of_trivial_and_regular_groups(self, tmp_path):
+        assert cyclic(1).element_orders.tolist() == [1]
+        path = tmp_path / "trivial.txt"
+        path.write_text("name trivial\ndegree 3\n")
+        assert load_fixture(path).element_orders.tolist() == [1]
+        assert sorted(quaternion8().element_orders.tolist()) == [1, 2, 4, 4, 4, 4, 4, 4]
 
     def test_exact_when_every_key_collides(self, monkeypatch):
         monkeypatch.setattr(perm, "_key_weights", lambda count: [0] * count)

@@ -1,7 +1,8 @@
 """Permutation primitives and closure enumeration."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from csgroups import perm
 from csgroups.perm import (
@@ -9,6 +10,7 @@ from csgroups.perm import (
     OrderCapExceededError,
     Permutation,
     close,
+    close_with_degree,
     compose,
     element_order,
     from_cycles,
@@ -19,6 +21,25 @@ from csgroups.perm import (
 
 def perm_strategy(deg: int):
     return st.permutations(range(deg)).map(lambda im: Permutation(tuple(im)))
+
+
+def reference_closure(gens: list[Permutation], deg: int) -> list[Permutation]:
+    """Row-by-row breadth-first closure: each element of a level times each
+    generator, the products by the first generator first."""
+    elements = [identity(deg)]
+    seen = set(elements)
+    frontier = elements
+    while frontier:
+        nxt = []
+        for g in gens:
+            for e in frontier:
+                p = compose(e, g)
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+        elements = elements + nxt
+        frontier = nxt
+    return elements
 
 
 class TestPermutation:
@@ -85,6 +106,26 @@ class TestClosure:
         table = close([from_cycles(5, [tuple(range(5))])])
         assert len(table) == 5
 
+    def test_cap_reports_one_element_past_it(self):
+        gens = [from_cycles(4, [(0, 1)]), from_cycles(4, [tuple(range(4))])]
+        assert len(close(gens, cap=24)) == 24
+        for cap in range(1, 24):  # 23 is the order minus one
+            with pytest.raises(OrderCapExceededError) as info:
+                close(gens, cap=cap)
+            assert (info.value.cap, info.value.partial_count) == (cap, cap + 1)
+
+    def test_no_generators(self):
+        assert close_with_degree([], 3).elements == [identity(3)]
+        assert close_with_degree([], 0).elements == [identity(0)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_row_by_row_closure(self, data):
+        n = data.draw(st.integers(2, 7))
+        gens = [Permutation(g) for g in
+                data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))]
+        assert close_with_degree(gens, n, cap=5040).elements == reference_closure(gens, n)
+
 
 class TestElementTable:
     def test_non_member_agreeing_on_the_base(self):
@@ -125,8 +166,25 @@ class TestElementTable:
         assert from_cycles(5, [(0, 1, 2)]) not in table
 
     def test_duplicate_elements_rejected(self):
-        e, t = identity(3), from_cycles(3, [(0, 1)])
-        with pytest.raises(ValueError):
-            perm.ElementTable([e, t, t])
-        with pytest.raises(ValueError):
-            perm.ElementTable([e, e])
+        e, t = [0, 1, 2], [1, 0, 2]
+        with pytest.raises(ValueError, match="duplicate"):
+            perm.ElementTable(np.array([e, t, t]))
+        with pytest.raises(ValueError, match="duplicate"):
+            perm.ElementTable(np.array([e, e]))
+
+    def test_non_bijection_rejected(self):
+        with pytest.raises(ValueError, match="bijection"):
+            perm.ElementTable(np.array([[0, 1, 2], [1, 1, 2]]))
+        with pytest.raises(ValueError, match="bijection"):
+            perm.ElementTable(np.array([[0, 1, 2], [1, 2, 3]]))
+
+    def test_row_zero_must_be_the_identity(self):
+        with pytest.raises(ValueError, match="identity"):
+            perm.ElementTable(np.array([[1, 0, 2], [0, 1, 2]]))
+        with pytest.raises(ValueError, match="identity"):
+            perm.ElementTable(np.zeros((0, 3)))
+
+    def test_elements_are_built_from_the_matrix(self):
+        table = close([from_cycles(4, [(0, 1)]), from_cycles(4, [(1, 2, 3)])])
+        assert table.elements == [table.element(i) for i in range(len(table))]
+        assert [list(p.images) for p in table.elements] == table.matrix.tolist()

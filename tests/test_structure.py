@@ -14,7 +14,7 @@ from csgroups.construct import (
     quaternion8,
     symmetric,
 )
-from csgroups.perm import from_cycles
+from csgroups.perm import element_order, from_cycles
 from csgroups.structure import (
     EnumerationLimitError,
     center,
@@ -23,6 +23,7 @@ from csgroups.structure import (
     derived_subgroup,
     fitting,
     fitting2,
+    generating_set,
     hall,
     is_frobenius,
     is_nilpotent,
@@ -210,3 +211,12 @@ class TestSubgroupReification:
         for x in range(H.order):
             for y in range(H.order):
                 assert back[H.mul(x, y)] == G.mul(back[x], back[y])
+
+    def test_elements_generators_and_orders_come_from_the_ambient_group(self):
+        G = symmetric(4)
+        G.element_orders  # computed first, so the subgroup takes its orders from G
+        S = sylow(G, 2)
+        H, back = subgroup_as_group(G, S.members)
+        assert [H.element(i) for i in range(8)] == [G.element(back[i]) for i in range(8)]
+        assert H.element_orders.tolist() == [element_order(H.element(i)) for i in range(8)]
+        assert [back[g] for g in H.generator_indices] == generating_set(G, S.members)
