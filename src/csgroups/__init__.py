@@ -2,19 +2,16 @@
 verification harness for structural statements about groups whose class
 sizes include exactly two composite numbers."""
 
+from .arith import ArithmeticProfile, arithmetic_profile
 from .classes import (
-    ArithmeticProfile,
     ClassProfile,
     PrimaryPart,
-    arithmetic_profile,
-    centralizer,
     composite_split,
     conjugacy_classes,
     primary_decomposition,
 )
 from .construct import (
     FiniteGroup,
-    GroupSpec,
     alternating,
     cyclic,
     dihedral,
@@ -23,7 +20,6 @@ from .construct import (
     extraspecial_p3,
     frobenius_pq,
     load_fixture,
-    make_named,
     quaternion8,
     semidirect_product,
     symmetric,
@@ -41,7 +37,6 @@ from .perm import (
 )
 from .structure import (
     FrobeniusVerdict,
-    StructureReport,
     Subgroup,
     center,
     core_p,
@@ -55,7 +50,6 @@ from .structure import (
     normal_subgroups,
     quotient,
     strip_abelian_factors,
-    structure_report,
     sylow,
 )
 

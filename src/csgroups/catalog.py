@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Sequence
 
 from .construct import (
     FiniteGroup,
@@ -137,23 +137,30 @@ class CatalogEntry:
     group: FiniteGroup
 
 
-def iter_catalog(builtins: Optional[list[str]] = None,
-                 fixtures: Optional[list[str]] = None,
-                 fixture_paths: Optional[list[str]] = None,
-                 max_elements: Optional[int] = None) -> Iterator[CatalogEntry]:
+def catalog_entries(fixture_dirs: Sequence[str | Path] = ()) -> list[tuple[str, str, str]]:
+    """The groups of a sweep as picklable ``(name, source, locator)``
+    entries, to be built by ``build_entry``: the builtin grid by spec, then
+    the ``*.txt`` fixture files of the bundled directory and of each of
+    ``fixture_dirs`` by path, each named by its file stem."""
+    return ([(spec, "builtin", spec) for spec in BUILTIN_GRID]
+            + [(path.stem, "fixture", str(path))
+               for d in (FIXTURE_DIR, *fixture_dirs) for path in sorted(Path(d).glob("*.txt"))])
+
+
+def build_entry(entry: tuple[str, str, str], cap: int) -> FiniteGroup:
+    """The group of a catalog entry, closing no group past ``cap`` elements."""
+    _, source, locator = entry
+    return make_builtin(locator, cap) if source == "builtin" else load_fixture(locator, cap)
+
+
+def iter_catalog(max_elements: int = DEFAULT_CLOSURE_CAP) -> Iterator[CatalogEntry]:
     """Yield the groups of a sweep of at most ``max_elements`` elements
     in a deterministic order."""
-    cap = DEFAULT_CLOSURE_CAP if max_elements is None else max_elements
-    sources = ([(spec, "builtin", make_builtin, spec)
-                for spec in (BUILTIN_GRID if builtins is None else builtins)]
-               + [(name, "fixture", fixture_group, name)
-                  for name in (fixture_names() if fixtures is None else fixtures)]
-               + [(None, "fixture", load_fixture, Path(path)) for path in fixture_paths or []])
-    entries: list[CatalogEntry] = []
-    for name, source, build, locator in sources:
+    built: list[CatalogEntry] = []
+    for entry in catalog_entries():
         try:
-            G = build(locator, cap=cap)
+            G = build_entry(entry, max_elements)
         except OrderCapExceededError:
             continue
-        entries.append(CatalogEntry(name or G.name, source, G))
-    yield from sorted(entries, key=lambda e: (e.group.order, e.name))
+        built.append(CatalogEntry(entry[0], entry[1], G))
+    yield from sorted(built, key=lambda e: (e.group.order, e.name))

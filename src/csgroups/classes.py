@@ -1,66 +1,14 @@
-"""Conjugacy classes, centralizers, primary decomposition, and the
-class-size arithmetic (prime factorization, p-parts, compositeness)."""
+"""Conjugacy classes, primary decomposition of elements, and the split
+of class sizes into primes and composites."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from .arith import arithmetic_profile, is_prime
 from .construct import FiniteGroup
-
-
-@dataclass(frozen=True)
-class ArithmeticProfile:
-    """Multiplicative structure of a positive integer."""
-
-    value: int
-    prime_factors: tuple[tuple[int, int], ...]  # (prime, exponent), sorted
-    is_composite: bool
-    p_part: dict[int, int]  # prime -> largest p-power dividing value
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.prime_factors)
-
-    def part(self, p: int) -> int:
-        return self.p_part.get(p, 1)
-
-    def coprime_part(self, p: int) -> int:
-        return self.value // self.part(p)
-
-    def is_prime_power(self) -> bool:
-        return len(self.prime_factors) == 1
-
-    def is_pi_number(self, pi: set[int] | frozenset[int]) -> bool:
-        return all(p in pi for p in self.primes)
-
-
-@lru_cache(maxsize=65536)
-def arithmetic_profile(n: int) -> ArithmeticProfile:
-    """Full factorization by trial division (n is at most cap squared)."""
-    if n < 1:
-        raise ValueError(f"arithmetic_profile({n}): n must be >= 1")
-    factors = []
-    m, d = n, 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            factors.append((d, e))
-        d += 1
-    if m > 1:
-        factors.append((m, 1))
-    composite = n > 1 and not (len(factors) == 1 and factors[0][1] == 1)
-    return ArithmeticProfile(n, tuple(factors), composite,
-                             {p: p ** e for p, e in factors})
-
-
-def is_prime(n: int) -> bool:
-    return n > 1 and not arithmetic_profile(n).is_composite
 
 
 @dataclass
@@ -112,17 +60,6 @@ def conjugacy_classes(G: FiniteGroup) -> ClassProfile:
         classes.append((start, frozenset(members)))
     cs_set = tuple(sorted({len(m) for _, m in classes}))
     return ClassProfile(G, classes, np.array(class_of, dtype=np.int64), cs_set)
-
-
-def centralizer(G: FiniteGroup, x: int) -> frozenset[int]:
-    """Element indices of C_G(x) = {g : gx = xg}."""
-    mat = G.table.matrix
-    xrow = mat[x]
-    # g*x and x*g as image arrays for all g at once
-    gx = mat[:, xrow]          # row g composed with x: g(x(i))... careful below
-    xg = xrow[mat]             # x composed with g
-    hits = np.nonzero((gx == xg).all(axis=1))[0]
-    return frozenset(int(h) for h in hits)
 
 
 @dataclass(frozen=True)

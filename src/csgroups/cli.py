@@ -15,16 +15,17 @@ from typing import Optional
 
 from . import __version__
 from .catalog import (
-    BUILTIN_GRID,
     CatalogError,
+    build_entry,
+    catalog_entries,
     fixture_group,
-    fixture_names,
     make_builtin,
     iter_catalog,
 )
 from .construct import FiniteGroup, FixtureError, load_fixture
 from .lemmas import LEMMA_IDS, lemma_suite_for_group, LemmaReport
-from .perm import OrderCapExceededError
+from .perm import DEFAULT_CLOSURE_CAP, OrderCapExceededError
+from .structure import DEFAULT_NORMAL_SUBGROUP_LIMIT
 from .theorems import (
     GroupAnalysis,
     TheoremVerdict,
@@ -42,6 +43,8 @@ EXIT_INCONCLUSIVE = 3
 
 CONFIG_KEYS = ("max_elements", "max_normal_subgroups", "pair_sample_seed",
                "jobs", "format", "timings")
+FORMATS = ("json", "csv")
+TIMINGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 class TargetError(ValueError):
@@ -63,9 +66,13 @@ def resolve_target(target: str, max_elements: int) -> tuple[str, str, FiniteGrou
                 f"cannot resolve target {target!r}: expected builtin:SPEC, "
                 "fixture:NAME, or a fixture file path")
     except OrderCapExceededError as exc:
-        raise TargetError(f"group order exceeds --max-elements {max_elements}: "
-                          f"found at least {exc.partial_count} elements") from None
+        raise _over_cap(exc) from None
     return name, source, G
+
+
+def _over_cap(exc: OrderCapExceededError) -> TargetError:
+    return TargetError(f"group order exceeds --max-elements {exc.cap}: "
+                       f"found at least {exc.partial_count} elements")
 
 
 def verdict_to_dict(v: TheoremVerdict) -> dict:
@@ -110,14 +117,17 @@ def entry_for_group(name: str, source: str, G: FiniteGroup,
 
 
 def _sweep_worker(args: tuple) -> tuple[dict, list]:
-    name, source, locator, config, with_timing = args
-    target = locator if locator.endswith(".txt") else f"{source}:{locator}"
+    entry, config = args
+    name, source, _ = entry
     try:
-        _, _, G = resolve_target(target, config["max_elements"])
-        return entry_for_group(name, source, G, config, with_timing)
-    except (TargetError, CatalogError, FixtureError, OSError) as exc:
-        return ({"name": name, "source": source, "error": str(exc),
-                 "timings_ms": None}, [])
+        G = build_entry(entry, config["max_elements"])
+    except OrderCapExceededError as exc:
+        error = str(_over_cap(exc))
+    except (FixtureError, OSError) as exc:
+        error = str(exc)
+    else:
+        return entry_for_group(name, source, G, config, config["timings"])
+    return {"name": name, "source": source, "error": error, "timings_ms": None}, []
 
 
 def report_to_csv(report: dict) -> str:
@@ -156,6 +166,8 @@ def emit_report(report: dict, args) -> None:
 
 
 def read_config_file(path: str) -> dict:
+    """Settings from a file of key=value lines, each value checked and
+    converted as its flag would be."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -167,28 +179,31 @@ def read_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in CONFIG_KEYS:
             raise TargetError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
+        value = value.strip()
+        if key == "format":
+            if value not in FORMATS:
+                raise TargetError(f"{path}:{lineno}: format must be one of {', '.join(FORMATS)}")
+        elif key == "timings":
+            if value.lower() not in TIMINGS:
+                raise TargetError(f"{path}:{lineno}: timings must be one of {', '.join(TIMINGS)}")
+            value = TIMINGS[value.lower()]
+        else:
+            value = int(value)
+        values[key] = value
     return values
 
 
 def effective_config(args) -> dict:
     config = {
-        "max_elements": 5000,
-        "max_normal_subgroups": 10000,
+        "max_elements": DEFAULT_CLOSURE_CAP,
+        "max_normal_subgroups": DEFAULT_NORMAL_SUBGROUP_LIMIT,
         "pair_sample_seed": 0,
         "jobs": 1,
         "format": "json",
         "timings": False,
     }
     if getattr(args, "config", None):
-        raw = read_config_file(args.config)
-        for key, value in raw.items():
-            if key == "format":
-                config[key] = value
-            elif key == "timings":
-                config[key] = value.lower() in ("1", "true", "yes")
-            else:
-                config[key] = int(value)
+        config.update(read_config_file(args.config))
     # explicit flags take precedence over the config file
     for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
@@ -226,22 +241,10 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def sweep_jobs(args, config) -> list[tuple]:
-    jobs = []
-    for spec in BUILTIN_GRID:
-        jobs.append((spec, "builtin", spec, config, config["timings"]))
-    for name in fixture_names():
-        jobs.append((name, "fixture", name, config, config["timings"]))
-    for d in args.fixture_dir or []:
-        for path in sorted(Path(d).glob("*.txt")):
-            jobs.append((path.stem, "fixture", str(path), config, config["timings"]))
-    return jobs
-
-
 def cmd_sweep(args) -> int:
     config = effective_config(args)
     report = base_report(config)
-    jobs = sweep_jobs(args, config)
+    jobs = [(entry, config) for entry in catalog_entries(args.fixture_dir or [])]
     if config["jobs"] > 1:
         with ProcessPoolExecutor(max_workers=config["jobs"]) as pool:
             results = list(pool.map(_sweep_worker, jobs))
@@ -328,16 +331,16 @@ def _emit_verify(payload: dict, args, config: dict) -> None:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-elements", dest="max_elements", type=int, default=None,
-                   help="element closure cap (default 5000)")
+                   help=f"element closure cap (default {DEFAULT_CLOSURE_CAP})")
     p.add_argument("--max-normal-subgroups", dest="max_normal_subgroups",
                    type=int, default=None,
-                   help="normal subgroup enumeration cap (default 10000)")
+                   help=f"normal subgroup enumeration cap (default {DEFAULT_NORMAL_SUBGROUP_LIMIT})")
     p.add_argument("--pair-sample-seed", dest="pair_sample_seed", type=int,
                    default=None, help="seed for sampled pair enumeration")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes for sweeps (default 1)")
     p.add_argument("--report", default=None, help="write the report to this path")
-    p.add_argument("--format", choices=("json", "csv"), default=None,
+    p.add_argument("--format", choices=FORMATS, default=None,
                    help="report format (default json)")
     p.add_argument("--config", default=None,
                    help="key=value config file; flags override it")

@@ -8,15 +8,16 @@ small-degree action exists we fall back to the regular representation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .arith import is_prime, primitive_root
 from .perm import (
     DEFAULT_CLOSURE_CAP,
     ElementTable,
+    OrderCapExceededError,
     Permutation,
     close_with_degree,
     from_cycles,
@@ -24,10 +25,6 @@ from .perm import (
 )
 
 ROW_MEMO_ENTRIES = 4096  # indices a group may hold in memoized multiplication rows
-
-LEAF_KINDS = {"cyclic", "symmetric", "alternating", "dihedral", "quaternion8",
-              "extraspecial_p3", "frobenius_pq"}
-
 
 class ParameterError(ValueError):
     """Invalid parameters for a named group family."""
@@ -39,26 +36,6 @@ class ActionError(ValueError):
 
 class FixtureError(ValueError):
     """Malformed fixture file."""
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """Provenance record: how a group was built."""
-
-    kind: str
-    parameters: tuple[int, ...] = ()
-    children: tuple["GroupSpec", ...] = ()
-    fixture_path: Optional[str] = None
-
-    def label(self) -> str:
-        if self.kind == "fixture":
-            return Path(self.fixture_path or "fixture").stem
-        if self.kind in ("direct_product", "semidirect_product"):
-            sep = " x " if self.kind == "direct_product" else " : "
-            return "(" + sep.join(c.label() for c in self.children) + ")"
-        if self.parameters:
-            return f"{self.kind}({','.join(str(p) for p in self.parameters)})"
-        return self.kind
 
 
 class FiniteGroup:
@@ -75,11 +52,10 @@ class FiniteGroup:
     """
 
     def __init__(self, table: ElementTable, generator_indices: Sequence[int],
-                 name: str, spec: Optional[GroupSpec] = None):
+                 name: str):
         self.table = table
         self.generator_indices = list(generator_indices)
         self.name = name
-        self.spec = spec
         self._mul_rows: dict[int, np.ndarray] = {}
         self._inv: Optional[np.ndarray] = None
         self._orders: Optional[np.ndarray] = None
@@ -232,49 +208,45 @@ def _trivial(deg: int = 1) -> ElementTable:
 def cyclic(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     if n < 1:
         raise ParameterError(f"cyclic({n}): n must be >= 1")
-    spec = GroupSpec("cyclic", (n,))
     if n == 1:
-        return FiniteGroup(_trivial(), [], spec.label(), spec)
+        return FiniteGroup(_trivial(), [], "cyclic(1)")
     gen = from_cycles(n, [tuple(range(n))])
     table = close_with_degree([gen], n, cap)
-    return FiniteGroup(table, [table.index_of(gen)], spec.label(), spec)
+    return FiniteGroup(table, [table.index_of(gen)], f"cyclic({n})")
 
 
 def symmetric(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     if n < 1:
         raise ParameterError(f"symmetric({n}): n must be >= 1")
-    spec = GroupSpec("symmetric", (n,))
     if n == 1:
-        return FiniteGroup(_trivial(), [], spec.label(), spec)
+        return FiniteGroup(_trivial(), [], "symmetric(1)")
     gens = [from_cycles(n, [(0, 1)])]
     if n > 2:
         gens.append(from_cycles(n, [tuple(range(n))]))
     table = close_with_degree(gens, n, cap)
-    return FiniteGroup(table, [table.index_of(g) for g in gens], spec.label(), spec)
+    return FiniteGroup(table, [table.index_of(g) for g in gens], f"symmetric({n})")
 
 
 def alternating(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     if n < 3:
         raise ParameterError(f"alternating({n}): n must be >= 3")
-    spec = GroupSpec("alternating", (n,))
     gens = [from_cycles(n, [(0, 1, 2)])]
     if n > 3:
         big = tuple(range(n)) if n % 2 == 1 else tuple(range(1, n))
         gens.append(from_cycles(n, [big]))
     table = close_with_degree(gens, n, cap)
-    return FiniteGroup(table, [table.index_of(g) for g in gens], spec.label(), spec)
+    return FiniteGroup(table, [table.index_of(g) for g in gens], f"alternating({n})")
 
 
 def dihedral(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Dihedral group of order 2n acting on n points."""
     if n < 2:
         raise ParameterError(f"dihedral({n}): n must be >= 2")
-    spec = GroupSpec("dihedral", (n,))
     rot = from_cycles(n, [tuple(range(n))])
     refl = Permutation([(n - i) % n for i in range(n)])
     table = close_with_degree([rot, refl], n, cap)
     return FiniteGroup(table, [table.index_of(rot), table.index_of(refl)],
-                       spec.label(), spec)
+                       f"dihedral({n})")
 
 
 def quaternion8(cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
@@ -282,10 +254,9 @@ def quaternion8(cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     # points: 0:1, 1:-1, 2:i, 3:-i, 4:j, 5:-j, 6:k, 7:-k
     left_i = Permutation([2, 3, 1, 0, 6, 7, 5, 4])  # i*1=i, i*i=-1, i*j=k, i*k=-j
     left_j = Permutation([4, 5, 7, 6, 1, 0, 2, 3])  # j*1=j, j*i=-k, j*j=-1, j*k=i
-    spec = GroupSpec("quaternion8")
     table = close_with_degree([left_i, left_j], 8, cap)
     return FiniteGroup(table, [table.index_of(left_i), table.index_of(left_j)],
-                       spec.label(), spec)
+                       "quaternion8")
 
 
 def extraspecial_p3(p: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
@@ -295,7 +266,7 @@ def extraspecial_p3(p: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b'); points are the p^3
     element triples and generators act by left multiplication.
     """
-    if p < 3 or not _is_prime(p):
+    if p < 3 or not is_prime(p):
         raise ParameterError(f"extraspecial_p3({p}): p must be an odd prime "
                              "(use quaternion8/dihedral(4) for p=2)")
 
@@ -312,65 +283,22 @@ def extraspecial_p3(p: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
         return Permutation(images)
 
     gens = [left_mult(1, 0, 0), left_mult(0, 1, 0)]
-    spec = GroupSpec("extraspecial_p3", (p,))
     table = close_with_degree(gens, p ** 3, cap)
-    return FiniteGroup(table, [table.index_of(g) for g in gens], spec.label(), spec)
+    return FiniteGroup(table, [table.index_of(g) for g in gens], f"extraspecial_p3({p})")
 
 
 def frobenius_pq(p: int, q: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """The Frobenius group C_p : C_q on p points (q | p-1 required)."""
-    if not (_is_prime(p) and _is_prime(q)) or p == q:
+    if not (is_prime(p) and is_prime(q)) or p == q:
         raise ParameterError(f"frobenius_pq({p},{q}): need distinct primes")
     if (p - 1) % q != 0:
         raise ParameterError(f"frobenius_pq({p},{q}): q must divide p-1")
-    mult = pow(_primitive_root(p), (p - 1) // q, p)
+    mult = pow(primitive_root(p), (p - 1) // q, p)
     shift = Permutation([(i + 1) % p for i in range(p)])
     scale = Permutation([(i * mult) % p for i in range(p)])
-    spec = GroupSpec("frobenius_pq", (p, q))
     table = close_with_degree([shift, scale], p, cap)
     return FiniteGroup(table, [table.index_of(shift), table.index_of(scale)],
-                       spec.label(), spec)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _primitive_root(p: int) -> int:
-    phi = p - 1
-    factors = set()
-    n, d = phi, 2
-    while d * d <= n:
-        while n % d == 0:
-            factors.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        factors.add(n)
-    for g in range(2, p):
-        if all(pow(g, phi // f, p) != 1 for f in factors):
-            return g
-    raise ParameterError(f"no primitive root mod {p}")  # pragma: no cover
-
-
-def make_named(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
-    if spec.kind not in LEAF_KINDS:
-        raise ParameterError(f"not a leaf kind: {spec.kind}")
-    builders = {
-        "cyclic": cyclic, "symmetric": symmetric, "alternating": alternating,
-        "dihedral": dihedral, "extraspecial_p3": extraspecial_p3,
-        "frobenius_pq": frobenius_pq,
-    }
-    if spec.kind == "quaternion8":
-        return quaternion8(cap)
-    return builders[spec.kind](*spec.parameters, cap=cap)
+                       f"frobenius_pq({p},{q})")
 
 
 # -- products ----------------------------------------------------------------
@@ -390,12 +318,9 @@ def direct_product(G: FiniteGroup, H: FiniteGroup,
 
     gens = ([lift_g(G.element(i)) for i in G.generator_indices]
             + [lift_h(H.element(i)) for i in H.generator_indices])
-    spec = GroupSpec("direct_product", children=(
-        G.spec or GroupSpec("fixture", fixture_path=G.name),
-        H.spec or GroupSpec("fixture", fixture_path=H.name)))
     table = close_with_degree(gens, deg, cap)
     name = f"{G.name} x {H.name}"
-    return FiniteGroup(table, [table.index_of(g) for g in gens], name, spec)
+    return FiniteGroup(table, [table.index_of(g) for g in gens], name)
 
 
 def _extend_generator_map(N: FiniteGroup, gen_images: Sequence[int]) -> np.ndarray:
@@ -471,7 +396,6 @@ def semidirect_product(N: FiniteGroup, H: FiniteGroup,
 
     nn, nh = N.order, H.order
     if nn * nh > cap:
-        from .perm import OrderCapExceededError
         raise OrderCapExceededError(cap, nn * nh)
 
     def point(n: int, h: int) -> int:
@@ -491,14 +415,11 @@ def semidirect_product(N: FiniteGroup, H: FiniteGroup,
 
     gens = ([left_mult(g, 0) for g in N.generator_indices]
             + [left_mult(0, g) for g in H.generator_indices])
-    spec = GroupSpec("semidirect_product", children=(
-        N.spec or GroupSpec("fixture", fixture_path=N.name),
-        H.spec or GroupSpec("fixture", fixture_path=H.name)))
     table = close_with_degree(gens, nn * nh, cap)
     if len(table) != nn * nh:
         raise ActionError(f"semidirect closure has order {len(table)}, expected {nn * nh}")
     name = f"{N.name} : {H.name}"
-    return FiniteGroup(table, [table.index_of(g) for g in gens], name, spec)
+    return FiniteGroup(table, [table.index_of(g) for g in gens], name)
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -555,10 +476,9 @@ def load_fixture(path: str | Path, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGrou
             raise FixtureError(f"{path}:{lineno}: {exc}") from exc
     if name is None or deg is None:
         raise FixtureError(f"{path}: missing name/degree header")
-    spec = GroupSpec("fixture", fixture_path=str(path))
     table = close_with_degree(gens, deg, cap) if gens else _trivial(deg)
     gen_idx = [table.index_of(g) for g in gens if not g.is_identity()]
-    return FiniteGroup(table, gen_idx, name, spec)
+    return FiniteGroup(table, gen_idx, name)
 
 
 def dump_fixture(G: FiniteGroup, path: str | Path,

@@ -14,25 +14,23 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .classes import (
-    arithmetic_profile,
-    conjugacy_classes,
-    is_p_element,
-    is_prime,
-    pi_part_of_element,
-)
+from .arith import arithmetic_profile
+from .classes import conjugacy_classes, is_p_element, pi_part_of_element
 from .construct import FiniteGroup
 from .structure import (
     EnumerationLimitError,
     center,
     centralizer_of_set,
     core_p,
+    generating_set,
     hall,
     is_frobenius,
+    is_normal,
     quotient,
     subgroup_as_group,
     sylow,
 )
+from .theorems import GroupAnalysis
 
 LEMMA_IDS = ("2.1a", "2.1b", "2.1c", "2.1d", "2.1e",
              "2.2", "2.3", "2.4", "2.5", "2.6")
@@ -41,6 +39,7 @@ LEMMA_IDS = ("2.1a", "2.1b", "2.1c", "2.1d", "2.1e",
 MAX_QUOTIENT_NORMALS = 24
 MAX_COMMUTING_PAIRS = 400
 MAX_PRODUCT_SET = 20000
+DEFAULT_PAIR_LIMIT = 10 ** 6  # lemma 2.4's pairs per prime before sampling
 
 
 @dataclass
@@ -104,7 +103,6 @@ def _direct_factor_check(G: FiniteGroup, A: frozenset[int], B: frozenset[int]) -
 
 
 def _commute(G: FiniteGroup, A: frozenset[int], B: frozenset[int]) -> bool:
-    from .structure import generating_set
     ga = generating_set(G, A)
     gb = generating_set(G, B)
     return all(G.mul(x, y) == G.mul(y, x) for x in ga for y in gb)
@@ -278,18 +276,17 @@ def check_disconnected_class_sizes(G, analysis, report: LemmaReport):
         _record(report, "2.3", G.name, False, "trivial core despite split class sizes")
         return
     pi_all = set(arithmetic_profile(core.order).primes)
-    ok = _disconnected_conclusion(core, pi & pi_all) or \
-        _disconnected_conclusion(core, pi_all - pi)
+    ok = _disconnected_conclusion(core, pi & pi_all, analysis.normal_limit) or \
+        _disconnected_conclusion(core, pi_all - pi, analysis.normal_limit)
     _record(report, "2.3", G.name, ok, f"pi={sorted(pi)}")
 
 
-def _disconnected_conclusion(core: FiniteGroup, pi: set[int]) -> bool:
+def _disconnected_conclusion(core: FiniteGroup, pi: set[int], limit: int) -> bool:
     pi_prime = set(arithmetic_profile(core.order).primes) - pi
-    H = hall(core, pi)
-    L = hall(core, pi_prime)
+    H = hall(core, pi, limit)
+    L = hall(core, pi_prime, limit)
     if H is None or L is None:
         return False
-    from .structure import is_normal
     if not is_normal(core, L.members):
         return False
     if not (_commute(core, H.members, H.members) and _commute(core, L.members, L.members)):
@@ -298,7 +295,7 @@ def _disconnected_conclusion(core: FiniteGroup, pi: set[int]) -> bool:
         return False
     Z = center(core)
     q = quotient(core, Z)
-    if not is_frobenius(q.group).is_frobenius:
+    if not is_frobenius(q.group, limit).is_frobenius:
         return False
     expected = tuple(sorted({1, L.order, H.order // Z.order}))
     return conjugacy_classes(core).cs_set == expected
@@ -408,8 +405,7 @@ def check_minimal_centralizer_shape(G, analysis, report: LemmaReport):
 
 
 def lemma_suite_for_group(G: FiniteGroup, analysis=None,
-                          pair_limit: int = 10 ** 6, seed: int = 0) -> LemmaReport:
-    from .theorems import GroupAnalysis
+                          pair_limit: int = DEFAULT_PAIR_LIMIT, seed: int = 0) -> LemmaReport:
     analysis = analysis or GroupAnalysis(G)
     report = LemmaReport()
     try:
@@ -429,7 +425,7 @@ def lemma_suite_for_group(G: FiniteGroup, analysis=None,
 
 
 def lemma_suite(catalog: Iterable[FiniteGroup],
-                pair_limit: int = 10 ** 6, seed: int = 0) -> LemmaReport:
+                pair_limit: int = DEFAULT_PAIR_LIMIT, seed: int = 0) -> LemmaReport:
     total = LemmaReport()
     for G in catalog:
         total.merge(lemma_suite_for_group(G, pair_limit=pair_limit, seed=seed))

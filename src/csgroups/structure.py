@@ -6,13 +6,14 @@ abelian direct factors."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .classes import arithmetic_profile, conjugacy_classes, pi_part_of_element
-from .construct import FiniteGroup, GroupSpec
+from .arith import arithmetic_profile
+from .classes import conjugacy_classes, pi_part_of_element
+from .construct import FiniteGroup
 from .perm import ElementTable
 
 DEFAULT_NORMAL_SUBGROUP_LIMIT = 10000
@@ -34,7 +35,6 @@ class Subgroup:
 
     members: frozenset[int]
     ambient: FiniteGroup
-    tags: frozenset[str] = frozenset()
 
     @property
     def order(self) -> int:
@@ -43,15 +43,12 @@ class Subgroup:
     def __contains__(self, x: int) -> bool:
         return x in self.members
 
-    def tagged(self, *tags: str) -> "Subgroup":
-        return Subgroup(self.members, self.ambient, self.tags | frozenset(tags))
-
     def __le__(self, other: "Subgroup") -> bool:
         return self.members <= other.members
 
 
-def subgroup(G: FiniteGroup, members: frozenset[int], *tags: str) -> Subgroup:
-    return Subgroup(members, G, frozenset(tags))
+def subgroup(G: FiniteGroup, members: frozenset[int]) -> Subgroup:
+    return Subgroup(members, G)
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
@@ -84,26 +81,9 @@ def is_normal(G: FiniteGroup, members: frozenset[int]) -> bool:
                for x in gens for g in G.generator_indices)
 
 
-def normal_closure(G: FiniteGroup, seed: list[int]) -> frozenset[int]:
-    """Smallest normal subgroup of G containing the seed elements."""
-    gens = list(seed)
-    members = G.subgroup_closure(gens)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(gens):
-            for g in G.generator_indices:
-                y = G.conjugate(x, g)
-                if y not in members:
-                    gens.append(y)
-                    members = G.subgroup_closure(gens)
-                    changed = True
-    return members
-
-
 def center(G: FiniteGroup) -> Subgroup:
     """Z(G): elements commuting with every generator."""
-    return subgroup(G, centralizer_of_set(G, G.generator_indices), "center")
+    return subgroup(G, centralizer_of_set(G, G.generator_indices))
 
 
 def centralizer_of_set(G: FiniteGroup, xs: list[int]) -> frozenset[int]:
@@ -133,32 +113,40 @@ def derived_subgroup(G: FiniteGroup, members: frozenset[int]) -> frozenset[int]:
     return _derived_with_generators(G, generating_set(G, members))[0]
 
 
-def _derived_with_generators(G: FiniteGroup, gens: list[int]) -> tuple[frozenset[int], list[int]]:
-    """[H, H] for H generated by ``gens``, with a generating set of it.
+def normal_closure(G: FiniteGroup, seed: list[int],
+                   conjugators: list[int]) -> tuple[frozenset[int], list[int]]:
+    """The smallest subgroup containing ``seed`` that conjugation by each
+    of ``conjugators`` keeps, with a generating set of it.
 
-    That is the normal closure in H of the commutators of the generators.
-    A commutator or conjugate joins the generating set only when it lies
-    outside the subgroup found so far, so the set stays small.
+    A seed element or conjugate joins the generating set only when it lies
+    outside the subgroup found so far, so the set stays small; the
+    closures share their multiplication rows.
     """
     rows: dict[int, list[int]] = {}
-    comms: list[int] = []
+    gens: list[int] = []
     sub = frozenset([0])
-    for c in sorted({G.commutator(x, y) for i, x in enumerate(gens) for y in gens[:i]}):
+    for c in seed:
         if c not in sub:
-            comms.append(c)
-            sub = G.subgroup_closure(comms, rows)
-    # [H,H] is normal in H: take the closure under H-conjugation
-    changed = bool(comms)
+            gens.append(c)
+            sub = G.subgroup_closure(gens, rows)
+    changed = bool(gens)
     while changed:
         changed = False
-        for x in list(comms):
-            for h in gens:
+        for x in list(gens):
+            for h in conjugators:
                 y = G.conjugate(x, h)
                 if y not in sub:
-                    comms.append(y)
-                    sub = G.subgroup_closure(comms, rows)
+                    gens.append(y)
+                    sub = G.subgroup_closure(gens, rows)
                     changed = True
-    return sub, comms
+    return sub, gens
+
+
+def _derived_with_generators(G: FiniteGroup, gens: list[int]) -> tuple[frozenset[int], list[int]]:
+    """[H, H] for H generated by ``gens``, with a generating set of it:
+    the normal closure in H of the commutators of the generators."""
+    comms = sorted({G.commutator(x, y) for i, x in enumerate(gens) for y in gens[:i]})
+    return normal_closure(G, comms, gens)
 
 
 def derived_series(G: FiniteGroup) -> tuple[list[Subgroup], bool]:
@@ -193,7 +181,7 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
     target = arithmetic_profile(G.order).part(p)
     members: frozenset[int] = frozenset([0])
     if target == 1:
-        return subgroup(G, members, f"sylow-{p}")
+        return subgroup(G, members)
     while len(members) < target:
         candidates = normalizer(G, members) if len(members) > 1 else frozenset(range(G.order))
         extended = False
@@ -207,7 +195,7 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
                 break
         if not extended:  # pragma: no cover - Sylow theory guarantees progress
             raise RuntimeError(f"sylow ascent stalled at order {len(members)}")
-    return subgroup(G, members, f"sylow-{p}")
+    return subgroup(G, members)
 
 
 def core_p(G: FiniteGroup, p: int) -> Subgroup:
@@ -229,7 +217,7 @@ def core_p(G: FiniteGroup, p: int) -> Subgroup:
             break
         member_mask[core[~keep]] = False
         core = core[keep]
-    return subgroup(G, frozenset(core.tolist()), f"core-{p}", "normal")
+    return subgroup(G, frozenset(core.tolist()))
 
 
 def fitting(G: FiniteGroup) -> Subgroup:
@@ -238,7 +226,7 @@ def fitting(G: FiniteGroup) -> Subgroup:
     for p in arithmetic_profile(G.order).primes:
         gens += generating_set(G, core_p(G, p).members)
     members = G.subgroup_closure(gens)
-    return subgroup(G, members, "fitting", "normal")
+    return subgroup(G, members)
 
 
 @dataclass
@@ -281,9 +269,7 @@ def quotient(G: FiniteGroup, N: Subgroup | frozenset[int]) -> Quotient:
     table = ElementTable(np.concatenate([projection[G.products(reps[start:start + step], reps)]
                                          for start in range(0, len(reps), step)]))
     gen_idx = sorted({int(projection[g]) for g in G.generator_indices} - {0})
-    name = f"{G.name}/N{len(members)}"
-    spec = GroupSpec("fixture", fixture_path=name)
-    Q = FiniteGroup(table, gen_idx, name, spec)
+    Q = FiniteGroup(table, gen_idx, f"{G.name}/N{len(members)}")
     return Quotient(Q, projection)
 
 
@@ -291,10 +277,10 @@ def fitting2(G: FiniteGroup) -> Subgroup:
     """F2(G): the preimage in G of F(G/F(G))."""
     F = fitting(G)
     if F.order == G.order:
-        return subgroup(G, F.members, "fitting2", "normal")
+        return subgroup(G, F.members)
     q = quotient(G, F)
     FQ = fitting(q.group)
-    return subgroup(G, q.preimage(FQ.members), "fitting2", "normal")
+    return subgroup(G, q.preimage(FQ.members))
 
 
 def _bits(mask: int):
@@ -367,7 +353,7 @@ def normal_subgroups(G: FiniteGroup,
         frontier = nxt
     members = [frozenset().union(*(profile.classes[c][1] for c in _bits(mask)))
                for mask in found]
-    return [subgroup(G, m, "normal") for m in sorted(members, key=lambda m: (len(m), sorted(m)))]
+    return [subgroup(G, m) for m in sorted(members, key=lambda m: (len(m), sorted(m)))]
 
 
 @dataclass(frozen=True)
@@ -398,10 +384,9 @@ def is_frobenius(Q: FiniteGroup,
                    for k in K.members if k != 0):
             continue
         pi = set(arithmetic_profile(n // K.order).primes)
-        H = hall(Q, pi)
+        H = hall(Q, pi, limit)
         if H is not None and H.order == n // K.order and (H.members & K.members) == {0}:
-            return FrobeniusVerdict(True, K.tagged("frobenius-kernel"),
-                                    H.tagged("frobenius-complement"))
+            return FrobeniusVerdict(True, K, H)
     return FrobeniusVerdict(False)
 
 
@@ -416,9 +401,8 @@ def subgroup_as_group(G: FiniteGroup, members: frozenset[int],
     back = dict(enumerate(order))
     position = {old: new for new, old in back.items()}
     gen_idx = [position[g] for g in generating_set(G, frozenset(members))]
-    label = name or f"{G.name}|sub{len(members)}"
-    H = FiniteGroup(ElementTable(G.table.matrix[order]), gen_idx, label,
-                    GroupSpec("fixture", fixture_path=label))
+    H = FiniteGroup(ElementTable(G.table.matrix[order]), gen_idx,
+                    name or f"{G.name}|sub{len(members)}")
     if G._orders is not None:  # the same permutations, so the same orders
         H._orders = G._orders[order]
     return H, back
@@ -461,7 +445,7 @@ def _complement_abelian(G: FiniteGroup, M: Subgroup) -> Optional[Subgroup]:
         corrected.append(G.mul(G.power(int(inv[u]), k), r[a]))
     H = G.subgroup_closure(corrected)
     if len(H) == nq and (H & M.members) == {0}:
-        return subgroup(G, H, "complement")
+        return subgroup(G, H)
     return None  # pragma: no cover - averaging is exact for abelian kernels
 
 
@@ -479,11 +463,11 @@ def hall(G: FiniteGroup, pi: set[int] | frozenset[int],
         if p in pi:
             target *= p ** e
     if target == 1:
-        return trivial_subgroup(G).tagged("hall")
+        return trivial_subgroup(G)
     if target == G.order:
-        return whole_group(G).tagged("hall")
+        return whole_group(G)
     if len(arithmetic_profile(target).prime_factors) == 1:
-        return sylow(G, arithmetic_profile(target).primes[0]).tagged("hall")
+        return sylow(G, arithmetic_profile(target).primes[0])
     for M in minimal_normal_subgroups(G, limit):
         prof = arithmetic_profile(M.order)
         if len(prof.prime_factors) != 1:
@@ -496,17 +480,17 @@ def hall(G: FiniteGroup, pi: set[int] | frozenset[int],
         pre = q.preimage(HQ.members)
         if p in pi:
             if len(pre) == target:
-                return subgroup(G, pre, "hall")
+                return subgroup(G, pre)
             continue
         if len(pre) == G.order:
             comp = _complement_abelian(G, M)
             if comp is not None and comp.order == target:
-                return comp.tagged("hall")
+                return comp
             continue
         K, back = subgroup_as_group(G, pre)
         HK = hall(K, pi, limit)
         if HK is not None and HK.order == target:
-            return subgroup(G, frozenset(back[i] for i in HK.members), "hall")
+            return subgroup(G, frozenset(back[i] for i in HK.members))
     return None
 
 
@@ -521,7 +505,7 @@ def strip_abelian_factors(G: FiniteGroup,
     Z = center(G)
     if Z.order == G.order:
         H, _ = subgroup_as_group(G, frozenset([0]), name=f"{G.name}|core")
-        return H, subgroup(G, Z.members, "abelian-factor")
+        return H, subgroup(G, Z.members)
     normals = normal_subgroups(G, limit)
     by_order: dict[int, list[Subgroup]] = {}
     for N in normals:
@@ -532,7 +516,7 @@ def strip_abelian_factors(G: FiniteGroup,
         for H in by_order.get(need, []):
             if (H.members & A_members) == {0}:
                 core, _ = subgroup_as_group(G, H.members, name=f"{G.name}|core")
-                return core, subgroup(G, A_members, "abelian-factor")
+                return core, subgroup(G, A_members)
     raise RuntimeError("no decomposition found; the trivial factor always works")
 
 
@@ -571,32 +555,7 @@ def nilpotency_class(G: FiniteGroup) -> int:
     k = 0
     while current != {0}:
         gens = generating_set(G, current)
-        comms = sorted({G.commutator(x, g) for x in gens for g in ggens} - {0})
-        current = normal_closure(G, comms) if comms else frozenset([0])
+        comms = sorted({G.commutator(x, g) for x in gens for g in ggens})
+        current = normal_closure(G, comms, ggens)[0]
         k += 1
     return k
-
-
-@dataclass
-class StructureReport:
-    """One-stop structural summary used by the theorem verdicts."""
-
-    center: Subgroup
-    derived_series: list[Subgroup]
-    soluble: bool
-    fitting: Subgroup
-    fitting2: Subgroup
-    sylows: dict[int, Subgroup]
-    nilpotency_class: Optional[int]
-
-
-def structure_report(G: FiniteGroup,
-                     limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT) -> StructureReport:
-    series, soluble = derived_series(G)
-    F = fitting(G)
-    F2 = fitting2(G)
-    sylows = {p: sylow(G, p) for p in arithmetic_profile(G.order).primes}
-    nil_class: Optional[int] = None
-    if all(is_normal(G, P.members) for P in sylows.values()):
-        nil_class = nilpotency_class(G)
-    return StructureReport(center(G), series, soluble, F, F2, sylows, nil_class)

@@ -9,14 +9,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .classes import (
-    arithmetic_profile,
-    composite_split,
-    conjugacy_classes,
-    is_prime,
-)
-from .construct import FiniteGroup
+from .arith import arithmetic_profile, is_prime
+from .catalog import psl_2_8_fixture
+from .classes import composite_split, conjugacy_classes
+from .construct import FiniteGroup, alternating
 from .structure import (
+    DEFAULT_NORMAL_SUBGROUP_LIMIT,
     EnumerationLimitError,
     NotNilpotentError,
     center,
@@ -29,9 +27,6 @@ from .structure import (
     strip_abelian_factors,
     subgroup_as_group,
 )
-
-DEFAULT_PAIR_LIMIT = 10 ** 6
-
 
 @dataclass
 class Conclusion:
@@ -64,7 +59,7 @@ class TheoremVerdict:
 class GroupAnalysis:
     """Caches the per-group data the verdicts share."""
 
-    def __init__(self, G: FiniteGroup, normal_limit: Optional[int] = None):
+    def __init__(self, G: FiniteGroup, normal_limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT):
         self.group = G
         self.normal_limit = normal_limit
 
@@ -82,15 +77,11 @@ class GroupAnalysis:
 
     @cached_property
     def stripped(self):
-        if self.normal_limit is not None:
-            return strip_abelian_factors(self.group, self.normal_limit)
-        return strip_abelian_factors(self.group)
+        return strip_abelian_factors(self.group, self.normal_limit)
 
     @cached_property
     def normals(self):
-        if self.normal_limit is not None:
-            return normal_subgroups(self.group, self.normal_limit)
-        return normal_subgroups(self.group)
+        return normal_subgroups(self.group, self.normal_limit)
 
     @cached_property
     def center(self):
@@ -99,6 +90,13 @@ class GroupAnalysis:
     @property
     def is_abelian(self) -> bool:
         return self.center.order == self.group.order
+
+
+def _limit_reached(verdict: TheoremVerdict, exc: EnumerationLimitError) -> TheoremVerdict:
+    """Mark a verdict inconclusive, with the limit it reached as witness."""
+    verdict.incomplete = True
+    verdict.witnesses["limit"] = str(exc)
+    return verdict
 
 
 # -- Theorem A ----------------------------------------------------------------
@@ -149,8 +147,7 @@ def check_theorem_A(G: FiniteGroup, analysis: Optional[GroupAnalysis] = None) ->
     try:
         _check_theorem_A_decomposition(a, labeling, verdict)
     except EnumerationLimitError as exc:
-        verdict.incomplete = True
-        verdict.witnesses["limit"] = str(exc)
+        _limit_reached(verdict, exc)
     return verdict
 
 
@@ -158,7 +155,7 @@ def _check_theorem_A_decomposition(a: GroupAnalysis, lab: dict,
                                    verdict: TheoremVerdict) -> None:
     core, factor = a.stripped
     p1, p2, p3 = lab["p1"], lab["p2"], lab["p3"]
-    core_analysis = GroupAnalysis(core)
+    core_analysis = GroupAnalysis(core, a.normal_limit)
     if core_analysis.profile.cs_set != a.profile.cs_set:
         verdict.conclusions.append(Conclusion(
             "strip-preserves-class-sizes", False,
@@ -196,7 +193,7 @@ def _check_theorem_A_decomposition(a: GroupAnalysis, lab: dict,
         f"|P|={P_grp.order}, cs(P)={cs_P}, class={nclass}"))
     ZH = center(H_grp)
     qH = quotient(H_grp, ZH)
-    frob = is_frobenius(qH.group)
+    frob = is_frobenius(qH.group, a.normal_limit)
     verdict.conclusions.append(Conclusion(
         "H-cs-1-p2-p3-and-H/Z-frobenius-p2p3",
         cs_H == tuple(sorted([1, p2, p3])) and frob.is_frobenius
@@ -286,9 +283,7 @@ def _theorem_C_for_labeling(a: GroupAnalysis, reason: str, pa: int, n: int) -> T
         verdict.witnesses["F2_index"] = G.order // F2.order
         verdict.conclusions.append(Conclusion("F2-covers-or-prime-order-quotient", cond, note))
     except EnumerationLimitError as exc:
-        verdict.incomplete = True
-        verdict.witnesses["limit"] = str(exc)
-        return verdict
+        return _limit_reached(verdict, exc)
 
     verdict.conclusions.append(Conclusion("p-divides-n", n % p == 0, f"p={p}, n={n}"))
 
@@ -304,9 +299,7 @@ def _theorem_C_for_labeling(a: GroupAnalysis, reason: str, pa: int, n: int) -> T
         try:
             core, _ = a.stripped
         except EnumerationLimitError as exc:
-            verdict.incomplete = True
-            verdict.witnesses["limit"] = str(exc)
-            return verdict
+            return _limit_reached(verdict, exc)
         pi = {p, match["q"]}
         ok = arithmetic_profile(core.order).is_pi_number(pi)
         verdict.conclusions.append(Conclusion(
@@ -338,9 +331,7 @@ def check_chillag_herzog(G: FiniteGroup, analysis: Optional[GroupAnalysis] = Non
     try:
         core, _ = a.stripped
     except EnumerationLimitError as exc:
-        verdict.incomplete = True
-        verdict.witnesses["limit"] = str(exc)
-        return verdict
+        return _limit_reached(verdict, exc)
     if core.order == 1:
         verdict.conclusions.append(Conclusion("abelian", True, "trivial after stripping"))
         verdict.witnesses["branch"] = "abelian"
@@ -361,7 +352,10 @@ def check_chillag_herzog(G: FiniteGroup, analysis: Optional[GroupAnalysis] = Non
         return verdict
     Z = center(core)
     q = quotient(core, Z)
-    frob = is_frobenius(q.group)
+    try:
+        frob = is_frobenius(q.group, a.normal_limit)
+    except EnumerationLimitError as exc:
+        return _limit_reached(verdict, exc)
     sizes = sorted(cs_core)
     ok = (len(sizes) == 3 and sizes[0] == 1 and is_prime(sizes[1]) and is_prime(sizes[2])
           and frob.is_frobenius and q.group.order == sizes[1] * sizes[2])
@@ -417,8 +411,6 @@ def psl_formula_set(a: int) -> tuple[int, ...]:
 def check_psl_formula(a: int, group: Optional[FiniteGroup] = None) -> TheoremVerdict:
     """Class sizes of PSL(2, 2^a) match the closed formula and include at
     least three composites (a in {2, 3} at this scale)."""
-    from .catalog import psl_2_8_fixture
-    from .construct import alternating
     if a not in (2, 3):
         raise ValueError("only a in {2, 3} is within the order cap")
     if group is None:

@@ -1,9 +1,13 @@
 """Command-line interface: targets, reports, config files, exit codes."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+from csgroups import structure, theorems
+from csgroups.catalog import FIXTURE_DIR
 from csgroups.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -13,6 +17,8 @@ from csgroups.cli import (
     resolve_target,
 )
 from csgroups.construct import dump_fixture, symmetric
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestTargets:
@@ -119,6 +125,28 @@ class TestVerify:
                                       "subgroups in symmetric(4)"}]
 
 
+class TestNestedLimits:
+    def test_every_lattice_call_gets_the_configured_limit(self, monkeypatch, capsys):
+        # Theorem A's core analysis and both is_frobenius calls (Theorem A,
+        # lemma 2.3) enumerate normal subgroups of groups built on the way
+        limits = []
+        enumerate_normals = structure.normal_subgroups
+
+        def spy(G, limit=structure.DEFAULT_NORMAL_SUBGROUP_LIMIT):
+            limits.append(limit)
+            return enumerate_normals(G, limit)
+
+        monkeypatch.setattr(structure, "normal_subgroups", spy)
+        monkeypatch.setattr(theorems, "normal_subgroups", spy)
+        assert main(["analyze", "builtin:q8xF21", "--max-normal-subgroups", "500"]) == EXIT_OK
+        assert limits == [500] * 3
+        limits.clear()
+        assert main(["verify", "lemmas", "builtin:dihedral(5)xcyclic(3)",
+                     "--max-normal-subgroups", "500"]) == EXIT_OK
+        assert limits == [500] * 3
+        capsys.readouterr()
+
+
 class TestSweep:
     def test_small_sweep_csv(self, tmp_path, capsys):
         report = tmp_path / "out.csv"
@@ -148,6 +176,35 @@ class TestSweep:
         errored = [e for e in data["entries"] if "error" in e]
         assert errored  # the larger fixtures cannot load under the cap
 
+    def test_fixture_dir_and_workers(self, tmp_path, capsys):
+        extra = tmp_path / "extra"
+        extra.mkdir()
+        shutil.copy(FIXTURE_DIR / "g160_234.txt", extra / "copy_of_g160.txt")
+        (extra / "broken.txt").write_text("name broken\ndegree 2\n(1,5)\n")
+        reports = []
+        for jobs in ("1", "2"):
+            report = tmp_path / f"jobs{jobs}.json"
+            assert main(["sweep", "--max-elements", "200", "--fixture-dir", str(extra),
+                         "--jobs", jobs, "--report", str(report)]) == EXIT_OK
+            reports.append(json.loads(report.read_text()))
+        capsys.readouterr()
+        serial, parallel = reports
+        assert serial["entries"] == parallel["entries"]
+        assert serial["findings"] == parallel["findings"]
+        assert {**serial["config"], "jobs": 2} == parallel["config"]
+        by_name = {e["name"]: e for e in serial["entries"]}
+        assert by_name["copy_of_g160"]["order"] == by_name["g160_234"]["order"] == 160
+        assert "point out of range" in by_name["broken"]["error"]
+        for name in ("g480_166", "g486_176", "psl_2_8"):
+            assert by_name[name]["error"] == ("group order exceeds --max-elements 200: "
+                                              "found at least 201 elements")
+
+    def test_seeded_report_is_byte_identical(self, tmp_path, capsys):
+        report = tmp_path / "sweep.json"
+        assert main(["sweep", "--pair-sample-seed", "3", "--report", str(report)]) == EXIT_OK
+        capsys.readouterr()
+        assert report.read_bytes() == (DATA / "sweep_seed3.json").read_bytes()
+
 
 class TestConfig:
     def test_config_file_round_trip(self, tmp_path, capsys):
@@ -171,6 +228,14 @@ class TestConfig:
         assert data["config"]["max_elements"] == 25
         assert all(e.get("order", 0) <= 25 for e in data["entries"]
                    if "error" not in e)
+
+    @pytest.mark.parametrize("line", ["format = xml", "timings = maybe"])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["sweep", "--config", str(cfg), "--max-elements", "10",
+                     "--report", str(tmp_path / "out")]) == EXIT_USAGE
+        assert "must be one of" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -8,7 +8,6 @@ from csgroups.classes import conjugacy_classes
 from csgroups.construct import (
     FiniteGroup,
     FixtureError,
-    GroupSpec,
     ParameterError,
     alternating,
     cyclic,
@@ -18,7 +17,6 @@ from csgroups.construct import (
     extraspecial_p3,
     frobenius_pq,
     load_fixture,
-    make_named,
     quaternion8,
     semidirect_product,
     symmetric,
@@ -64,10 +62,6 @@ class TestConstructors:
             frobenius_pq(5, 3)  # 3 does not divide 5 - 1
         with pytest.raises(ParameterError):
             frobenius_pq(5, 4)  # 4 is not prime
-
-    def test_make_named(self):
-        spec = GroupSpec("symmetric", (3,))
-        assert make_named(spec).order == 6
 
 
 class TestProducts:

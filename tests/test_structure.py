@@ -3,7 +3,8 @@
 import pytest
 
 from csgroups.catalog import make_builtin
-from csgroups.classes import arithmetic_profile, conjugacy_classes
+from csgroups.arith import arithmetic_profile
+from csgroups.classes import conjugacy_classes
 from csgroups.construct import (
     FiniteGroup,
     alternating,

@@ -6,7 +6,8 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from csgroups.catalog import fixture_group, iter_catalog
-from csgroups.classes import arithmetic_profile, conjugacy_classes, is_prime
+from csgroups.arith import arithmetic_profile, is_prime
+from csgroups.classes import conjugacy_classes
 from csgroups.construct import (
     alternating,
     cyclic,
