@@ -4,6 +4,7 @@ of class sizes into primes and composites."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -11,9 +12,27 @@ from .arith import arithmetic_profile, is_prime
 from .construct import FiniteGroup
 
 
+def _bits(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass
 class ClassProfile:
-    """Conjugacy classes of a group, with class sizes and centralizer orders."""
+    """Conjugacy classes of a group, with class sizes and centralizer
+    orders, and the algebra of unions of classes.
+
+    A union of classes, such as a normal subgroup, is a *mask*: a k-bit
+    integer over the k classes; class 0 is the identity.  The support
+    ``support[i][j]``, the classes met by ``rep_i * C_j``, takes one
+    multiplication row per class and is built on first use.  Conjugation
+    maps ``rep_i * C_j`` onto ``rep_i^g * C_j``, so it is also the classes
+    met by C_i C_j: a product of unions of classes is an OR over it.  Normal
+    subgroups M and N have the join MN, of order |M||N|/|M n N| (``M & N``).
+    """
 
     group: FiniteGroup
     classes: list[tuple[int, frozenset[int]]]  # (min-index representative, members)
@@ -32,6 +51,50 @@ class ClassProfile:
 
     def class_members(self, x: int) -> frozenset[int]:
         return self.classes[int(self.class_of[x])][1]
+
+    @cached_property
+    def support(self) -> list[list[int]]:
+        k = len(self.classes)
+        sup = [[0] * k for _ in range(k)]
+        for i, rep in enumerate(self.representatives):
+            for pair in set((self.class_of * k + self.class_of[self.group.mul_row(rep)]).tolist()):
+                sup[i][pair // k] |= 1 << pair % k
+        return sup
+
+    def product(self, a: int, b: int) -> int:
+        """The classes met by the product of the unions ``a`` and ``b``."""
+        joined = 0
+        bs = list(_bits(b))
+        for i in _bits(a):
+            row = self.support[i]
+            for j in bs:
+                joined |= row[j]
+        return joined
+
+    @cached_property
+    def class_closures(self) -> list[int]:
+        """The normal closure of each class: the fixpoint of multiplying by it."""
+        closures = []
+        for c in range(len(self.classes)):
+            gen = mask = 1 | 1 << c
+            while (grown := self.product(mask, gen)) != mask:
+                mask = grown
+            closures.append(mask)
+        return closures
+
+    def size(self, mask: int) -> int:
+        return sum(len(self.classes[c][1]) for c in _bits(mask))
+
+    def members(self, mask: int) -> frozenset[int]:
+        return frozenset().union(*(self.classes[c][1] for c in _bits(mask)))
+
+    def quotient_class_size(self, c: int, N: int) -> int:
+        """|x^G N| / |N| for x in class c: the size of xN's class in G/N."""
+        return self.size(self.product(1 << c, N)) // self.size(N)
+
+    def mask_of(self, members) -> int:
+        """The classes that meet ``members``: its mask, if it is a union of classes."""
+        return sum(1 << c for c in set(self.class_of[list(members)].tolist()))
 
 
 def conjugacy_classes(G: FiniteGroup) -> ClassProfile:

@@ -188,7 +188,10 @@ def read_config_file(path: str) -> dict:
                 raise TargetError(f"{path}:{lineno}: timings must be one of {', '.join(TIMINGS)}")
             value = TIMINGS[value.lower()]
         else:
-            value = int(value)
+            try:
+                value = int(value)
+            except ValueError:
+                raise TargetError(f"{path}:{lineno}: {key} must be an integer") from None
         values[key] = value
     return values
 
@@ -209,6 +212,8 @@ def effective_config(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None and flag is not False:
             config[key] = flag
+    if config["jobs"] < 1:
+        raise TargetError("jobs must be at least 1")
     args.format = config["format"]
     return config
 

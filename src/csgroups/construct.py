@@ -455,7 +455,11 @@ def load_fixture(path: str | Path, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGrou
     name: Optional[str] = None
     deg: Optional[int] = None
     gens: list[Permutation] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FixtureError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

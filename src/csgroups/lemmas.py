@@ -38,7 +38,6 @@ LEMMA_IDS = ("2.1a", "2.1b", "2.1c", "2.1d", "2.1e",
 # per-group work bounds; checks stay sound on any subset of instances
 MAX_QUOTIENT_NORMALS = 24
 MAX_COMMUTING_PAIRS = 400
-MAX_PRODUCT_SET = 20000
 DEFAULT_PAIR_LIMIT = 10 ** 6  # lemma 2.4's pairs per prime before sampling
 
 
@@ -73,26 +72,18 @@ def _record(report: LemmaReport, lemma: str, group: str, passed: bool, detail: s
         report.failures.append(LemmaFailure(lemma, group, detail))
 
 
-def o_p_prime(G: FiniteGroup, p: int, profile) -> frozenset[int]:
+def o_p_prime(p: int, profile) -> frozenset[int]:
     """O_{p'}(G): the largest normal subgroup of order coprime to p.
 
-    Built greedily from conjugacy classes of p'-elements: a class joins
-    the subgroup when the join stays a p'-group.
+    One pass over the class closures N: N joins M when |MN| stays prime
+    to p.  M stays a normal p'-group, so every class inside O_{p'} joins.
     """
-    members = frozenset([0])
-    changed = True
-    while changed:
-        changed = False
-        for rep, cls in profile.classes:
-            if rep == 0 or int(G.element_orders[rep]) % p == 0:
-                continue
-            if cls <= members:
-                continue
-            join = G.subgroup_closure(sorted(members | cls))
-            if len(join) % p != 0:
-                members = join
-                changed = True
-    return members
+    M = 1
+    for N in profile.class_closures:
+        order = profile.size(M) * profile.size(N) // profile.size(M & N)
+        if order % p:
+            M = profile.product(M, N)
+    return profile.members(M)
 
 
 def _direct_factor_check(G: FiniteGroup, A: frozenset[int], B: frozenset[int]) -> bool:
@@ -123,11 +114,10 @@ def check_quotient_class_size_divides(G, analysis, report: LemmaReport):
             sorted(normals, key=lambda N: -N.order)[:MAX_QUOTIENT_NORMALS // 2]
         report.skipped.append(("2.1a", G.name, "normal subgroups truncated"))
     for N in normals:
-        q = quotient(G, N)
-        qprof = conjugacy_classes(q.group)
-        for x in profile.representatives:
-            up = profile.class_size_of(x)
-            down = qprof.class_size_of(int(q.projection[x]))
+        mask = profile.mask_of(N.members)
+        for c, (x, members) in enumerate(profile.classes):
+            up = len(members)
+            down = profile.quotient_class_size(c, mask)
             _record(report, "2.1a", G.name, up % down == 0,
                     f"N order {N.order}, x={x}: {down} does not divide {up}")
 
@@ -153,11 +143,9 @@ def check_coprime_class_size_factorization(G, analysis, report: LemmaReport):
             xy = G.mul(x, y)
             sxy = profile.class_size_of(xy)
             ok = ok and sx * sy % sxy == 0
-            if sx * sy <= MAX_PRODUCT_SET:
-                prod = {G.mul(u, v)
-                        for u in profile.class_members(x)
-                        for v in profile.class_members(y)}
-                ok = ok and prod == profile.class_members(xy)
+            # x^G y^G is a union of classes: (xy)^G when it meets no other class
+            met = profile.product(profile.mask_of([x]), profile.mask_of([y]))
+            ok = ok and met == profile.mask_of([xy])
             _record(report, "2.1b", G.name, ok,
                     f"x={x} (size {sx}), y={y} (size {sy})")
 
@@ -199,7 +187,7 @@ def check_prime_missing_from_class_sizes(G, analysis, report: LemmaReport):
         lhs = all(s % p != 0 for s in profile.cs_set)
         P = sylow(G, p)
         P_abelian = _commute(G, P.members, P.members)
-        O = o_p_prime(G, p, profile)
+        O = o_p_prime(p, profile)
         rhs = P_abelian and _direct_factor_check(G, P.members, O)
         _record(report, "2.1d", G.name, lhs == rhs,
                 f"p={p}: lhs={lhs}, rhs={rhs}")
@@ -309,9 +297,7 @@ def check_mixed_prime_power_products(G, analysis, report: LemmaReport,
     profile = analysis.profile
     if analysis.is_abelian:
         return
-    orders = G.element_orders
     zset = analysis.center.members
-    cores: dict[int, frozenset[int]] = {}
     for t in arithmetic_profile(G.order).primes:
         telts = [x for x in range(1, G.order)
                  if x not in zset and is_p_element(G, x, t)
@@ -324,17 +310,18 @@ def check_mixed_prime_power_products(G, analysis, report: LemmaReport,
             rng = random.Random(seed)
             pairs = rng.sample(pairs, pair_limit)
             report.skipped.append(("2.4", G.name, f"sampled {pair_limit} pairs (seed {seed})"))
+        core = None
         for x, y in pairs:
             sxy = profile.class_size_of(G.mul(x, y))
             if not arithmetic_profile(sxy).is_prime_power() or sxy == 1:
                 continue
-            if t not in cores:
-                cores[t] = core_p(G, t).members
+            if core is None:  # once per t, and only for a t with an instance
+                core = core_p(G, t).members
+                syl = sylow(G, t).members
+                nonabelian = not _commute(G, syl, syl)
             sx, sy = profile.class_size_of(x), profile.class_size_of(y)
-            inside = G.subgroup_closure([x, y]) <= cores[t]
+            inside = G.subgroup_closure([x, y]) <= core
             max_ok = sxy == max(sx, sy) and arithmetic_profile(sxy).primes == (t,)
-            syl = sylow(G, t)
-            nonabelian = not _commute(G, syl.members, syl.members)
             _record(report, "2.4", G.name, inside and max_ok and nonabelian,
                     f"t={t}, x={x} (size {sx}), y={y} (size {sy}), |(xy)^G|={sxy}")
 
@@ -374,26 +361,24 @@ def check_minimal_centralizer_shape(G, analysis, report: LemmaReport):
     profile = analysis.profile
     orders = G.element_orders
     cents = {x: centralizer_of_set(G, [x]) for x in profile.representatives}
-    sizes = sorted({len(c) for c in cents.values()})
     for x, X in cents.items():
         if x == 0:
             continue
-        # minimal: no centralizer properly inside X (its element lies in X)
-        minimal = all(not (centralizer_of_set(G, [y]) < X) for y in sorted(X) if y != 0)
+        # minimal: no centralizer of an element of X is a smaller subgroup of X
+        minimal = all(profile.centralizer_order_of(y) >= len(X)
+                      or not (centralizer_of_set(G, [y]) < X)
+                      for y in sorted(X) if y != 0)
         if not minimal:
             continue
         for g in sorted(X):
             prof = arithmetic_profile(int(orders[g]))
             if g == 0 or not prof.is_prime_power():
                 continue
-            if centralizer_of_set(G, [g]) != X:
+            if profile.centralizer_order_of(g) != len(X) or centralizer_of_set(G, [g]) != X:
                 continue
             r = prof.primes[0]
-            Xgrp, back = subgroup_as_group(G, X)
+            Xgrp, _ = subgroup_as_group(G, X)
             R = sylow(Xgrp, r)
-            rprime = frozenset(i for i in range(Xgrp.order)
-                               if int(Xgrp.element_orders[i]) % r != 0
-                               and arithmetic_profile(int(Xgrp.element_orders[i])).part(r) == 1)
             A = frozenset(i for i in range(Xgrp.order)
                           if math.gcd(int(Xgrp.element_orders[i]), r) == 1)
             a_subgroup = Xgrp.subgroup_closure(sorted(A)) == A

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import arithmetic_profile
-from .classes import conjugacy_classes, pi_part_of_element
+from .classes import ClassProfile, conjugacy_classes, pi_part_of_element
 from .construct import FiniteGroup
 from .perm import ElementTable
 
@@ -283,77 +283,36 @@ def fitting2(G: FiniteGroup) -> Subgroup:
     return subgroup(G, q.preimage(FQ.members))
 
 
-def _bits(mask: int):
-    """Positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def normal_subgroups(G: FiniteGroup, limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT,
+                     profile: Optional[ClassProfile] = None) -> list[Subgroup]:
+    """All normal subgroups, enumerated on masks of conjugacy classes.
 
-
-def normal_subgroups(G: FiniteGroup,
-                     limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT) -> list[Subgroup]:
-    """All normal subgroups, enumerated on bitmasks of conjugacy classes.
-
-    A normal subgroup is a union of classes, held as a k-bit integer over
-    the k classes.  The class-product support ``sup[i][j]``, the classes
-    met by ``rep_i * C_j``, takes one multiplication row per class, k*n
-    products in all; as conjugation maps ``rep_i * C_j`` onto
-    ``rep_i^g * C_j``, it is also the classes met by C_i C_j.  So the
-    product of two unions of classes is an OR over the support, the normal
-    closure of a class is the fixpoint of multiplying by it, and the join
-    of normal subgroups A and B is their product AB.  Every normal
-    subgroup is the join of the closures of its classes, so joining
-    closures breadth first finds them all.  More than ``limit`` normal
-    subgroups raise ``EnumerationLimitError``.
+    Reads the class-product support of ``profile`` (G's class profile,
+    built when not given), so the lattice and the other mask queries on
+    that profile share one support.  Every normal subgroup is the join of
+    the normal closures of its classes, and the join of normal subgroups
+    A and B is their product AB, so joining class closures breadth first
+    finds them all.  More than ``limit`` normal subgroups raise
+    ``EnumerationLimitError``.
     """
-    profile = conjugacy_classes(G)
-    k = len(profile.classes)
-    sup = []
-    for rep in profile.representatives:
-        row = [0] * k
-        for pair in set((profile.class_of * k + profile.class_of[G.mul_row(rep)]).tolist()):
-            j, m = divmod(pair, k)
-            row[j] |= 1 << m
-        sup.append(row)
-
-    def product(a: int, b: int) -> int:
-        joined = 0
-        bs = list(_bits(b))
-        for i in _bits(a):
-            for j in bs:
-                joined |= sup[i][j]
-        return joined
-
-    def closure(gen: int) -> int:
-        mask = gen
-        while (grown := product(mask, gen)) != mask:
-            mask = grown
-        return mask
-
-    seeds = {closure(1 | 1 << c) for c in range(k)}
-    found = set(seeds)
-    if len(found) > limit:
-        raise EnumerationLimitError(
-            f"more than {limit} normal subgroups in {G.name}")
-    frontier = list(seeds)
-    while frontier:
-        nxt = []
-        for A in frontier:
-            for B in seeds:
-                if B & ~A == 0:
-                    continue
-                join = product(A, B)
-                if join not in found:
-                    found.add(join)
-                    nxt.append(join)
-                    if len(found) > limit:
-                        raise EnumerationLimitError(
-                            f"more than {limit} normal subgroups in {G.name}")
-        frontier = nxt
-    members = [frozenset().union(*(profile.classes[c][1] for c in _bits(mask)))
-               for mask in found]
-    return [subgroup(G, m) for m in sorted(members, key=lambda m: (len(m), sorted(m)))]
+    if profile is None:
+        profile = conjugacy_classes(G)
+    seeds = set(profile.class_closures)
+    found: set[int] = set()
+    joins = iter(seeds)
+    while True:
+        new = []
+        for join in joins:  # lazily, so that only new joins are held
+            if join not in found:
+                found.add(join)
+                if len(found) > limit:
+                    raise EnumerationLimitError(f"more than {limit} normal subgroups in {G.name}")
+                new.append(join)
+        if not new:
+            break
+        joins = (profile.product(A, B) for A in new for B in seeds if B & ~A)
+    members = sorted(map(profile.members, found), key=lambda m: (len(m), sorted(m)))
+    return [subgroup(G, m) for m in members]
 
 
 @dataclass(frozen=True)
@@ -376,8 +335,6 @@ def is_frobenius(Q: FiniteGroup,
     for K in normal_subgroups(Q, limit):
         if K.order in (1, n):
             continue
-        if n % K.order != 0:
-            continue  # pragma: no cover - Lagrange makes this impossible
         if math.gcd(K.order, n // K.order) != 1:
             continue
         if not all(centralizer_of_set(Q, [k]) <= K.members
@@ -495,47 +452,29 @@ def hall(G: FiniteGroup, pi: set[int] | frozenset[int],
 
 
 def strip_abelian_factors(G: FiniteGroup,
-                          limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT
+                          limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT,
+                          normals: Optional[list[Subgroup]] = None
                           ) -> tuple[FiniteGroup, Subgroup]:
     """Split G = H x A with A a maximal-order central direct factor.
 
     Returns H reified as a group (the class-size-carrying core) and A.
-    The witness is one maximal choice; no canonicity is claimed.
+    Both factors are normal, so both come from the normal subgroups of G
+    (``normals`` when given): every subgroup of Z(G) is normal.  The
+    witness is one maximal choice; no canonicity is claimed.
     """
     Z = center(G)
     if Z.order == G.order:
         H, _ = subgroup_as_group(G, frozenset([0]), name=f"{G.name}|core")
         return H, subgroup(G, Z.members)
-    normals = normal_subgroups(G, limit)
-    by_order: dict[int, list[Subgroup]] = {}
-    for N in normals:
-        by_order.setdefault(N.order, []).append(N)
-    for A_members in sorted(_abelian_subgroups(G, Z.members),
-                            key=len, reverse=True):
-        need = G.order // len(A_members)
-        for H in by_order.get(need, []):
-            if (H.members & A_members) == {0}:
+    if normals is None:
+        normals = normal_subgroups(G, limit)
+    central = [N.members for N in normals if N.members <= Z.members]
+    for A in sorted(central, key=len, reverse=True):
+        for H in normals:
+            if H.order * len(A) == G.order and H.members & A == {0}:
                 core, _ = subgroup_as_group(G, H.members, name=f"{G.name}|core")
-                return core, subgroup(G, A_members)
+                return core, subgroup(G, A)
     raise RuntimeError("no decomposition found; the trivial factor always works")
-
-
-def _abelian_subgroups(G: FiniteGroup, members: frozenset[int]) -> set[frozenset[int]]:
-    """All subgroups of an abelian subgroup, by closing cyclic joins."""
-    cyclics = {G.subgroup_closure([x]) for x in members}
-    cyclics.add(frozenset([0]))
-    found = set(cyclics)
-    frontier = list(cyclics)
-    while frontier:
-        nxt = []
-        for A in frontier:
-            for B in cyclics:
-                join = G.subgroup_closure(sorted(A | B))
-                if join not in found:
-                    found.add(join)
-                    nxt.append(join)
-        frontier = nxt
-    return found
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:

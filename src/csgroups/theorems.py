@@ -57,7 +57,8 @@ class TheoremVerdict:
 
 
 class GroupAnalysis:
-    """Caches the per-group data the verdicts share."""
+    """Caches the per-group data the verdicts share; ``profile`` is the
+    group's one class algebra, which the lattice and mask queries read."""
 
     def __init__(self, G: FiniteGroup, normal_limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT):
         self.group = G
@@ -77,11 +78,12 @@ class GroupAnalysis:
 
     @cached_property
     def stripped(self):
-        return strip_abelian_factors(self.group, self.normal_limit)
+        return strip_abelian_factors(self.group, self.normal_limit,
+                                     None if self.is_abelian else self.normals)
 
     @cached_property
     def normals(self):
-        return normal_subgroups(self.group, self.normal_limit)
+        return normal_subgroups(self.group, self.normal_limit, self.profile)
 
     @cached_property
     def center(self):

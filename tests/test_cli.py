@@ -128,13 +128,15 @@ class TestVerify:
 class TestNestedLimits:
     def test_every_lattice_call_gets_the_configured_limit(self, monkeypatch, capsys):
         # Theorem A's core analysis and both is_frobenius calls (Theorem A,
-        # lemma 2.3) enumerate normal subgroups of groups built on the way
+        # lemma 2.3) enumerate normal subgroups of groups built on the way;
+        # a group's own lattice is enumerated once, for lemma 2.1a and the
+        # stripping of abelian factors alike
         limits = []
         enumerate_normals = structure.normal_subgroups
 
-        def spy(G, limit=structure.DEFAULT_NORMAL_SUBGROUP_LIMIT):
+        def spy(G, limit=structure.DEFAULT_NORMAL_SUBGROUP_LIMIT, profile=None):
             limits.append(limit)
-            return enumerate_normals(G, limit)
+            return enumerate_normals(G, limit, profile)
 
         monkeypatch.setattr(structure, "normal_subgroups", spy)
         monkeypatch.setattr(theorems, "normal_subgroups", spy)
@@ -143,7 +145,7 @@ class TestNestedLimits:
         limits.clear()
         assert main(["verify", "lemmas", "builtin:dihedral(5)xcyclic(3)",
                      "--max-normal-subgroups", "500"]) == EXIT_OK
-        assert limits == [500] * 3
+        assert limits == [500] * 2
         capsys.readouterr()
 
 
@@ -205,6 +207,27 @@ class TestSweep:
         capsys.readouterr()
         assert report.read_bytes() == (DATA / "sweep_seed3.json").read_bytes()
 
+    def test_undecodable_fixture_is_an_error_entry(self, tmp_path, capsys):
+        extra = tmp_path / "extra"
+        extra.mkdir()
+        (extra / "latin1.txt").write_bytes(b"name caf\xff\ndegree 3\n(1,2,3)\n")
+        report = tmp_path / "out.json"
+        assert main(["sweep", "--max-elements", "30", "--fixture-dir", str(extra),
+                     "--report", str(report)]) == EXIT_OK
+        capsys.readouterr()
+        by_name = {e["name"]: e for e in json.loads(report.read_text())["entries"]}
+        assert "not UTF-8" in by_name["latin1"]["error"]
+        assert by_name["sym(3)"]["order"] == 6  # the sweep went on
+
+
+class TestVerifyLemmas:
+    def test_seeded_report_is_byte_identical(self, tmp_path, capsys):
+        report = tmp_path / "lemmas.json"
+        assert main(["verify", "lemmas", "--pair-sample-seed", "3",
+                     "--report", str(report)]) == EXIT_OK
+        capsys.readouterr()
+        assert report.read_bytes() == (DATA / "lemmas_seed3.json").read_bytes()
+
 
 class TestConfig:
     def test_config_file_round_trip(self, tmp_path, capsys):
@@ -236,6 +259,27 @@ class TestConfig:
         assert main(["sweep", "--config", str(cfg), "--max-elements", "10",
                      "--report", str(tmp_path / "out")]) == EXIT_USAGE
         assert "must be one of" in capsys.readouterr().err
+
+    def test_non_integer_config_value_names_file_line_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# limits\nmax_elements = abc\n")
+        assert main(["sweep", "--config", str(cfg),
+                     "--report", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {cfg}:2: max_elements must be an integer\n"
+
+    def test_config_jobs_below_one_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jobs = 0\n")
+        assert main(["sweep", "--config", str(cfg),
+                     "--report", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: jobs must be at least 1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_jobs_flag_below_one_is_usage_error(self, tmp_path, capsys):
+        assert main(["sweep", "--jobs", "-2", "--max-elements", "10",
+                     "--report", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: jobs must be at least 1\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

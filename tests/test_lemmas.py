@@ -25,14 +25,14 @@ class TestHelpers:
     def test_o_p_prime_of_symmetric_3(self):
         G = symmetric(3)
         prof = conjugacy_classes(G)
-        assert len(o_p_prime(G, 2, prof)) == 3  # the rotation subgroup
-        assert len(o_p_prime(G, 3, prof)) == 1
+        assert len(o_p_prime(2, prof)) == 3  # the rotation subgroup
+        assert len(o_p_prime(3, prof)) == 1
 
     def test_o_p_prime_of_direct_product(self):
         G = direct_product(quaternion8(), cyclic(3))
         prof = conjugacy_classes(G)
-        assert len(o_p_prime(G, 2, prof)) == 3
-        assert len(o_p_prime(G, 3, prof)) == 8
+        assert len(o_p_prime(2, prof)) == 3
+        assert len(o_p_prime(3, prof)) == 8
 
     def test_coprimality_components(self):
         assert len(_coprimality_components([2, 4, 3, 9])) == 2

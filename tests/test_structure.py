@@ -1,10 +1,13 @@
 """Structural subgroup computations: series, Sylow, quotients, Frobenius."""
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from csgroups.catalog import make_builtin
 from csgroups.arith import arithmetic_profile
 from csgroups.classes import conjugacy_classes
+from csgroups.lemmas import o_p_prime
 from csgroups.construct import (
     FiniteGroup,
     alternating,
@@ -15,7 +18,13 @@ from csgroups.construct import (
     quaternion8,
     symmetric,
 )
-from csgroups.perm import element_order, from_cycles
+from csgroups.perm import (
+    OrderCapExceededError,
+    Permutation,
+    close_with_degree,
+    element_order,
+    from_cycles,
+)
 from csgroups.structure import (
     EnumerationLimitError,
     center,
@@ -37,6 +46,114 @@ from csgroups.structure import (
     subgroup_as_group,
     sylow,
 )
+
+MAX_RANDOM_ORDER = 1000
+
+
+@st.composite
+def small_permutation_groups(draw):
+    """The group generated by 2-3 random permutations of at most 7 points,
+    kept when it has at most MAX_RANDOM_ORDER elements.  The generators
+    keep the points below a random split apart from those above it, so
+    that intransitive groups, with centres and long lattices, come up."""
+    deg = draw(st.integers(2, 7))
+    split = draw(st.integers(0, deg))
+    halves = st.tuples(st.permutations(range(split)), st.permutations(range(split, deg)))
+    gens = draw(st.lists(halves.map(lambda h: Permutation(h[0] + h[1])),
+                         min_size=2, max_size=3))
+    try:
+        table = close_with_degree(gens, deg, MAX_RANDOM_ORDER)
+    except OrderCapExceededError:
+        reject()
+    return FiniteGroup(table, [table.index_of(g) for g in gens if not g.is_identity()],
+                       f"<{', '.join(map(repr, gens))}>")
+
+
+class ElementLevel:
+    """A group's elements as ``Permutation`` images, for oracles that use
+    neither the engine's index tables nor its class-product support.
+    Element i is ``G.element(i)``."""
+
+    def __init__(self, G: FiniteGroup):
+        self.n = G.order
+        self.P = np.array([G.element(i).images for i in range(G.order)], dtype=np.int64)
+        self.inv = np.argsort(self.P, axis=1)
+        self.weights = G.deg ** np.arange(G.deg)
+        self.codes = self.P @ self.weights
+        self.sorter = np.argsort(self.codes)
+
+    def index(self, images: np.ndarray) -> np.ndarray:
+        codes = images @ self.weights
+        return self.sorter[np.searchsorted(self.codes[self.sorter], codes)]
+
+    def products(self, x: int, ys) -> np.ndarray:
+        """Indices of x*y for y in ``ys``: y's images, then x's."""
+        return self.index(self.P[x][self.P[list(ys)]])
+
+    def conjugates(self, x: int) -> frozenset[int]:
+        """{g x g^-1 : g in G}."""
+        return frozenset(self.index(np.take_along_axis(self.P, self.P[x][self.inv], axis=1)).tolist())
+
+    def classes(self) -> set[frozenset[int]]:
+        found, seen = set(), set()
+        for x in range(self.n):
+            if x not in seen:
+                cls = self.conjugates(x)
+                found.add(cls)
+                seen |= cls
+        return found
+
+    def is_closed(self, U: list[int]) -> bool:
+        member = np.zeros(self.n, dtype=bool)
+        member[U] = True
+        return all(member[self.products(x, U)].all() for x in U)
+
+    def normal_subgroups(self) -> set[frozenset[int]]:
+        """Every union of classes that is a subgroup; by Lagrange only
+        unions whose size divides |G| can be one."""
+        identity, *rest = sorted(self.classes(), key=min)
+        found = set()
+        for chosen in range(1 << len(rest)):
+            picked = [C for c, C in enumerate(rest) if chosen >> c & 1]
+            if self.n % (1 + sum(map(len, picked))):
+                continue
+            U = identity.union(*picked)
+            if self.is_closed(sorted(U)):
+                found.add(U)
+        return found
+
+    def subgroups_of_abelian(self, Z: frozenset[int]) -> set[frozenset[int]]:
+        """Every subgroup of an abelian subgroup Z: the products of its
+        cyclic subgroups, as AB = {ab} is a subgroup when A and B commute."""
+        cyclics = set()
+        for z in Z:
+            powers = [0]
+            while (nxt := int(self.products(z, [powers[-1]])[0])) != 0:
+                powers.append(nxt)
+            cyclics.add(frozenset(powers))
+        found, frontier = set(cyclics), list(cyclics)
+        while frontier:
+            nxt = []
+            for A in frontier:
+                for B in cyclics:
+                    AB = frozenset(y for a in A for y in self.products(a, B).tolist())
+                    if AB not in found:
+                        found.add(AB)
+                        nxt.append(AB)
+            frontier = nxt
+        return found
+
+
+def _assert_lattice_complete(G: FiniteGroup) -> None:
+    classes = [members for _, members in conjugacy_classes(G).classes]
+    assert len(classes) <= 10
+    closed = set()
+    for chosen in range(1 << (len(classes) - 1)):
+        U = classes[0].union(*(C for c, C in enumerate(classes[1:])
+                               if chosen >> c & 1))
+        if all(G.mul(x, y) in U for x in U for y in U):
+            closed.add(U)
+    assert {N.members for N in normal_subgroups(G)} == closed
 
 
 class TestSeries:
@@ -148,16 +265,56 @@ class TestNormalSubgroups:
         """The lattice holds every union of classes that contains the
         identity and is closed under multiplication, found element by
         element over all such unions."""
-        G = make_builtin(spec)
-        classes = [members for _, members in conjugacy_classes(G).classes]
-        assert len(classes) <= 10
-        closed = set()
-        for chosen in range(1 << (len(classes) - 1)):
-            U = classes[0].union(*(C for c, C in enumerate(classes[1:])
-                                   if chosen >> c & 1))
-            if all(G.mul(x, y) in U for x in U for y in U):
-                closed.add(U)
-        assert {N.members for N in normal_subgroups(G)} == closed
+        _assert_lattice_complete(make_builtin(spec))
+
+
+class TestClassAlgebraOracles:
+    """The class-mask queries against element-level brute force."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(small_permutation_groups())
+    def test_mask_queries_match_element_level(self, G):
+        brute = ElementLevel(G)
+        profile = conjugacy_classes(G)
+        classes = brute.classes()
+        # the class equation
+        assert {members for _, members in profile.classes} == classes
+        assert sum(map(len, classes)) == G.order == profile.size((1 << len(classes)) - 1)
+        assert all(G.order % len(C) == 0 for C in classes)
+
+        normals = brute.normal_subgroups()
+        lattice = normal_subgroups(G, profile=profile)
+        assert {N.members for N in lattice} == normals
+        assert all(profile.members(profile.mask_of(N)) == N for N in normals)
+
+        for p in arithmetic_profile(G.order).primes:
+            largest = max((N for N in normals if len(N) % p), key=len)
+            assert o_p_prime(p, profile) == largest
+
+        for N in lattice:
+            q = quotient(G, N)
+            qprof = conjugacy_classes(q.group)
+            mask = profile.mask_of(N.members)
+            for c, (x, _) in enumerate(profile.classes):
+                expected = qprof.class_size_of(int(q.projection[x]))
+                assert profile.quotient_class_size(c, mask) == expected
+
+        Z = frozenset().union(*(C for C in classes if len(C) == 1))
+        assert center(G).members == Z
+        central = brute.subgroups_of_abelian(Z)
+        assert {N.members for N in lattice if N.members <= Z} == central
+        # stripping takes a largest central subgroup with a normal complement
+        core, factor = strip_abelian_factors(G)
+        best = max(len(A) for A in central
+                   if any(len(A) * len(H) == G.order and A & H == {0} for H in normals))
+        assert factor.order == best and core.order * factor.order == G.order
+        assert factor.members <= Z
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(small_permutation_groups())
+    def test_lattice_is_complete_on_random_groups(self, G):
+        assume(len(conjugacy_classes(G).classes) <= 10)
+        _assert_lattice_complete(G)
 
 
 class TestFrobeniusAndHall:
