@@ -24,20 +24,21 @@ import sys
 import time
 from itertools import product
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from csgroups.classes import conjugacy_classes
 from csgroups.construct import (
-    ActionError,
     FiniteGroup,
     cyclic,
     direct_product,
     dump_fixture,
     extraspecial_p3,
-    semidirect_product,
 )
-from csgroups.perm import Permutation, close_with_degree
+from csgroups.perm import DEFAULT_CLOSURE_CAP, OrderCapExceededError, Permutation, close_with_degree
 from csgroups.structure import generating_set
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "csgroups" / "fixtures"
@@ -56,35 +57,114 @@ def rename(G: FiniteGroup, name: str) -> FiniteGroup:
     return G
 
 
-# -- generic automorphism search ----------------------------------------------
+# -- semidirect products --------------------------------------------------------
 
 
-def _try_extend(G: FiniteGroup, gens: list[int], images: list[int]):
-    """Extend generator images to a full index map, or return None."""
-    phi = [-1] * G.order
+class ActionError(ValueError):
+    """A claimed semidirect-product action is not a valid action."""
+
+
+def _extend_generator_map(N: FiniteGroup, gens: Sequence[int],
+                          gen_images: Sequence[int]) -> np.ndarray:
+    """Extend the images of the generators ``gens`` of N to a verified
+    automorphism of N.
+
+    Returns the automorphism as an index map, or raises ActionError if
+    the extension is not a well-defined bijective homomorphism.
+    """
+    if len(gen_images) != len(gens):
+        raise ActionError(f"expected {len(gens)} generator images, got {len(gen_images)}")
+    phi = [-1] * N.order
     phi[0] = 0
     frontier = [0]
     while frontier:
         nxt = []
         for x in frontier:
-            for g, img in zip(gens, images):
-                y = G.mul(x, g)
-                fy = G.mul(phi[x], img)
+            for g, img in zip(gens, gen_images):
+                y = N.mul(x, g)
+                fy = N.mul(phi[x], int(img))
                 if phi[y] == -1:
                     phi[y] = fy
                     nxt.append(y)
                 elif phi[y] != fy:
-                    return None
+                    raise ActionError(f"generator images are inconsistent at element {y}")
         frontier = nxt
     if -1 in phi:
-        return None
-    for g, img in zip(gens, images):
-        for x in range(G.order):
-            if phi[G.mul(x, g)] != G.mul(phi[x], img):
-                return None
-    if len(set(phi)) != G.order:
-        return None
-    return phi
+        raise ActionError("generator images do not generate the whole group")
+    # homomorphism on (x, generator) pairs implies homomorphism everywhere
+    for g, img in zip(gens, gen_images):
+        for x in range(N.order):
+            if phi[N.mul(x, g)] != N.mul(phi[x], int(img)):
+                raise ActionError(f"not a homomorphism at pair ({x}, {g})")
+    if len(set(phi)) != N.order:
+        raise ActionError("map is not a bijection")
+    return np.array(phi, dtype=np.int64)
+
+
+def semidirect_product(N: FiniteGroup, H: FiniteGroup,
+                       action: Sequence[Sequence[int]],
+                       cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+    """External semidirect product N : H in its regular representation.
+
+    ``action[k]`` lists, for the k-th generator of H, the images of the
+    generators of N under the corresponding automorphism.  The claimed
+    automorphisms are verified, as is compatibility with H's relations
+    (the induced map on all of H must be single-valued).
+    """
+    if len(action) != len(H.generator_indices):
+        raise ActionError(f"action must cover all {len(H.generator_indices)} H-generators")
+    gen_autos = [_extend_generator_map(N, N.generator_indices, images) for images in action]
+
+    # extend to a map h -> automorphism over H's Cayley graph and verify
+    # consistency, which is exactly compatibility with H's relations
+    ident = np.arange(N.order, dtype=np.int64)
+    autos: dict[int, np.ndarray] = {0: ident}
+    keys: dict[int, bytes] = {0: ident.tobytes()}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g, auto in zip(H.generator_indices, gen_autos):
+                h2 = H.mul(h, g)
+                # phi_{h*g}(n) = phi_h(phi_g(n))
+                composed = autos[h][auto]
+                if h2 not in autos:
+                    autos[h2] = composed
+                    keys[h2] = composed.tobytes()
+                    nxt.append(h2)
+                elif keys[h2] != composed.tobytes():
+                    raise ActionError(f"action does not respect H's relations at element {h2}")
+        frontier = nxt
+
+    nn, nh = N.order, H.order
+    if nn * nh > cap:
+        raise OrderCapExceededError(cap, nn * nh)
+
+    def point(n: int, h: int) -> int:
+        return n * nh + h
+
+    def left_mult(a: int, s: int) -> Permutation:
+        # (a, s) * (n, h) = (a * phi_s(n), s * h)
+        auto = autos[s]
+        srow = [H.mul(s, h) for h in range(nh)]
+        images = [0] * (nn * nh)
+        for n in range(nn):
+            an = N.mul(a, int(auto[n]))
+            base = n * nh
+            for h in range(nh):
+                images[base + h] = point(an, srow[h])
+        return Permutation(images)
+
+    gens = ([left_mult(g, 0) for g in N.generator_indices]
+            + [left_mult(0, g) for g in H.generator_indices])
+    table = close_with_degree(gens, nn * nh, cap)
+    if len(table) != nn * nh:
+        raise ActionError(f"semidirect closure has order {len(table)}, expected {nn * nh}")
+    name = f"{N.name} : {H.name}"
+    return FiniteGroup(table, [table.index_of(g) for g in gens], name)
+
+
+# -- generic automorphism search ----------------------------------------------
 
 
 def automorphisms_of_order(G: FiniteGroup, k: int, *, fix_first_up_to_conjugacy=False,
@@ -120,17 +200,16 @@ def automorphisms_of_order(G: FiniteGroup, k: int, *, fix_first_up_to_conjugacy=
 
     def dfs(depth: int, images: list[int]):
         if depth == len(gens):
-            phi = _try_extend(G, gens, images)
-            if phi is not None:
-                # order of phi divides k?
-                power = phi
-                ok = True
-                for _ in range(k - 1):
-                    power = [phi[v] for v in power]
-                if any(power[v] != v for v in range(n)):
-                    ok = False
-                if ok:
-                    yield phi
+            try:
+                phi = _extend_generator_map(G, gens, images).tolist()
+            except ActionError:
+                return
+            # order of phi divides k?
+            power = phi
+            for _ in range(k - 1):
+                power = [phi[v] for v in power]
+            if all(power[v] == v for v in range(n)):
+                yield phi
             return
         for y in candidates[depth]:
             good = True

@@ -21,7 +21,6 @@ from .construct import (
     frobenius_pq,
     load_fixture,
     quaternion8,
-    semidirect_product,
     symmetric,
 )
 from .perm import (
@@ -37,7 +36,6 @@ from .perm import (
 )
 from .structure import (
     FrobeniusVerdict,
-    Subgroup,
     center,
     core_p,
     derived_series,

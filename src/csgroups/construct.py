@@ -1,5 +1,5 @@
-"""Group construction: named families, products, semidirect products,
-and generator fixtures.
+"""Group construction: named families, direct products, and generator
+fixtures.
 
 Groups are always realized as permutation groups; when no natural
 small-degree action exists we fall back to the regular representation.
@@ -17,7 +17,6 @@ from .arith import is_prime, primitive_root
 from .perm import (
     DEFAULT_CLOSURE_CAP,
     ElementTable,
-    OrderCapExceededError,
     Permutation,
     close_with_degree,
     from_cycles,
@@ -28,10 +27,6 @@ ROW_MEMO_ENTRIES = 4096  # indices a group may hold in memoized multiplication r
 
 class ParameterError(ValueError):
     """Invalid parameters for a named group family."""
-
-
-class ActionError(ValueError):
-    """A claimed semidirect-product action is not a valid action."""
 
 
 class FixtureError(ValueError):
@@ -320,105 +315,6 @@ def direct_product(G: FiniteGroup, H: FiniteGroup,
             + [lift_h(H.element(i)) for i in H.generator_indices])
     table = close_with_degree(gens, deg, cap)
     name = f"{G.name} x {H.name}"
-    return FiniteGroup(table, [table.index_of(g) for g in gens], name)
-
-
-def _extend_generator_map(N: FiniteGroup, gen_images: Sequence[int]) -> np.ndarray:
-    """Extend generator images to a verified automorphism of N.
-
-    Returns the automorphism as an index map, or raises ActionError if
-    the extension is not a well-defined bijective homomorphism.
-    """
-    gens = N.generator_indices
-    if len(gen_images) != len(gens):
-        raise ActionError(f"expected {len(gens)} generator images, got {len(gen_images)}")
-    phi = np.full(N.order, -1, dtype=np.int64)
-    phi[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, img in zip(gens, gen_images):
-                y = N.mul(x, g)
-                fy = N.mul(int(phi[x]), int(img))
-                if phi[y] == -1:
-                    phi[y] = fy
-                    nxt.append(y)
-                elif phi[y] != fy:
-                    raise ActionError(f"generator images are inconsistent at element {y}")
-        frontier = nxt
-    if (phi == -1).any():
-        raise ActionError("generator images do not generate the whole group")
-    # homomorphism on (x, generator) pairs implies homomorphism everywhere
-    for g, img in zip(gens, gen_images):
-        for x in range(N.order):
-            if phi[N.mul(x, g)] != N.mul(int(phi[x]), int(img)):
-                raise ActionError(f"not a homomorphism at pair ({x}, {g})")
-    if len(set(phi.tolist())) != N.order:
-        raise ActionError("map is not a bijection")
-    return phi
-
-
-def semidirect_product(N: FiniteGroup, H: FiniteGroup,
-                       action: Sequence[Sequence[int]],
-                       cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
-    """External semidirect product N : H in its regular representation.
-
-    ``action[k]`` lists, for the k-th generator of H, the images of the
-    generators of N under the corresponding automorphism.  The claimed
-    automorphisms are verified, as is compatibility with H's relations
-    (the induced map on all of H must be single-valued).
-    """
-    if len(action) != len(H.generator_indices):
-        raise ActionError(f"action must cover all {len(H.generator_indices)} H-generators")
-    gen_autos = [_extend_generator_map(N, images) for images in action]
-
-    # extend to a map h -> automorphism over H's Cayley graph and verify
-    # consistency, which is exactly compatibility with H's relations
-    ident = np.arange(N.order, dtype=np.int64)
-    autos: dict[int, np.ndarray] = {0: ident}
-    keys: dict[int, bytes] = {0: ident.tobytes()}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g, auto in zip(H.generator_indices, gen_autos):
-                h2 = H.mul(h, g)
-                # phi_{h*g}(n) = phi_h(phi_g(n))
-                composed = autos[h][auto]
-                if h2 not in autos:
-                    autos[h2] = composed
-                    keys[h2] = composed.tobytes()
-                    nxt.append(h2)
-                elif keys[h2] != composed.tobytes():
-                    raise ActionError(f"action does not respect H's relations at element {h2}")
-        frontier = nxt
-
-    nn, nh = N.order, H.order
-    if nn * nh > cap:
-        raise OrderCapExceededError(cap, nn * nh)
-
-    def point(n: int, h: int) -> int:
-        return n * nh + h
-
-    def left_mult(a: int, s: int) -> Permutation:
-        # (a, s) * (n, h) = (a * phi_s(n), s * h)
-        auto = autos[s]
-        srow = [H.mul(s, h) for h in range(nh)]
-        images = [0] * (nn * nh)
-        for n in range(nn):
-            an = N.mul(a, int(auto[n]))
-            base = n * nh
-            for h in range(nh):
-                images[base + h] = point(an, srow[h])
-        return Permutation(images)
-
-    gens = ([left_mult(g, 0) for g in N.generator_indices]
-            + [left_mult(0, g) for g in H.generator_indices])
-    table = close_with_degree(gens, nn * nh, cap)
-    if len(table) != nn * nh:
-        raise ActionError(f"semidirect closure has order {len(table)}, expected {nn * nh}")
-    name = f"{N.name} : {H.name}"
     return FiniteGroup(table, [table.index_of(g) for g in gens], name)
 
 

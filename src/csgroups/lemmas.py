@@ -12,7 +12,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .arith import arithmetic_profile
 from .classes import conjugacy_classes, is_p_element, pi_part_of_element
@@ -110,16 +109,16 @@ def check_quotient_class_size_divides(G, analysis, report: LemmaReport):
         return
     normals = analysis.normals
     if len(normals) > MAX_QUOTIENT_NORMALS:
-        normals = sorted(normals, key=lambda N: N.order)[:MAX_QUOTIENT_NORMALS // 2] + \
-            sorted(normals, key=lambda N: -N.order)[:MAX_QUOTIENT_NORMALS // 2]
+        normals = sorted(normals, key=len)[:MAX_QUOTIENT_NORMALS // 2] + \
+            sorted(normals, key=lambda N: -len(N))[:MAX_QUOTIENT_NORMALS // 2]
         report.skipped.append(("2.1a", G.name, "normal subgroups truncated"))
     for N in normals:
-        mask = profile.mask_of(N.members)
+        mask = profile.mask_of(N)
         for c, (x, members) in enumerate(profile.classes):
             up = len(members)
             down = profile.quotient_class_size(c, mask)
             _record(report, "2.1a", G.name, up % down == 0,
-                    f"N order {N.order}, x={x}: {down} does not divide {up}")
+                    f"N order {len(N)}, x={x}: {down} does not divide {up}")
 
 
 def check_coprime_class_size_factorization(G, analysis, report: LemmaReport):
@@ -186,9 +185,9 @@ def check_prime_missing_from_class_sizes(G, analysis, report: LemmaReport):
     for p in arithmetic_profile(G.order).primes:
         lhs = all(s % p != 0 for s in profile.cs_set)
         P = sylow(G, p)
-        P_abelian = _commute(G, P.members, P.members)
+        P_abelian = _commute(G, P, P)
         O = o_p_prime(p, profile)
-        rhs = P_abelian and _direct_factor_check(G, P.members, O)
+        rhs = P_abelian and _direct_factor_check(G, P, O)
         _record(report, "2.1d", G.name, lhs == rhs,
                 f"p={p}: lhs={lhs}, rhs={rhs}")
 
@@ -199,24 +198,29 @@ def check_pi_element_lifting(G, analysis, report: LemmaReport):
     if analysis.is_abelian:
         _record(report, "2.1e", G.name, True, "")
         return
-    normals = [N for N in analysis.normals if 1 < N.order < G.order]
+    profile = analysis.profile
+    normals = [N for N in analysis.normals if 1 < len(N) < G.order]
     if len(normals) > MAX_QUOTIENT_NORMALS:
         normals = normals[:MAX_QUOTIENT_NORMALS]
         report.skipped.append(("2.1e", G.name, "normal subgroups truncated"))
     for N in normals:
-        q = quotient(G, N)
-        qprof = conjugacy_classes(q.group)
-        for qrep in qprof.representatives:
-            if qrep == 0:
+        # the classes of G/N are the unions x^G N; each is represented by
+        # its least element x, the representative of its first class
+        covered = mask = profile.mask_of(N)
+        for c, (x, _) in enumerate(profile.classes):
+            if covered >> c & 1:
                 continue
-            pi = set(arithmetic_profile(int(q.group.element_orders[qrep])).primes)
-            x = int((q.projection == qrep).argmax())
+            covered |= profile.product(1 << c, mask)
+            k, xk = 1, x  # the order of xN is the least k with x^k in N
+            while xk not in N:
+                k, xk = k + 1, G.mul(xk, x)
+            pi = set(arithmetic_profile(k).primes)
             y = pi_part_of_element(G, x, pi)
             z = pi_part_of_element(G, x, set(arithmetic_profile(int(G.element_orders[x])).primes) - pi)
-            ok = (z in N.members and int(q.projection[y]) == qrep
+            ok = (z in N and G.mul(int(G.inv[x]), y) in N
                   and arithmetic_profile(int(G.element_orders[y])).is_pi_number(pi))
             _record(report, "2.1e", G.name, ok,
-                    f"N order {N.order}, coset rep {qrep}")
+                    f"N order {len(N)}, x={x}")
 
 
 def check_coprime_triple_growth(G, analysis, report: LemmaReport):
@@ -275,17 +279,17 @@ def _disconnected_conclusion(core: FiniteGroup, pi: set[int], limit: int) -> boo
     L = hall(core, pi_prime, limit)
     if H is None or L is None:
         return False
-    if not is_normal(core, L.members):
+    if not is_normal(core, L):
         return False
-    if not (_commute(core, H.members, H.members) and _commute(core, L.members, L.members)):
+    if not (_commute(core, H, H) and _commute(core, L, L)):
         return False
-    if H.order * L.order != core.order:
+    if len(H) * len(L) != core.order:
         return False
     Z = center(core)
     q = quotient(core, Z)
     if not is_frobenius(q.group, limit).is_frobenius:
         return False
-    expected = tuple(sorted({1, L.order, H.order // Z.order}))
+    expected = tuple(sorted({1, len(L), len(H) // len(Z)}))
     return conjugacy_classes(core).cs_set == expected
 
 
@@ -297,7 +301,7 @@ def check_mixed_prime_power_products(G, analysis, report: LemmaReport,
     profile = analysis.profile
     if analysis.is_abelian:
         return
-    zset = analysis.center.members
+    zset = analysis.center
     for t in arithmetic_profile(G.order).primes:
         telts = [x for x in range(1, G.order)
                  if x not in zset and is_p_element(G, x, t)
@@ -316,8 +320,8 @@ def check_mixed_prime_power_products(G, analysis, report: LemmaReport,
             if not arithmetic_profile(sxy).is_prime_power() or sxy == 1:
                 continue
             if core is None:  # once per t, and only for a t with an instance
-                core = core_p(G, t).members
-                syl = sylow(G, t).members
+                core = core_p(G, t)
+                syl = sylow(G, t)
                 nonabelian = not _commute(G, syl, syl)
             sx, sy = profile.class_size_of(x), profile.class_size_of(y)
             inside = G.subgroup_closure([x, y]) <= core
@@ -383,9 +387,9 @@ def check_minimal_centralizer_shape(G, analysis, report: LemmaReport):
                           if math.gcd(int(Xgrp.element_orders[i]), r) == 1)
             a_subgroup = Xgrp.subgroup_closure(sorted(A)) == A
             ok = (a_subgroup and _commute(Xgrp, A, A)
-                  and _direct_factor_check(Xgrp, R.members, A))
+                  and _direct_factor_check(Xgrp, R, A))
             _record(report, "2.6", G.name, ok,
-                    f"x={x}, r={r}, |X|={len(X)}, |R|={R.order}, |A|={len(A)}")
+                    f"x={x}, r={r}, |X|={len(X)}, |R|={len(R)}, |A|={len(A)}")
             break  # one witness element per minimal centralizer
 
 
@@ -408,10 +412,3 @@ def lemma_suite_for_group(G: FiniteGroup, analysis=None,
         report.skipped.append(("*", G.name, f"structural limit: {exc}"))
     return report
 
-
-def lemma_suite(catalog: Iterable[FiniteGroup],
-                pair_limit: int = DEFAULT_PAIR_LIMIT, seed: int = 0) -> LemmaReport:
-    total = LemmaReport()
-    for G in catalog:
-        total.merge(lemma_suite_for_group(G, pair_limit=pair_limit, seed=seed))
-    return total

@@ -1,7 +1,11 @@
 """Structural subgroup machinery: center, derived series, Sylow and
 O_p, Fitting subgroups, quotients, normal-subgroup enumeration, Hall
 subgroups, Frobenius detection, nilpotency class, and stripping of
-abelian direct factors."""
+abelian direct factors.
+
+A subgroup of G is the frozenset of its element indices in G; a subgroup
+that needs its own multiplication table is reified by
+``subgroup_as_group``."""
 
 from __future__ import annotations
 
@@ -29,36 +33,6 @@ class NotNilpotentError(ValueError):
     """Nilpotency class requested for a non-nilpotent group."""
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup of an ambient group, stored as an element-index set."""
-
-    members: frozenset[int]
-    ambient: FiniteGroup
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
-
-    def __le__(self, other: "Subgroup") -> bool:
-        return self.members <= other.members
-
-
-def subgroup(G: FiniteGroup, members: frozenset[int]) -> Subgroup:
-    return Subgroup(members, G)
-
-
-def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return subgroup(G, frozenset([0]))
-
-
-def whole_group(G: FiniteGroup) -> Subgroup:
-    return subgroup(G, frozenset(range(G.order)))
-
-
 def generating_set(G: FiniteGroup, members: frozenset[int]) -> list[int]:
     """A small generating set for a subgroup, grown greedily."""
     if members == {0}:
@@ -81,9 +55,9 @@ def is_normal(G: FiniteGroup, members: frozenset[int]) -> bool:
                for x in gens for g in G.generator_indices)
 
 
-def center(G: FiniteGroup) -> Subgroup:
+def center(G: FiniteGroup) -> frozenset[int]:
     """Z(G): elements commuting with every generator."""
-    return subgroup(G, centralizer_of_set(G, G.generator_indices))
+    return centralizer_of_set(G, G.generator_indices)
 
 
 def centralizer_of_set(G: FiniteGroup, xs: list[int]) -> frozenset[int]:
@@ -106,11 +80,6 @@ def normalizer(G: FiniteGroup, members: frozenset[int]) -> frozenset[int]:
     for x in gens:
         mask &= member_mask[G.conjugate_by_all(x)]
     return frozenset(np.nonzero(mask)[0].tolist())
-
-
-def derived_subgroup(G: FiniteGroup, members: frozenset[int]) -> frozenset[int]:
-    """Derived subgroup of the given subgroup (as a subset of G)."""
-    return _derived_with_generators(G, generating_set(G, members))[0]
 
 
 def normal_closure(G: FiniteGroup, seed: list[int],
@@ -149,29 +118,29 @@ def _derived_with_generators(G: FiniteGroup, gens: list[int]) -> tuple[frozenset
     return normal_closure(G, comms, gens)
 
 
-def derived_series(G: FiniteGroup) -> tuple[list[Subgroup], bool]:
+def derived_series(G: FiniteGroup) -> tuple[list[frozenset[int]], bool]:
     """G >= G' >= G'' >= ... until stabilization; soluble iff it hits 1.
 
     Each term is generated by the commutators of the previous term's
     generators and their conjugates, starting from G's generators.
     """
-    series = [whole_group(G)]
+    series = [frozenset(range(G.order))]
     gens = G.generator_indices
     while True:
         nxt, gens = _derived_with_generators(G, gens)
-        if nxt == series[-1].members:
+        if nxt == series[-1]:
             break
-        series.append(subgroup(G, nxt))
+        series.append(nxt)
         if nxt == {0}:
             break
-    return series, series[-1].members == {0}
+    return series, series[-1] == {0}
 
 
 def is_soluble(G: FiniteGroup) -> bool:
     return derived_series(G)[1]
 
 
-def sylow(G: FiniteGroup, p: int) -> Subgroup:
+def sylow(G: FiniteGroup, p: int) -> frozenset[int]:
     """A Sylow p-subgroup, grown by normalizer ascent.
 
     While |P| is short of the full p-part, some element of N_G(P) has a
@@ -181,7 +150,7 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
     target = arithmetic_profile(G.order).part(p)
     members: frozenset[int] = frozenset([0])
     if target == 1:
-        return subgroup(G, members)
+        return members
     while len(members) < target:
         candidates = normalizer(G, members) if len(members) > 1 else frozenset(range(G.order))
         extended = False
@@ -195,18 +164,17 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
                 break
         if not extended:  # pragma: no cover - Sylow theory guarantees progress
             raise RuntimeError(f"sylow ascent stalled at order {len(members)}")
-    return subgroup(G, members)
+    return members
 
 
-def core_p(G: FiniteGroup, p: int) -> Subgroup:
+def core_p(G: FiniteGroup, p: int) -> frozenset[int]:
     """O_p(G): the intersection of all conjugates of one Sylow p-subgroup.
 
     That is the union of the classes inside P, found as the largest
     subset of P that conjugation by each generator keeps inside itself:
     drop the elements that a generator moves out, until none is moved.
     """
-    P = sylow(G, p)
-    core = np.array(sorted(P.members), dtype=np.int64)
+    core = np.array(sorted(sylow(G, p)), dtype=np.int64)
     member_mask = np.zeros(G.order, dtype=bool)
     member_mask[core] = True
     while True:
@@ -217,16 +185,15 @@ def core_p(G: FiniteGroup, p: int) -> Subgroup:
             break
         member_mask[core[~keep]] = False
         core = core[keep]
-    return subgroup(G, frozenset(core.tolist()))
+    return frozenset(core.tolist())
 
 
-def fitting(G: FiniteGroup) -> Subgroup:
+def fitting(G: FiniteGroup) -> frozenset[int]:
     """F(G): the join of the O_p(G) over the primes dividing |G|."""
     gens: list[int] = []
     for p in arithmetic_profile(G.order).primes:
-        gens += generating_set(G, core_p(G, p).members)
-    members = G.subgroup_closure(gens)
-    return subgroup(G, members)
+        gens += generating_set(G, core_p(G, p))
+    return G.subgroup_closure(gens)
 
 
 @dataclass
@@ -241,11 +208,10 @@ class Quotient:
         return frozenset(np.nonzero(mask)[0].tolist())
 
 
-def quotient(G: FiniteGroup, N: Subgroup | frozenset[int]) -> Quotient:
+def quotient(G: FiniteGroup, N: frozenset[int]) -> Quotient:
     """G/N realized on the left cosets of N by translation."""
-    members = N.members if isinstance(N, Subgroup) else N
-    gens = generating_set(G, members)
-    if not all(G.conjugate(x, g) in members for x in gens for g in G.generator_indices):
+    gens = generating_set(G, N)
+    if not all(G.conjugate(x, g) in N for x in gens for g in G.generator_indices):
         raise ValueError("quotient by a non-normal subgroup")
     # the coset xN is the orbit of x under right multiplication by N's generators
     columns = [G.mul_column(g).tolist() for g in gens]
@@ -269,22 +235,21 @@ def quotient(G: FiniteGroup, N: Subgroup | frozenset[int]) -> Quotient:
     table = ElementTable(np.concatenate([projection[G.products(reps[start:start + step], reps)]
                                          for start in range(0, len(reps), step)]))
     gen_idx = sorted({int(projection[g]) for g in G.generator_indices} - {0})
-    Q = FiniteGroup(table, gen_idx, f"{G.name}/N{len(members)}")
+    Q = FiniteGroup(table, gen_idx, f"{G.name}/N{len(N)}")
     return Quotient(Q, projection)
 
 
-def fitting2(G: FiniteGroup) -> Subgroup:
+def fitting2(G: FiniteGroup) -> frozenset[int]:
     """F2(G): the preimage in G of F(G/F(G))."""
     F = fitting(G)
-    if F.order == G.order:
-        return subgroup(G, F.members)
+    if len(F) == G.order:
+        return F
     q = quotient(G, F)
-    FQ = fitting(q.group)
-    return subgroup(G, q.preimage(FQ.members))
+    return q.preimage(fitting(q.group))
 
 
 def normal_subgroups(G: FiniteGroup, limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT,
-                     profile: Optional[ClassProfile] = None) -> list[Subgroup]:
+                     profile: Optional[ClassProfile] = None) -> list[frozenset[int]]:
     """All normal subgroups, enumerated on masks of conjugacy classes.
 
     Reads the class-product support of ``profile`` (G's class profile,
@@ -311,15 +276,14 @@ def normal_subgroups(G: FiniteGroup, limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT,
         if not new:
             break
         joins = (profile.product(A, B) for A in new for B in seeds if B & ~A)
-    members = sorted(map(profile.members, found), key=lambda m: (len(m), sorted(m)))
-    return [subgroup(G, m) for m in members]
+    return sorted(map(profile.members, found), key=lambda m: (len(m), sorted(m)))
 
 
 @dataclass(frozen=True)
 class FrobeniusVerdict:
     is_frobenius: bool
-    kernel: Optional[Subgroup] = None
-    complement: Optional[Subgroup] = None
+    kernel: Optional[frozenset[int]] = None
+    complement: Optional[frozenset[int]] = None
 
 
 def is_frobenius(Q: FiniteGroup,
@@ -333,16 +297,15 @@ def is_frobenius(Q: FiniteGroup,
     """
     n = Q.order
     for K in normal_subgroups(Q, limit):
-        if K.order in (1, n):
+        if len(K) in (1, n):
             continue
-        if math.gcd(K.order, n // K.order) != 1:
+        if math.gcd(len(K), n // len(K)) != 1:
             continue
-        if not all(centralizer_of_set(Q, [k]) <= K.members
-                   for k in K.members if k != 0):
+        if not all(centralizer_of_set(Q, [k]) <= K for k in K if k != 0):
             continue
-        pi = set(arithmetic_profile(n // K.order).primes)
+        pi = set(arithmetic_profile(n // len(K)).primes)
         H = hall(Q, pi, limit)
-        if H is not None and H.order == n // K.order and (H.members & K.members) == {0}:
+        if H is not None and len(H) == n // len(K) and (H & K) == {0}:
             return FrobeniusVerdict(True, K, H)
     return FrobeniusVerdict(False)
 
@@ -366,13 +329,12 @@ def subgroup_as_group(G: FiniteGroup, members: frozenset[int],
 
 
 def minimal_normal_subgroups(G: FiniteGroup,
-                             limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT) -> list[Subgroup]:
-    nontrivial = [N for N in normal_subgroups(G, limit) if N.order > 1]
-    return [N for N in nontrivial
-            if not any(M.order > 1 and M.members < N.members for M in nontrivial)]
+                             limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT) -> list[frozenset[int]]:
+    nontrivial = [N for N in normal_subgroups(G, limit) if len(N) > 1]
+    return [N for N in nontrivial if not any(M < N for M in nontrivial)]
 
 
-def _complement_abelian(G: FiniteGroup, M: Subgroup) -> Optional[Subgroup]:
+def _complement_abelian(G: FiniteGroup, M: frozenset[int]) -> Optional[frozenset[int]]:
     """Complement of an abelian normal M with gcd(|M|, |G/M|) = 1.
 
     Classical averaging construction: correct a transversal by the
@@ -382,14 +344,14 @@ def _complement_abelian(G: FiniteGroup, M: Subgroup) -> Optional[Subgroup]:
     q = quotient(G, M)
     Q = q.group
     nq = Q.order
-    if math.gcd(nq, M.order) != 1:
+    if math.gcd(nq, len(M)) != 1:
         return None
     # transversal r: Q -> G picking the least preimage
     r = [int(np.nonzero(q.projection == i)[0][0]) for i in range(nq)]
     inv = G.inv
     # u(a) = prod over s of factor set t(a, s) = r(a) r(s) r(as)^{-1}, in M
     exponent = 1
-    for x in M.members:
+    for x in M:
         exponent = math.lcm(exponent, int(G.element_orders[x]))
     k = pow(nq, -1, exponent)
     corrected = []
@@ -401,13 +363,13 @@ def _complement_abelian(G: FiniteGroup, M: Subgroup) -> Optional[Subgroup]:
         # c(a) = u(a)^{-1/|Q|} * r(a) gives a homomorphic transversal
         corrected.append(G.mul(G.power(int(inv[u]), k), r[a]))
     H = G.subgroup_closure(corrected)
-    if len(H) == nq and (H & M.members) == {0}:
-        return subgroup(G, H)
+    if len(H) == nq and (H & M) == {0}:
+        return H
     return None  # pragma: no cover - averaging is exact for abelian kernels
 
 
 def hall(G: FiniteGroup, pi: set[int] | frozenset[int],
-         limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT) -> Optional[Subgroup]:
+         limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT) -> Optional[frozenset[int]]:
     """A Hall pi-subgroup, or None when the search cannot produce one.
 
     Recursive construction down a chief series; complete for soluble
@@ -420,13 +382,13 @@ def hall(G: FiniteGroup, pi: set[int] | frozenset[int],
         if p in pi:
             target *= p ** e
     if target == 1:
-        return trivial_subgroup(G)
+        return frozenset([0])
     if target == G.order:
-        return whole_group(G)
+        return frozenset(range(G.order))
     if len(arithmetic_profile(target).prime_factors) == 1:
         return sylow(G, arithmetic_profile(target).primes[0])
     for M in minimal_normal_subgroups(G, limit):
-        prof = arithmetic_profile(M.order)
+        prof = arithmetic_profile(len(M))
         if len(prof.prime_factors) != 1:
             continue  # non-elementary-abelian minimal normal: not usable here
         p = prof.primes[0]
@@ -434,27 +396,27 @@ def hall(G: FiniteGroup, pi: set[int] | frozenset[int],
         HQ = hall(q.group, pi, limit)
         if HQ is None:
             continue
-        pre = q.preimage(HQ.members)
+        pre = q.preimage(HQ)
         if p in pi:
             if len(pre) == target:
-                return subgroup(G, pre)
+                return pre
             continue
         if len(pre) == G.order:
             comp = _complement_abelian(G, M)
-            if comp is not None and comp.order == target:
+            if comp is not None and len(comp) == target:
                 return comp
             continue
         K, back = subgroup_as_group(G, pre)
         HK = hall(K, pi, limit)
-        if HK is not None and HK.order == target:
-            return subgroup(G, frozenset(back[i] for i in HK.members))
+        if HK is not None and len(HK) == target:
+            return frozenset(back[i] for i in HK)
     return None
 
 
 def strip_abelian_factors(G: FiniteGroup,
                           limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT,
-                          normals: Optional[list[Subgroup]] = None
-                          ) -> tuple[FiniteGroup, Subgroup]:
+                          normals: Optional[list[frozenset[int]]] = None
+                          ) -> tuple[FiniteGroup, frozenset[int]]:
     """Split G = H x A with A a maximal-order central direct factor.
 
     Returns H reified as a group (the class-size-carrying core) and A.
@@ -463,23 +425,23 @@ def strip_abelian_factors(G: FiniteGroup,
     witness is one maximal choice; no canonicity is claimed.
     """
     Z = center(G)
-    if Z.order == G.order:
+    if len(Z) == G.order:
         H, _ = subgroup_as_group(G, frozenset([0]), name=f"{G.name}|core")
-        return H, subgroup(G, Z.members)
+        return H, Z
     if normals is None:
         normals = normal_subgroups(G, limit)
-    central = [N.members for N in normals if N.members <= Z.members]
+    central = [N for N in normals if N <= Z]
     for A in sorted(central, key=len, reverse=True):
         for H in normals:
-            if H.order * len(A) == G.order and H.members & A == {0}:
-                core, _ = subgroup_as_group(G, H.members, name=f"{G.name}|core")
-                return core, subgroup(G, A)
+            if len(H) * len(A) == G.order and H & A == {0}:
+                core, _ = subgroup_as_group(G, H, name=f"{G.name}|core")
+                return core, A
     raise RuntimeError("no decomposition found; the trivial factor always works")
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:
     """Cheap check: nilpotent iff every Sylow subgroup is normal."""
-    return all(is_normal(G, sylow(G, p).members)
+    return all(is_normal(G, sylow(G, p))
                for p in arithmetic_profile(G.order).primes)
 
 

@@ -18,9 +18,10 @@ from .structure import (
     EnumerationLimitError,
     NotNilpotentError,
     center,
-    derived_series,
+    derived_series,  # noqa: F401 - perfbench's tracer test reads theorems.derived_series
     fitting2,
     is_frobenius,
+    is_soluble,
     nilpotency_class,
     normal_subgroups,
     quotient,
@@ -74,7 +75,7 @@ class GroupAnalysis:
 
     @cached_property
     def soluble(self) -> bool:
-        return derived_series(self.group)[1]
+        return is_soluble(self.group)
 
     @cached_property
     def stripped(self):
@@ -91,7 +92,7 @@ class GroupAnalysis:
 
     @property
     def is_abelian(self) -> bool:
-        return self.center.order == self.group.order
+        return len(self.center) == self.group.order
 
 
 def _limit_reached(verdict: TheoremVerdict, exc: EnumerationLimitError) -> TheoremVerdict:
@@ -166,10 +167,10 @@ def _check_theorem_A_decomposition(a: GroupAnalysis, lab: dict,
     p1_target = arithmetic_profile(core.order).part(p1)
     found = None
     for P in core_analysis.normals:
-        if P.order != p1_target or core.order % P.order:
+        if len(P) != p1_target or core.order % len(P):
             continue
         for H in core_analysis.normals:
-            if P.order * H.order != core.order or (P.members & H.members) != {0}:
+            if len(P) * len(H) != core.order or (P & H) != {0}:
                 continue
             found = (P, H)
             break
@@ -180,8 +181,8 @@ def _check_theorem_A_decomposition(a: GroupAnalysis, lab: dict,
             "P-x-H-decomposition", False, "no internal direct decomposition found"))
         return
     P_sub, H_sub = found
-    P_grp, _ = subgroup_as_group(core, P_sub.members, name="P")
-    H_grp, _ = subgroup_as_group(core, H_sub.members, name="H")
+    P_grp, _ = subgroup_as_group(core, P_sub, name="P")
+    H_grp, _ = subgroup_as_group(core, H_sub, name="H")
     cs_P = conjugacy_classes(P_grp).cs_set
     cs_H = conjugacy_classes(H_grp).cs_set
     is_p1_group = arithmetic_profile(P_grp.order).primes == (p1,)
@@ -203,7 +204,7 @@ def _check_theorem_A_decomposition(a: GroupAnalysis, lab: dict,
         f"cs(H)={cs_H}, |H/Z(H)|={qH.group.order}, frobenius={frob.is_frobenius}"))
     verdict.witnesses["P_order"] = P_grp.order
     verdict.witnesses["H_order"] = H_grp.order
-    verdict.witnesses["abelian_factor_order"] = factor.order
+    verdict.witnesses["abelian_factor_order"] = len(factor)
 
 
 # -- Theorem C ----------------------------------------------------------------
@@ -274,7 +275,7 @@ def _theorem_C_for_labeling(a: GroupAnalysis, reason: str, pa: int, n: int) -> T
 
     try:
         F2 = fitting2(G)
-        if F2.order == G.order:
+        if len(F2) == G.order:
             cond = True
             note = "G equals its second Fitting subgroup"
         else:
@@ -282,7 +283,7 @@ def _theorem_C_for_labeling(a: GroupAnalysis, reason: str, pa: int, n: int) -> T
             orders = [int(q.group.element_orders[i]) for i in range(1, q.group.order)]
             cond = all(is_prime(o) for o in orders)
             note = f"|G/F2|={q.group.order}, nonidentity orders {sorted(set(orders))}"
-        verdict.witnesses["F2_index"] = G.order // F2.order
+        verdict.witnesses["F2_index"] = G.order // len(F2)
         verdict.conclusions.append(Conclusion("F2-covers-or-prime-order-quotient", cond, note))
     except EnumerationLimitError as exc:
         return _limit_reached(verdict, exc)

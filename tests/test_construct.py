@@ -1,5 +1,8 @@
 """Group constructors, products, and the fixture file format."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,10 +21,14 @@ from csgroups.construct import (
     frobenius_pq,
     load_fixture,
     quaternion8,
-    semidirect_product,
     symmetric,
 )
 from csgroups.perm import Permutation, close_with_degree, compose, element_order, inverse
+
+_spec = importlib.util.spec_from_file_location(
+    "generate_fixtures", Path(__file__).resolve().parent.parent / "scripts" / "generate_fixtures.py")
+generate_fixtures = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(generate_fixtures)
 
 
 class TestConstructors:
@@ -84,14 +91,14 @@ class TestProducts:
         N = cyclic(7)
         H = cyclic(3)
         square = [N.mul(1, 1)]  # image of N's generator under the action
-        G = semidirect_product(N, H, [square])
+        G = generate_fixtures.semidirect_product(N, H, [square])
         assert G.order == 21
         assert conjugacy_classes(G).cs_set == (1, 3, 7)
 
     def test_semidirect_c5_c4(self):
         N = cyclic(5)
         H = cyclic(4)
-        G = semidirect_product(N, H, [[N.mul(1, 1)]])
+        G = generate_fixtures.semidirect_product(N, H, [[N.mul(1, 1)]])
         assert G.order == 20
         assert conjugacy_classes(G).cs_set == (1, 4, 5)
 

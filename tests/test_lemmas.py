@@ -14,7 +14,6 @@ from csgroups.construct import (
 from csgroups.lemmas import (
     LEMMA_IDS,
     LemmaReport,
-    lemma_suite,
     lemma_suite_for_group,
     o_p_prime,
     _coprimality_components,
@@ -92,11 +91,6 @@ class TestReportPlumbing:
         for lem in LEMMA_IDS:
             assert total.instances.get(lem, 0) == \
                 a.instances.get(lem, 0) + b.instances.get(lem, 0)
-
-    def test_lemma_suite_over_iterable(self):
-        rep = lemma_suite([symmetric(3), cyclic(6)])
-        assert rep.ok()
-        assert rep.instances["2.1a"] > 0
 
     def test_covered_lists_every_lemma(self):
         rep = lemma_suite_for_group(make_builtin("sym(3)"))

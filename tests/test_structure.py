@@ -7,7 +7,7 @@ from hypothesis import assume, given, reject, settings, strategies as st
 from csgroups.catalog import make_builtin
 from csgroups.arith import arithmetic_profile
 from csgroups.classes import conjugacy_classes
-from csgroups.lemmas import o_p_prime
+from csgroups.lemmas import MAX_QUOTIENT_NORMALS, LemmaReport, check_pi_element_lifting, o_p_prime
 from csgroups.construct import (
     FiniteGroup,
     alternating,
@@ -30,7 +30,6 @@ from csgroups.structure import (
     center,
     core_p,
     derived_series,
-    derived_subgroup,
     fitting,
     fitting2,
     generating_set,
@@ -46,6 +45,7 @@ from csgroups.structure import (
     subgroup_as_group,
     sylow,
 )
+from csgroups.theorems import GroupAnalysis
 
 MAX_RANDOM_ORDER = 1000
 
@@ -89,6 +89,15 @@ class ElementLevel:
     def products(self, x: int, ys) -> np.ndarray:
         """Indices of x*y for y in ``ys``: y's images, then x's."""
         return self.index(self.P[x][self.P[list(ys)]])
+
+    def times(self, y: int) -> np.ndarray:
+        """Indices of x*y for every x."""
+        return self.index(self.P[:, self.P[y]])
+
+    def commuting_pairs(self) -> int:
+        """The number of pairs (x, y) with xy = yx, that is the sum of |C_G(x)|."""
+        return sum(int((self.P[x][self.P] == self.P[:, self.P[x]]).all(axis=1).sum())
+                   for x in range(self.n))
 
     def conjugates(self, x: int) -> frozenset[int]:
         """{g x g^-1 : g in G}."""
@@ -153,21 +162,21 @@ def _assert_lattice_complete(G: FiniteGroup) -> None:
                                if chosen >> c & 1))
         if all(G.mul(x, y) in U for x in U for y in U):
             closed.add(U)
-    assert {N.members for N in normal_subgroups(G)} == closed
+    assert set(normal_subgroups(G)) == closed
 
 
 class TestSeries:
     def test_derived_series_symmetric_4(self):
         series, soluble = derived_series(symmetric(4))
-        assert [step.order for step in series] == [24, 12, 4, 1]
+        assert [len(step) for step in series] == [24, 12, 4, 1]
         assert soluble
 
     def test_alternating_5_insoluble(self):
         assert not is_soluble(alternating(5))
 
-    def test_derived_subgroup_of_abelian_is_trivial(self):
+    def test_derived_series_of_abelian_group(self):
         G = cyclic(12)
-        assert derived_subgroup(G, frozenset(range(G.order))) == frozenset([0])
+        assert derived_series(G) == ([frozenset(range(12)), frozenset([0])], True)
 
     def test_nilpotency(self):
         assert nilpotency_class(quaternion8()) == 2
@@ -178,33 +187,33 @@ class TestSeries:
 
 class TestCenterAndSylow:
     def test_center_of_quaternion8(self):
-        assert center(quaternion8()).order == 2
+        assert len(center(quaternion8())) == 2
 
     def test_center_of_symmetric_is_trivial(self):
-        assert center(symmetric(4)).order == 1
+        assert len(center(symmetric(4))) == 1
 
     def test_sylow_orders(self):
         G = symmetric(4)
-        assert sylow(G, 2).order == 8
-        assert sylow(G, 3).order == 3
+        assert len(sylow(G, 2)) == 8
+        assert len(sylow(G, 3)) == 3
         G = alternating(5)
-        assert sylow(G, 2).order == 4
-        assert sylow(G, 5).order == 5
+        assert len(sylow(G, 2)) == 4
+        assert len(sylow(G, 5)) == 5
 
     def test_core_p(self):
         G = symmetric(4)
-        assert core_p(G, 2).order == 4  # the Klein four-group
-        assert core_p(G, 3).order == 1
+        assert len(core_p(G, 2)) == 4  # the Klein four-group
+        assert len(core_p(G, 3)) == 1
 
     @pytest.mark.parametrize("spec", ["sym(4)", "q8xsym(3)", "frobenius(7,3)",
                                       "dihedral(12)"])
     def test_core_p_is_intersection_of_conjugates(self, spec):
         G = make_builtin(spec)
         for p in arithmetic_profile(G.order).primes:
-            P = sylow(G, p).members
+            P = sylow(G, p)
             core = frozenset(x for x in P
                              if all(G.conjugate(x, g) in P for g in range(G.order)))
-            assert core_p(G, p).members == core
+            assert core_p(G, p) == core
 
     def test_core_p_needs_more_than_one_round(self):
         # With these generators, dropping once the elements that a
@@ -212,15 +221,15 @@ class TestCenterAndSylow:
         # O_2(S5) is trivial.
         G = make_builtin("sym(5)")
         gens = [G.table.index_of(from_cycles(5, c)) for c in ([(0, 1)], [(0, 2, 4, 1, 3)])]
-        assert core_p(FiniteGroup(G.table, gens, "sym(5)"), 2).order == 1
+        assert len(core_p(FiniteGroup(G.table, gens, "sym(5)"), 2)) == 1
 
     def test_fitting_chain(self):
         G = symmetric(4)
-        assert fitting(G).order == 4
-        assert fitting2(G).order == 12
+        assert len(fitting(G)) == 4
+        assert len(fitting2(G)) == 12
 
     def test_fitting_of_nilpotent_group_is_itself(self):
-        assert fitting(quaternion8()).order == 8
+        assert len(fitting(quaternion8())) == 8
 
 
 class TestQuotient:
@@ -243,17 +252,17 @@ class TestQuotient:
 
 class TestNormalSubgroups:
     def test_simple_group_has_two(self):
-        orders = sorted(N.order for N in normal_subgroups(alternating(5)))
+        orders = sorted(map(len, normal_subgroups(alternating(5))))
         assert orders == [1, 60]
 
     def test_symmetric_4(self):
-        orders = sorted(N.order for N in normal_subgroups(symmetric(4)))
+        orders = sorted(map(len, normal_subgroups(symmetric(4))))
         assert orders == [1, 4, 12, 24]
 
     def test_all_reported_subgroups_are_normal(self):
         G = dihedral(6)
         for N in normal_subgroups(G):
-            assert is_normal(G, N.members)
+            assert is_normal(G, N)
 
     def test_enumeration_limit(self):
         with pytest.raises(EnumerationLimitError):
@@ -277,38 +286,58 @@ class TestClassAlgebraOracles:
         brute = ElementLevel(G)
         profile = conjugacy_classes(G)
         classes = brute.classes()
-        # the class equation
+        # the class equation, and Burnside's count k(G)|G| = sum of |C_G(x)|
         assert {members for _, members in profile.classes} == classes
         assert sum(map(len, classes)) == G.order == profile.size((1 << len(classes)) - 1)
         assert all(G.order % len(C) == 0 for C in classes)
+        assert len(classes) * G.order == brute.commuting_pairs()
 
         normals = brute.normal_subgroups()
         lattice = normal_subgroups(G, profile=profile)
-        assert {N.members for N in lattice} == normals
+        assert set(lattice) == normals
         assert all(profile.members(profile.mask_of(N)) == N for N in normals)
 
         for p in arithmetic_profile(G.order).primes:
             largest = max((N for N in normals if len(N) % p), key=len)
             assert o_p_prime(p, profile) == largest
+            P = sylow(G, p)
+            assert len(P) == arithmetic_profile(G.order).part(p) and brute.is_closed(sorted(P))
+            p_normals = [N for N in normals if arithmetic_profile(len(N)).primes in ((), (p,))]
+            assert core_p(G, p) == max(p_normals, key=len)
 
+        # lemma 2.1e checks one class of G/N but the identity's, for each
+        # of the first proper nontrivial normal subgroups
+        lifted = [N for N in lattice if 1 < len(N) < G.order][:MAX_QUOTIENT_NORMALS]
+        quotient_classes = 0
         for N in lattice:
             q = quotient(G, N)
+            assert q.group.order * len(N) == G.order
+            for g in G.generator_indices:  # xg maps to xN gN for every x
+                image = q.group.mul_column(int(q.projection[g]))[q.projection]
+                assert (q.projection[brute.times(g)] == image).all()
             qprof = conjugacy_classes(q.group)
-            mask = profile.mask_of(N.members)
+            if N in lifted:
+                quotient_classes += len(qprof.classes) - 1
+            mask = profile.mask_of(N)
             for c, (x, _) in enumerate(profile.classes):
                 expected = qprof.class_size_of(int(q.projection[x]))
                 assert profile.quotient_class_size(c, mask) == expected
 
         Z = frozenset().union(*(C for C in classes if len(C) == 1))
-        assert center(G).members == Z
+        report = LemmaReport()
+        check_pi_element_lifting(G, GroupAnalysis(G), report)
+        assert report.ok()
+        assert report.instances["2.1e"] == (1 if len(Z) == G.order else quotient_classes)
+
+        assert center(G) == Z
         central = brute.subgroups_of_abelian(Z)
-        assert {N.members for N in lattice if N.members <= Z} == central
+        assert {N for N in lattice if N <= Z} == central
         # stripping takes a largest central subgroup with a normal complement
         core, factor = strip_abelian_factors(G)
         best = max(len(A) for A in central
                    if any(len(A) * len(H) == G.order and A & H == {0} for H in normals))
-        assert factor.order == best and core.order * factor.order == G.order
-        assert factor.members <= Z
+        assert len(factor) == best and core.order * len(factor) == G.order
+        assert factor <= Z
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(small_permutation_groups())
@@ -321,8 +350,8 @@ class TestFrobeniusAndHall:
     def test_frobenius_21(self):
         verdict = is_frobenius(frobenius_pq(7, 3))
         assert verdict.is_frobenius
-        assert verdict.kernel is not None and verdict.kernel.order == 7
-        assert verdict.complement is not None and verdict.complement.order == 3
+        assert verdict.kernel is not None and len(verdict.kernel) == 7
+        assert verdict.complement is not None and len(verdict.complement) == 3
 
     def test_symmetric_3_is_frobenius(self):
         assert is_frobenius(symmetric(3)).is_frobenius
@@ -332,39 +361,39 @@ class TestFrobeniusAndHall:
 
     def test_hall_subgroups_of_symmetric_4(self):
         G = symmetric(4)
-        assert hall(G, {2, 3}).order == 24
-        assert hall(G, {2}).order == 8
-        assert hall(G, {5}).order == 1
+        assert len(hall(G, {2, 3})) == 24
+        assert len(hall(G, {2})) == 8
+        assert len(hall(G, {5})) == 1
 
     def test_hall_in_soluble_group(self):
         G = frobenius_pq(7, 3)
-        assert hall(G, {7}).order == 7
-        assert hall(G, {3}).order == 3
+        assert len(hall(G, {7})) == 7
+        assert len(hall(G, {3})) == 3
 
 
 class TestStripAbelianFactors:
     def test_quaternion_times_cyclic(self):
         G = direct_product(quaternion8(), cyclic(15))
         core, factor = strip_abelian_factors(G)
-        assert factor.order == 15
+        assert len(factor) == 15
         assert conjugacy_classes(core).cs_set == (1, 2)
 
     def test_abelian_group_strips_to_trivial(self):
         core, factor = strip_abelian_factors(cyclic(12))
         assert core.order == 1
-        assert factor.order == 12
+        assert len(factor) == 12
 
     def test_centerless_group_is_its_own_core(self):
         core, factor = strip_abelian_factors(symmetric(4))
         assert core.order == 24
-        assert factor.order == 1
+        assert len(factor) == 1
 
 
 class TestSubgroupReification:
     def test_back_map_is_an_embedding(self):
         G = symmetric(4)
         S = sylow(G, 2)
-        H, back = subgroup_as_group(G, S.members)
+        H, back = subgroup_as_group(G, S)
         assert H.order == 8
         for x in range(H.order):
             for y in range(H.order):
@@ -374,7 +403,7 @@ class TestSubgroupReification:
         G = symmetric(4)
         G.element_orders  # computed first, so the subgroup takes its orders from G
         S = sylow(G, 2)
-        H, back = subgroup_as_group(G, S.members)
+        H, back = subgroup_as_group(G, S)
         assert [H.element(i) for i in range(8)] == [G.element(back[i]) for i in range(8)]
         assert H.element_orders.tolist() == [element_order(H.element(i)) for i in range(8)]
-        assert [back[g] for g in H.generator_indices] == generating_set(G, S.members)
+        assert [back[g] for g in H.generator_indices] == generating_set(G, S)
