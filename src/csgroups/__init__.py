@@ -5,10 +5,8 @@ sizes include exactly two composite numbers."""
 from .arith import ArithmeticProfile, arithmetic_profile
 from .classes import (
     ClassProfile,
-    PrimaryPart,
     composite_split,
     conjugacy_classes,
-    primary_decomposition,
 )
 from .construct import (
     FiniteGroup,

@@ -1,8 +1,9 @@
-"""Conjugacy classes, primary decomposition of elements, and the split
-of class sizes into primes and composites."""
+"""Conjugacy classes, pi-parts of elements, and the split of class
+sizes into primes and composites."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,9 +77,11 @@ class ClassProfile:
         """The normal closure of each class: the fixpoint of multiplying by it."""
         closures = []
         for c in range(len(self.classes)):
-            gen = mask = 1 | 1 << c
-            while (grown := self.product(mask, gen)) != mask:
-                mask = grown
+            gen = mask = new = 1 | 1 << c
+            while new:  # only the classes added last can add more
+                grown = self.product(new, gen)
+                new = grown & ~mask
+                mask |= grown
             closures.append(mask)
         return closures
 
@@ -125,38 +128,16 @@ def conjugacy_classes(G: FiniteGroup) -> ClassProfile:
     return ClassProfile(G, classes, np.array(class_of, dtype=np.int64), cs_set)
 
 
-@dataclass(frozen=True)
-class PrimaryPart:
-    """One prime-power factor of an element's primary decomposition."""
-
-    prime: int
-    part: int        # element index of the q-part
-    of_element: int
-
-
-def primary_decomposition(G: FiniteGroup, x: int) -> list[PrimaryPart]:
-    """Commuting prime-power-order parts of x, multiplying back to x.
-
-    For each prime q with q^a || o(x), the q-part is x^(m * o(x)/q^a)
-    where m inverts o(x)/q^a modulo q^a.
-    """
-    o = int(G.element_orders[x])
-    parts = []
-    for q, e in arithmetic_profile(o).prime_factors:
-        qa = q ** e
-        rest = o // qa
-        m = pow(rest, -1, qa)
-        parts.append(PrimaryPart(q, G.power(x, m * rest), x))
-    return parts
-
-
 def pi_part_of_element(G: FiniteGroup, x: int, pi: set[int] | frozenset[int]) -> int:
-    """Product of the primary parts of x whose primes lie in pi."""
-    result = 0
-    for part in primary_decomposition(G, x):
-        if part.prime in pi:
-            result = G.mul(result, part.part)
-    return result
+    """The pi-part of x: x^(b * (b^-1 mod a)), where a is the pi-part of
+    o(x) and b = o(x)/a.  It has order a, and x's pi'-part times it is x."""
+    o = int(G.element_orders[x])
+    prof = arithmetic_profile(o)
+    a = math.prod(prof.part(p) for p in prof.primes if p in pi)
+    if a == 1:
+        return 0
+    b = o // a
+    return G.power(x, b * pow(b, -1, a))
 
 
 def composite_split(profile: ClassProfile) -> tuple[frozenset[int], frozenset[int]]:

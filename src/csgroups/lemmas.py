@@ -275,8 +275,8 @@ def check_disconnected_class_sizes(G, analysis, report: LemmaReport):
 
 def _disconnected_conclusion(core: FiniteGroup, pi: set[int], limit: int) -> bool:
     pi_prime = set(arithmetic_profile(core.order).primes) - pi
-    H = hall(core, pi, limit)
-    L = hall(core, pi_prime, limit)
+    H = hall(core, pi)
+    L = hall(core, pi_prime)
     if H is None or L is None:
         return False
     if not is_normal(core, L):

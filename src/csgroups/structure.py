@@ -304,7 +304,7 @@ def is_frobenius(Q: FiniteGroup,
         if not all(centralizer_of_set(Q, [k]) <= K for k in K if k != 0):
             continue
         pi = set(arithmetic_profile(n // len(K)).primes)
-        H = hall(Q, pi, limit)
+        H = hall(Q, pi)
         if H is not None and len(H) == n // len(K) and (H & K) == {0}:
             return FrobeniusVerdict(True, K, H)
     return FrobeniusVerdict(False)
@@ -328,88 +328,39 @@ def subgroup_as_group(G: FiniteGroup, members: frozenset[int],
     return H, back
 
 
-def minimal_normal_subgroups(G: FiniteGroup,
-                             limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT) -> list[frozenset[int]]:
-    nontrivial = [N for N in normal_subgroups(G, limit) if len(N) > 1]
-    return [N for N in nontrivial if not any(M < N for M in nontrivial)]
+def hall(G: FiniteGroup, pi: set[int] | frozenset[int]) -> Optional[frozenset[int]]:
+    """A Hall pi-subgroup, or None when the search does not reach one.
 
-
-def _complement_abelian(G: FiniteGroup, M: frozenset[int]) -> Optional[frozenset[int]]:
-    """Complement of an abelian normal M with gcd(|M|, |G/M|) = 1.
-
-    Classical averaging construction: correct a transversal by the
-    "average" of the associated factor set, which exists because |G/M|
-    is invertible on M.
+    A maximal pi-subgroup, grown greedily: walking the elements in index
+    order, each pi-element of prime-power order outside the subgroup is
+    adjoined while the join's order still divides the pi-part of |G|.
+    Such elements generate every pi-subgroup, and a rejected one stays
+    outside every pi-subgroup containing the final one, so the result is
+    a maximal pi-subgroup.  In a soluble group every pi-subgroup lies in
+    a Hall pi-subgroup (P. Hall, 1928), so there the result is Hall; in
+    a non-soluble group it may fall short, and None is returned.
     """
-    q = quotient(G, M)
-    Q = q.group
-    nq = Q.order
-    if math.gcd(nq, len(M)) != 1:
-        return None
-    # transversal r: Q -> G picking the least preimage
-    r = [int(np.nonzero(q.projection == i)[0][0]) for i in range(nq)]
-    inv = G.inv
-    # u(a) = prod over s of factor set t(a, s) = r(a) r(s) r(as)^{-1}, in M
-    exponent = 1
-    for x in M:
-        exponent = math.lcm(exponent, int(G.element_orders[x]))
-    k = pow(nq, -1, exponent)
-    corrected = []
-    for a in range(nq):
-        u = 0
-        for s in range(nq):
-            t = G.mul(G.mul(r[a], r[s]), int(inv[r[int(Q.mul(a, s))]]))
-            u = G.mul(u, t)
-        # c(a) = u(a)^{-1/|Q|} * r(a) gives a homomorphic transversal
-        corrected.append(G.mul(G.power(int(inv[u]), k), r[a]))
-    H = G.subgroup_closure(corrected)
-    if len(H) == nq and (H & M) == {0}:
-        return H
-    return None  # pragma: no cover - averaging is exact for abelian kernels
-
-
-def hall(G: FiniteGroup, pi: set[int] | frozenset[int],
-         limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT) -> Optional[frozenset[int]]:
-    """A Hall pi-subgroup, or None when the search cannot produce one.
-
-    Recursive construction down a chief series; complete for soluble
-    groups at this scale.  Non-soluble inputs may legitimately return
-    None (Hall subgroups need not exist there).
-    """
-    pi = set(pi)
-    target = 1
-    for p, e in arithmetic_profile(G.order).prime_factors:
-        if p in pi:
-            target *= p ** e
+    prof = arithmetic_profile(G.order)
+    target = math.prod(prof.part(p) for p in prof.primes if p in pi)
     if target == 1:
         return frozenset([0])
     if target == G.order:
         return frozenset(range(G.order))
-    if len(arithmetic_profile(target).prime_factors) == 1:
+    if arithmetic_profile(target).is_prime_power():
         return sylow(G, arithmetic_profile(target).primes[0])
-    for M in minimal_normal_subgroups(G, limit):
-        prof = arithmetic_profile(len(M))
-        if len(prof.prime_factors) != 1:
-            continue  # non-elementary-abelian minimal normal: not usable here
-        p = prof.primes[0]
-        q = quotient(G, M)
-        HQ = hall(q.group, pi, limit)
-        if HQ is None:
+    rows: dict[int, list[int]] = {}
+    gens: list[int] = []
+    members: frozenset[int] = frozenset([0])
+    for x in range(1, G.order):
+        primes = arithmetic_profile(int(G.element_orders[x])).primes
+        if x in members or len(primes) != 1 or primes[0] not in pi:
             continue
-        pre = q.preimage(HQ)
-        if p in pi:
-            if len(pre) == target:
-                return pre
-            continue
-        if len(pre) == G.order:
-            comp = _complement_abelian(G, M)
-            if comp is not None and len(comp) == target:
-                return comp
-            continue
-        K, back = subgroup_as_group(G, pre)
-        HK = hall(K, pi, limit)
-        if HK is not None and len(HK) == target:
-            return frozenset(back[i] for i in HK)
+        joined = G.subgroup_closure(gens + [x], rows)
+        if target % len(joined) == 0:
+            gens.append(x)
+            members = joined
+            if len(members) == target:
+                return members
     return None
 
 

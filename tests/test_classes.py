@@ -8,7 +8,6 @@ from csgroups.classes import (
     conjugacy_classes,
     is_p_element,
     pi_part_of_element,
-    primary_decomposition,
 )
 from csgroups.construct import (
     alternating,
@@ -105,25 +104,21 @@ class TestPrimaryDecomposition:
     def test_order_six_element_splits(self):
         G = cyclic(6)
         x = G.generator_indices[0]
-        parts = primary_decomposition(G, x)
-        by_prime = {part.prime: part for part in parts}
-        assert set(by_prime) == {2, 3}
-        assert int(G.element_orders[by_prime[2].part]) == 2
-        assert int(G.element_orders[by_prime[3].part]) == 3
-        combined = by_prime[2].part
-        combined = G.mul(combined, by_prime[3].part)
-        assert combined == x
+        y = pi_part_of_element(G, x, {2})
+        z = pi_part_of_element(G, x, {3})
+        assert int(G.element_orders[y]) == 2
+        assert int(G.element_orders[z]) == 3
+        assert G.mul(y, z) == x == G.mul(z, y)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from(range(1, 24)))
-    def test_parts_commute_and_multiply(self, x):
+    @given(st.sampled_from(range(1, 24)), st.sampled_from([{2}, {3}]))
+    def test_parts_commute_and_multiply(self, x, pi):
         G = symmetric(4)
-        parts = primary_decomposition(G, x)
-        acc = 0
-        for part in parts:
-            assert G.mul(part.part, acc) == G.mul(acc, part.part)
-            acc = G.mul(acc, part.part)
-        assert acc == x
+        y = pi_part_of_element(G, x, pi)
+        z = pi_part_of_element(G, x, {2, 3} - pi)
+        assert G.mul(y, z) == x == G.mul(z, y)
+        assert arithmetic_profile(int(G.element_orders[y])).is_pi_number(pi)
+        assert arithmetic_profile(int(G.element_orders[z])).is_pi_number({2, 3} - pi)
 
     def test_pi_part(self):
         G = cyclic(12)

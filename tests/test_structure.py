@@ -1,10 +1,13 @@
 """Structural subgroup computations: series, Sylow, quotients, Frobenius."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
-from csgroups.catalog import make_builtin
+from csgroups.catalog import fixture_group, make_builtin
 from csgroups.arith import arithmetic_profile
 from csgroups.classes import conjugacy_classes
 from csgroups.lemmas import MAX_QUOTIENT_NORMALS, LemmaReport, check_pi_element_lifting, o_p_prime
@@ -305,6 +308,18 @@ class TestClassAlgebraOracles:
             p_normals = [N for N in normals if arithmetic_profile(len(N)).primes in ((), (p,))]
             assert core_p(G, p) == max(p_normals, key=len)
 
+        # a Hall pi-subgroup for each pi of at least two primes but not all;
+        # soluble groups have one (P. Hall)
+        primes = arithmetic_profile(G.order).primes
+        soluble = is_soluble(G)
+        for r in range(2, len(primes)):
+            for pi in itertools.combinations(primes, r):
+                H = hall(G, set(pi))
+                assert H is not None or not soluble
+                if H is not None:
+                    assert len(H) == math.prod(arithmetic_profile(G.order).part(p) for p in pi)
+                    assert brute.is_closed(sorted(H))
+
         # lemma 2.1e checks one class of G/N but the identity's, for each
         # of the first proper nontrivial normal subgroups
         lifted = [N for N in lattice if 1 < len(N) < G.order][:MAX_QUOTIENT_NORMALS]
@@ -369,6 +384,27 @@ class TestFrobeniusAndHall:
         G = frobenius_pq(7, 3)
         assert len(hall(G, {7})) == 7
         assert len(hall(G, {3})) == 3
+
+    def test_hall_subgroups_for_two_primes(self):
+        G = direct_product(symmetric(4), cyclic(5))
+        assert len(hall(G, {2, 3})) == 24
+        assert len(hall(G, {2, 5})) == 40
+        assert len(hall(G, {3, 5})) == 15
+
+    def test_affine_group_of_order_42_is_frobenius(self):
+        # AGL(1, 7) on the points 0..6: x -> x + 1 and x -> 3x
+        gens = [Permutation([(x + 1) % 7 for x in range(7)]),
+                Permutation([3 * x % 7 for x in range(7)])]
+        table = close_with_degree(gens, 7)
+        G = FiniteGroup(table, [table.index_of(g) for g in gens], "AGL(1,7)")
+        verdict = is_frobenius(G)
+        assert verdict.is_frobenius
+        assert verdict.kernel is not None and len(verdict.kernel) == 7
+        assert verdict.complement is not None and len(verdict.complement) == 6
+
+    def test_hall_subgroups_of_non_soluble_groups(self):
+        assert len(hall(alternating(5), {2, 3})) == 12
+        assert len(hall(fixture_group("psl_2_8"), {2, 7})) == 56
 
 
 class TestStripAbelianFactors:
