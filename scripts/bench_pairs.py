@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Benchmark a change against its parent revision in alternating pairs.
+
+    python3 scripts/bench_pairs.py --parent HEAD~1 --out BENCH_9.json \\
+        --seeds 41 42 43 44 45 46 47 48 49 50
+
+Checks the parent revision out as a git worktree under ``.bench_work/``
+and runs ``perfbench/run.py --trace 0`` there and in the working tree,
+one pair per seed and workload, the side that runs first alternating from
+seed to seed.  Writes, for each workload and end-to-end metric of
+``BENCHMARK.json``, both sides' medians, the pairs where the change was
+better, the parent's interquartile range and each side's ``failed``
+counts.  Progress goes to stderr.  The worktree is removed on exit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKTREE = ROOT / ".bench_work" / "parent"
+RUN_TIMEOUT_S = 300  # one perfbench run; run.py stops its own steps at 170 s
+SIDES = ("parent", "change")
+
+
+def aggregate(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Summarize paired runs per workload.
+
+    ``runs`` holds one dict per run: ``workload``, ``seed``, ``side``
+    (``"parent"`` or ``"change"``) and ``result``, the JSON object that
+    ``perfbench/run.py`` prints last.  ``end_to_end`` is the list of that
+    name in ``BENCHMARK.json``.  A pair is the two sides' runs of one
+    workload and seed; a tie counts as no win.
+    """
+    out: dict[str, dict] = {}
+    for workload in sorted({r["workload"] for r in runs}):
+        by_seed: dict[int, dict[str, dict]] = {}
+        for r in runs:
+            if r["workload"] == workload:
+                by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]
+        pairs = [by_seed[s] for s in sorted(by_seed) if set(by_seed[s]) == set(SIDES)]
+        metrics = {}
+        for metric in end_to_end if pairs else []:
+            name, lower = metric["name"], metric["better"] == "lower"
+            values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
+            q1, q3 = (statistics.quantiles(values["parent"], n=4, method="inclusive")[::2]
+                      if len(pairs) > 1 else values["parent"] * 2)
+            metrics[name] = {
+                "unit": metric["unit"],
+                "better": metric["better"],
+                "parent_median": statistics.median(values["parent"]),
+                "change_median": statistics.median(values["change"]),
+                "change_better_pairs": sum(
+                    (c < p) if lower else (c > p)
+                    for p, c in zip(values["parent"], values["change"])),
+                "parent_iqr": q3 - q1,
+            }
+        out[workload] = {
+            "pairs": len(pairs),
+            "seeds": sorted(by_seed),
+            "failed": {side: [p[side]["failed"] for p in pairs] for side in SIDES},
+            "attempted": {side: [p[side]["attempted"] for p in pairs] for side in SIDES},
+            "metrics": metrics,
+        }
+    return out
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One untraced perfbench run in ``checkout``; its closing JSON line."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    if proc.returncode != 0:
+        raise RuntimeError(f"run.py in {checkout} exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def remove_worktree() -> None:
+    if WORKTREE.exists():
+        subprocess.run(["git", "worktree", "remove", "--force", str(WORKTREE)], cwd=ROOT,
+                       capture_output=True)
+        shutil.rmtree(WORKTREE, ignore_errors=True)
+    git("worktree", "prune")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", default="HEAD",
+                        help="revision to compare the working tree against (default HEAD)")
+    parser.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_9.json")
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--workloads", nargs="+", default=None,
+                        help="default: every workload in BENCHMARK.json")
+    args = parser.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    revision = git("rev-parse", args.parent)
+    remove_worktree()
+    runs: list[dict] = []
+    try:
+        git("worktree", "add", "--detach", str(WORKTREE), revision)
+        checkouts = {"parent": WORKTREE, "change": ROOT}
+        for i, seed in enumerate(args.seeds):
+            for workload in workloads:
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    result = run_once(checkouts[side], workload, seed, seconds)
+                    runs.append({"workload": workload, "seed": seed, "side": side,
+                                 "result": result})
+                    wall = result["metrics"]["wall_s"]["value"]
+                    print(f"{workload} seed {seed} {side}: wall_s {wall:.4g}",
+                          file=sys.stderr, flush=True)
+    finally:
+        remove_worktree()
+    report = {"parent": revision, "change": "working tree", "seconds": seconds,
+              "command": "perfbench/run.py --trace 0",
+              "workloads": aggregate(runs, bench["end_to_end"]), "runs": runs}
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

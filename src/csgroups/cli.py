@@ -283,7 +283,10 @@ def cmd_verify(args) -> int:
     theorem = args.theorem
 
     if theorem == "psl":
-        exponents = [int(args.target)] if args.target else [2, 3]
+        try:
+            exponents = [int(args.target)] if args.target else [2, 3]
+        except ValueError:
+            raise ValueError(f"the psl exponent must be an integer, not {args.target!r}") from None
         verdicts = {str(a): check_psl_formula(a) for a in exponents}
         payload = {a: verdict_to_dict(v) for a, v in verdicts.items()}
         worst = _worst_status(v.status() for v in verdicts.values())

@@ -40,10 +40,13 @@ class FiniteGroup:
     ``table.matrix``; index 0 is the identity, and ``element`` builds a
     ``Permutation`` for output only.  Products and conjugates are found by
     their images of the table's base, gathered for a whole row or batch at
-    once and looked up in one go.  Immutable after construction.  Inverses
-    and element orders are memoized, and so are multiplication rows while
-    the memo holds at most ``ROW_MEMO_ENTRIES`` indices in all: small
-    groups reuse their rows, and large ones do not grow by n indices per row.
+    once and looked up in one go; a gather that picks one image from each
+    of many rows reads ``table.matrix.ravel()`` at row start plus point,
+    which is faster than two-dimensional fancy indexing.  Immutable after
+    construction.  Inverses and element orders are memoized, and so are
+    multiplication rows while the memo holds at most ``ROW_MEMO_ENTRIES``
+    indices in all: small groups reuse their rows, and large ones do not
+    grow by n indices per row.
     """
 
     def __init__(self, table: ElementTable, generator_indices: Sequence[int],
@@ -73,8 +76,9 @@ class FiniteGroup:
 
     def products(self, xs: Sequence[int], ys: Sequence[int]) -> np.ndarray:
         """Indices of ``x * y`` for x in ``xs`` (rows) and y in ``ys`` (columns)."""
-        mat, base = self.table.matrix, self.table.base
-        cols = mat[:, base][np.asarray(ys, dtype=np.intp)]   # y's images of the base
+        mat, base = self.table.matrix, np.array(self.table.base, dtype=np.intp)
+        starts = np.asarray(ys, dtype=np.intp)[:, None] * self.deg  # y's row in mat.ravel()
+        cols = mat.ravel()[starts + base]                            # y's images of the base
         images = np.take(mat[np.asarray(xs, dtype=np.intp)], cols, axis=1)
         found = self.table.indices_of_base(images.reshape(len(xs) * len(ys), len(base)))
         return found.reshape(len(xs), len(ys))
@@ -84,7 +88,7 @@ class FiniteGroup:
         row = self._mul_rows.get(i)
         if row is None:
             mat = self.table.matrix
-            row = self.table.indices_of_base(mat[i][mat[:, self.table.base]])
+            row = self.table.indices_of_base(mat[i].take(mat[:, self.table.base]))
             if (len(self._mul_rows) + 1) * self.order <= ROW_MEMO_ENTRIES:
                 self._mul_rows[i] = row
         return row
@@ -137,15 +141,15 @@ class FiniteGroup:
     def conjugate_many(self, xs: np.ndarray, g: int) -> np.ndarray:
         """Indices of ``g^-1 x g`` for each x in ``xs`` (vectorized)."""
         mat = self.table.matrix
-        cols = mat[g][self.table.base]
-        images = mat[int(self.inv[g])][mat[np.asarray(xs, dtype=np.intp)[:, None], cols]]
-        return self.table.indices_of_base(images)
+        starts = np.asarray(xs, dtype=np.intp)[:, None] * self.deg  # x's row in mat.ravel()
+        xg = mat.ravel()[starts + mat[g][self.table.base]]          # x*g on the base
+        return self.table.indices_of_base(mat[int(self.inv[g])].take(xg))
 
     def conjugate_by_all(self, x: int) -> np.ndarray:
         """Indices of ``g^-1 x g`` for every g in the group (vectorized)."""
         mat = self.table.matrix
-        xg = mat[x][mat[:, self.table.base]]          # row g -> x*g on the base
-        return self.table.indices_of_base(mat[self.inv[:, None], xg])
+        xg = mat[x].take(mat[:, self.table.base])     # row g -> x*g on the base
+        return self.table.indices_of_base(mat.ravel()[self.inv[:, None] * self.deg + xg])
 
     def commutator(self, x: int, y: int) -> int:
         """Index of ``x^-1 y^-1 x y``."""

@@ -112,11 +112,21 @@ def check_quotient_class_size_divides(G, analysis, report: LemmaReport):
         normals = sorted(normals, key=len)[:MAX_QUOTIENT_NORMALS // 2] + \
             sorted(normals, key=lambda N: -len(N))[:MAX_QUOTIENT_NORMALS // 2]
         report.skipped.append(("2.1a", G.name, "normal subgroups truncated"))
+    k = len(profile.classes)
     for N in normals:
         mask = profile.mask_of(N)
-        for c, (x, members) in enumerate(profile.classes):
+        # the unions x^G N partition G, and every class in one of them
+        # has the same class size |x^G N|/|N| in G/N
+        downs = [0] * k
+        for c in range(k):
+            if not downs[c]:
+                down = profile.quotient_class_size(c, mask)
+                union = profile.product(1 << c, mask)
+                for d in range(c, k):
+                    if union >> d & 1:
+                        downs[d] = down
+        for (x, members), down in zip(profile.classes, downs):
             up = len(members)
-            down = profile.quotient_class_size(c, mask)
             _record(report, "2.1a", G.name, up % down == 0,
                     f"N order {len(N)}, x={x}: {down} does not divide {up}")
 

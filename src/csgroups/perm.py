@@ -189,7 +189,10 @@ class ElementTable:
     ``base``: a 64-bit hash of those images, kept sorted with the element
     each key belongs to (12 bytes per element), narrows a search to the
     elements of one key, and comparing images settles it, so a hash
-    collision never gives a wrong index.  Immutable after construction.
+    collision never gives a wrong index.  A batch of lookups is searched
+    in key order, which needs nothing beyond those 12 bytes per element,
+    and its candidates are checked one base column at a time.  Immutable
+    after construction.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -205,7 +208,7 @@ class ElementTable:
         self._weights = _key_weights(len(self.base))
         self._weight_vector = np.array(self._weights, dtype=np.uint64)
         keys = self._keys_of(self.matrix[:, self.base])
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)
         # arrays for the scalar path, numpy views of them for batches
         self._key_list = array("Q", keys[order].tobytes())
         self._order_list = array("i", order.astype(np.int32).tobytes())
@@ -253,13 +256,22 @@ class ElementTable:
         raise KeyError(f"no element has base images {images}")
 
     def indices_of_base(self, images: np.ndarray) -> np.ndarray:
-        """``index_of_base`` of every row of ``images``, in one batch."""
+        """``index_of_base`` of every row of ``images``, in one batch.
+
+        The keys are searched in sorted order, which walks the sorted
+        index once instead of jumping about it, and each candidate is
+        checked one base column at a time."""
         keys = self._keys_of(images)
-        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        order = keys.argsort()
+        pos = np.empty(len(keys), dtype=np.intp)
+        pos[order] = np.searchsorted(self._keys, keys[order])
+        np.minimum(pos, len(self._keys) - 1, out=pos)
         idx = self._key_order[pos]
-        miss = np.flatnonzero((self._keys[pos] != keys)
-                              | (self.matrix[idx[:, None], self.base] != images).any(axis=1))
-        for m in miss.tolist():  # hash collisions: scan the elements of the key
+        wrong = self._keys[pos] != keys
+        flat, starts = self.matrix.ravel(), idx * self.deg  # row starts in matrix.ravel()
+        for col, b in enumerate(self.base):
+            wrong |= flat.take(starts + b) != images[:, col]
+        for m in np.flatnonzero(wrong).tolist():  # hash collisions: scan the elements of the key
             idx[m] = self.index_of_base(images[m].tolist())
         return idx
 

@@ -413,9 +413,9 @@ def psl_formula_set(a: int) -> tuple[int, ...]:
 
 def check_psl_formula(a: int, group: Optional[FiniteGroup] = None) -> TheoremVerdict:
     """Class sizes of PSL(2, 2^a) match the closed formula and include at
-    least three composites (a in {2, 3} at this scale)."""
+    least three composites (a in {2, 3}, the bundled groups A5 and PSL(2,8))."""
     if a not in (2, 3):
-        raise ValueError("only a in {2, 3} is within the order cap")
+        raise ValueError(f"PSL(2, 2^a) is bundled only for a in {{2, 3}}, not a={a}")
     if group is None:
         group = alternating(5) if a == 2 else psl_2_8_fixture()
     formula = psl_formula_set(a)

@@ -1,0 +1,62 @@
+"""The aggregation of scripts/bench_pairs.py, on made-up run results."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+              {"name": "score", "unit": "count", "better": "higher", "bound": 0.1}]
+
+
+def run(workload, seed, side, wall, score, failed=0):
+    return {"workload": workload, "seed": seed, "side": side,
+            "result": {"correct": failed == 0, "attempted": 10, "failed": failed,
+                       "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                                   "score": {"value": score, "unit": "count"}}}}
+
+
+def test_medians_wins_iqr_and_failures():
+    runs = []
+    parent_walls = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change_walls = [0.5, 2.0, 2.5, 4.5, 1.0]  # better in pairs 1, 3 and 5; pair 2 ties
+    for seed, (p, c) in enumerate(zip(parent_walls, change_walls), start=40):
+        runs.append(run("w", seed, "parent", p, 7))
+        runs.append(run("w", seed, "change", c, 8, failed=1 if seed == 42 else 0))
+    summary = bench_pairs.aggregate(runs, END_TO_END)["w"]
+    assert summary["pairs"] == 5
+    assert summary["seeds"] == [40, 41, 42, 43, 44]
+    assert summary["failed"] == {"parent": [0] * 5, "change": [0, 0, 1, 0, 0]}
+    wall = summary["metrics"]["wall_s"]
+    assert wall["parent_median"] == 3.0
+    assert wall["change_median"] == 2.0
+    assert wall["change_better_pairs"] == 3
+    assert wall["parent_iqr"] == pytest.approx(2.0)  # quartiles 2.0 and 4.0
+    score = summary["metrics"]["score"]  # higher is better: the change wins every pair
+    assert score["change_better_pairs"] == 5
+    assert score["parent_iqr"] == 0
+
+
+def test_workloads_apart_and_unpaired_runs_left_out():
+    runs = [run("a", 1, "parent", 2.0, 0), run("a", 1, "change", 1.0, 0),
+            run("b", 1, "change", 1.0, 0), run("b", 2, "parent", 3.0, 0),
+            run("b", 2, "change", 4.0, 0), run("b", 3, "parent", 3.0, 0)]
+    summary = bench_pairs.aggregate(runs, END_TO_END)
+    assert sorted(summary) == ["a", "b"]
+    assert summary["a"]["pairs"] == 1
+    assert summary["a"]["metrics"]["wall_s"]["parent_iqr"] == 0
+    assert summary["a"]["metrics"]["wall_s"]["change_better_pairs"] == 1
+    assert summary["b"]["pairs"] == 1
+    assert summary["b"]["metrics"]["wall_s"]["change_median"] == 4.0
+    assert summary["b"]["metrics"]["wall_s"]["change_better_pairs"] == 0
+
+
+def test_no_complete_pair_gives_no_metrics():
+    summary = bench_pairs.aggregate([run("a", 1, "parent", 2.0, 0)], END_TO_END)
+    assert summary["a"]["pairs"] == 0
+    assert summary["a"]["metrics"] == {}

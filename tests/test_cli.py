@@ -109,6 +109,12 @@ class TestVerify:
         data = json.loads(capsys.readouterr().out)
         assert data["verdict"]["2"]["status"] == "pass"
 
+    def test_verify_psl_rejects_non_integer_exponent(self, capsys):
+        assert main(["verify", "psl", "x"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "the psl exponent must be an integer" in err
+        assert "invalid literal" not in err
+
     def test_verify_lemmas_single_group(self, capsys):
         assert main(["verify", "lemmas", "builtin:sym(3)"]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csgroups import perm
+from csgroups.catalog import make_builtin
 from csgroups.perm import (
     DegreeMismatchError,
     OrderCapExceededError,
@@ -17,6 +18,12 @@ from csgroups.perm import (
     identity,
     inverse,
 )
+
+
+@pytest.fixture(scope="module")
+def near_cap_table():
+    """A table of 4800 elements with six base points."""
+    return make_builtin("dihedral(15)xdihedral(5)xdihedral(8)").table
 
 
 def perm_strategy(deg: int):
@@ -164,6 +171,25 @@ class TestElementTable:
         images = table.matrix[::-1][:, table.base]
         assert table.indices_of_base(images).tolist() == list(range(10))[::-1]
         assert from_cycles(5, [(0, 1, 2)]) not in table
+
+    def test_batch_of_shuffled_rows_with_repeats(self, near_cap_table, monkeypatch):
+        table = near_cap_table
+        assert len(table) == 4800 and len(table.base) == 6
+        assert len(set(table._keys.tolist())) == len(table)
+        # with distinct keys the batch path finds every row without a scan
+        monkeypatch.setattr(table, "index_of_base", lambda images: pytest.fail("scanned"))
+        rng = np.random.default_rng(5)
+        rows = rng.permutation(np.concatenate([np.arange(len(table)),
+                                               rng.integers(0, len(table), 1200)]))
+        found = table.indices_of_base(table.matrix[rows][:, table.base])
+        assert found.tolist() == rows.tolist()
+
+    def test_batch_with_one_unknown_tuple_raises(self, near_cap_table):
+        table = near_cap_table
+        images = table.matrix[::-1][:, table.base]
+        images[len(images) // 2] = images[0, 0]  # no bijection maps the base to one point
+        with pytest.raises(KeyError):
+            table.indices_of_base(images)
 
     def test_duplicate_elements_rejected(self):
         e, t = [0, 1, 2], [1, 0, 2]

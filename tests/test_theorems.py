@@ -194,5 +194,6 @@ class TestPslFormula:
 
     def test_out_of_range(self):
         import pytest
-        with pytest.raises(ValueError):
+        # |PSL(2,16)| = 4080 is within the order cap; only a in {2, 3} is bundled
+        with pytest.raises(ValueError, match=r"bundled only for a in \{2, 3\}, not a=4"):
             check_psl_formula(4)
