@@ -4,27 +4,32 @@
     python3 scripts/bench_pairs.py --parent HEAD~1 --out BENCH_9.json \\
         --seeds 41 42 43 44 45 46 47 48 49 50
 
-Checks the parent revision out as a git worktree under ``.bench_work/``
+Exports the parent revision (``git archive``) to ``.bench_work/parent``
 and runs ``perfbench/run.py --trace 0`` there and in the working tree,
 one pair per seed and workload, the side that runs first alternating from
 seed to seed.  Writes, for each workload and end-to-end metric of
 ``BENCHMARK.json``, both sides' medians, the pairs where the change was
 better, the parent's interquartile range and each side's ``failed``
-counts.  Progress goes to stderr.  The worktree is removed on exit.
+counts.  A run that exits non-zero or times out is listed under
+``failures`` (workload, seed, side, exit code, tail of stderr), its pair
+is left out, and the other runs go on.  Progress goes to stderr.  The
+exported copy is removed on exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKTREE = ROOT / ".bench_work" / "parent"
+PARENT_COPY = ROOT / ".bench_work" / "parent"
 RUN_TIMEOUT_S = 300  # one perfbench run; run.py stops its own steps at 170 s
 SIDES = ("parent", "change")
 
@@ -71,16 +76,50 @@ def aggregate(runs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+class RunFailed(RuntimeError):
+    def __init__(self, exit_code: int | None, stderr: str):
+        super().__init__(f"exit code {exit_code}")
+        self.exit_code = exit_code
+        self.stderr_tail = stderr[-2000:]
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced perfbench run in ``checkout``; its closing JSON line."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    """One untraced perfbench run in ``checkout``; its closing JSON line.
+    Raises ``RunFailed`` (exit code None on a timeout) when it gives none."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired as exc:
+        raise RunFailed(None, f"still running after {RUN_TIMEOUT_S} s") from exc
     if proc.returncode != 0:
-        raise RuntimeError(f"run.py in {checkout} exited {proc.returncode}:\n"
-                           f"{proc.stderr[-2000:]}")
+        raise RunFailed(proc.returncode, proc.stderr)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def collect(checkouts: dict[str, Path], workloads: list[str], seeds: list[int],
+            seconds: int) -> tuple[list[dict], list[dict]]:
+    """Run every pair; returns the runs and the failed runs."""
+    runs: list[dict] = []
+    failures: list[dict] = []
+    for i, seed in enumerate(seeds):
+        for workload in workloads:
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                where = {"workload": workload, "seed": seed, "side": side}
+                try:
+                    result = run_once(checkouts[side], workload, seed, seconds)
+                except RunFailed as exc:
+                    failures.append({**where, "exit_code": exc.exit_code,
+                                     "stderr_tail": exc.stderr_tail})
+                    print(f"{workload} seed {seed} {side}: FAILED ({exc})",
+                          file=sys.stderr, flush=True)
+                    continue
+                runs.append({**where, "result": result})
+                wall = result["metrics"]["wall_s"]["value"]
+                print(f"{workload} seed {seed} {side}: wall_s {wall:.4g}",
+                      file=sys.stderr, flush=True)
+    return runs, failures
 
 
 def git(*args: str) -> str:
@@ -88,12 +127,12 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def remove_worktree() -> None:
-    if WORKTREE.exists():
-        subprocess.run(["git", "worktree", "remove", "--force", str(WORKTREE)], cwd=ROOT,
-                       capture_output=True)
-        shutil.rmtree(WORKTREE, ignore_errors=True)
-    git("worktree", "prune")
+def export_revision(revision: str) -> None:
+    archive = subprocess.run(["git", "archive", "--format=tar", revision], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    PARENT_COPY.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(PARENT_COPY, filter="data")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -110,25 +149,17 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     revision = git("rev-parse", args.parent)
-    remove_worktree()
-    runs: list[dict] = []
+    shutil.rmtree(PARENT_COPY, ignore_errors=True)
     try:
-        git("worktree", "add", "--detach", str(WORKTREE), revision)
-        checkouts = {"parent": WORKTREE, "change": ROOT}
-        for i, seed in enumerate(args.seeds):
-            for workload in workloads:
-                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    result = run_once(checkouts[side], workload, seed, seconds)
-                    runs.append({"workload": workload, "seed": seed, "side": side,
-                                 "result": result})
-                    wall = result["metrics"]["wall_s"]["value"]
-                    print(f"{workload} seed {seed} {side}: wall_s {wall:.4g}",
-                          file=sys.stderr, flush=True)
+        export_revision(revision)
+        runs, failures = collect({"parent": PARENT_COPY, "change": ROOT}, workloads,
+                                 args.seeds, seconds)
     finally:
-        remove_worktree()
+        shutil.rmtree(PARENT_COPY, ignore_errors=True)
     report = {"parent": revision, "change": "working tree", "seconds": seconds,
               "command": "perfbench/run.py --trace 0",
-              "workloads": aggregate(runs, bench["end_to_end"]), "runs": runs}
+              "workloads": aggregate(runs, bench["end_to_end"]),
+              "failures": failures, "runs": runs}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -91,9 +91,21 @@ class ClassProfile:
     def members(self, mask: int) -> frozenset[int]:
         return frozenset().union(*(self.classes[c][1] for c in _bits(mask)))
 
-    def quotient_class_size(self, c: int, N: int) -> int:
-        """|x^G N| / |N| for x in class c: the size of xN's class in G/N."""
-        return self.size(self.product(1 << c, N)) // self.size(N)
+    def quotient_class_sizes(self, N: int) -> list[int]:
+        """For each class c of x, |x^G N|/|N|: the size of xN's class in G/N.
+
+        The unions x^G N partition G, and every class in one of them has
+        the same size downstairs, so each union is multiplied out once.
+        """
+        k, n = len(self.classes), self.size(N)
+        downs = [0] * k
+        for c in range(k):
+            if not downs[c]:
+                union = self.product(1 << c, N)
+                down = self.size(union) // n
+                for d in _bits(union):
+                    downs[d] = down
+        return downs
 
     def mask_of(self, members) -> int:
         """The classes that meet ``members``: its mask, if it is a union of classes."""
@@ -128,16 +140,21 @@ def conjugacy_classes(G: FiniteGroup) -> ClassProfile:
     return ClassProfile(G, classes, np.array(class_of, dtype=np.int64), cs_set)
 
 
-def pi_part_of_element(G: FiniteGroup, x: int, pi: set[int] | frozenset[int]) -> int:
-    """The pi-part of x: x^(b * (b^-1 mod a)), where a is the pi-part of
-    o(x) and b = o(x)/a.  It has order a, and x's pi'-part times it is x."""
-    o = int(G.element_orders[x])
+def pi_part_exponent(o: int, pi: set[int] | frozenset[int]) -> int:
+    """The e < o with x^e the pi-part of any x of order o: b * (b^-1 mod a),
+    where a is the pi-part of o and b = o/a (0 when a = 1)."""
     prof = arithmetic_profile(o)
     a = math.prod(prof.part(p) for p in prof.primes if p in pi)
     if a == 1:
         return 0
     b = o // a
-    return G.power(x, b * pow(b, -1, a))
+    return b * pow(b, -1, a)
+
+
+def pi_part_of_element(G: FiniteGroup, x: int, pi: set[int] | frozenset[int]) -> int:
+    """The pi-part of x.  It has order the pi-part of o(x), and x's
+    pi'-part times it is x."""
+    return G.power(x, pi_part_exponent(int(G.element_orders[x]), pi))
 
 
 def composite_split(profile: ClassProfile) -> tuple[frozenset[int], frozenset[int]]:

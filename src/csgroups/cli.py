@@ -9,7 +9,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -251,6 +250,8 @@ def cmd_sweep(args) -> int:
     report = base_report(config)
     jobs = [(entry, config) for entry in catalog_entries(args.fixture_dir or [])]
     if config["jobs"] > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: a slow import
+
         with ProcessPoolExecutor(max_workers=config["jobs"]) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     else:

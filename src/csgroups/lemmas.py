@@ -14,12 +14,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .arith import arithmetic_profile
-from .classes import conjugacy_classes, is_p_element, pi_part_of_element
+from .classes import conjugacy_classes, is_p_element, pi_part_exponent
 from .construct import FiniteGroup
 from .structure import (
     EnumerationLimitError,
     center,
-    centralizer_of_set,
     core_p,
     generating_set,
     hall,
@@ -98,6 +97,14 @@ def _commute(G: FiniteGroup, A: frozenset[int], B: frozenset[int]) -> bool:
     return all(G.mul(x, y) == G.mul(y, x) for x in ga for y in gb)
 
 
+def _powers(G: FiniteGroup, x: int) -> list[int]:
+    """[x^0, x^1, ..., x^(o(x)-1)]."""
+    xs = [0]
+    for _ in range(int(G.element_orders[x]) - 1):
+        xs.append(G.mul(xs[-1], x))
+    return xs
+
+
 # -- individual lemma checks ----------------------------------------------------
 
 
@@ -112,19 +119,8 @@ def check_quotient_class_size_divides(G, analysis, report: LemmaReport):
         normals = sorted(normals, key=len)[:MAX_QUOTIENT_NORMALS // 2] + \
             sorted(normals, key=lambda N: -len(N))[:MAX_QUOTIENT_NORMALS // 2]
         report.skipped.append(("2.1a", G.name, "normal subgroups truncated"))
-    k = len(profile.classes)
     for N in normals:
-        mask = profile.mask_of(N)
-        # the unions x^G N partition G, and every class in one of them
-        # has the same class size |x^G N|/|N| in G/N
-        downs = [0] * k
-        for c in range(k):
-            if not downs[c]:
-                down = profile.quotient_class_size(c, mask)
-                union = profile.product(1 << c, mask)
-                for d in range(c, k):
-                    if union >> d & 1:
-                        downs[d] = down
+        downs = profile.quotient_class_sizes(profile.mask_of(N))
         for (x, members), down in zip(profile.classes, downs):
             up = len(members)
             _record(report, "2.1a", G.name, up % down == 0,
@@ -145,8 +141,8 @@ def check_coprime_class_size_factorization(G, analysis, report: LemmaReport):
             sx, sy = profile.class_size_of(x), profile.class_size_of(y)
             if math.gcd(sx, sy) != 1:
                 continue
-            cx = cx if cx is not None else centralizer_of_set(G, [x])
-            cy = centralizer_of_set(G, [y])
+            cx = cx if cx is not None else analysis.centralizer(x)
+            cy = analysis.centralizer(y)
             product_order = len(cx) * len(cy) // len(cx & cy)
             ok = product_order == G.order
             xy = G.mul(x, y)
@@ -171,13 +167,13 @@ def check_commuting_coprime_centralizer(G, analysis, report: LemmaReport):
     for x in profile.representatives:
         if x == 0:
             continue
-        cx = centralizer_of_set(G, [x])
+        cx = analysis.centralizer(x)
         ox = int(orders[x])
         for y in sorted(cx):
             if y == 0 or math.gcd(ox, int(orders[y])) != 1:
                 continue
-            cy = centralizer_of_set(G, [y])
-            cxy = centralizer_of_set(G, [G.mul(x, y)])
+            cy = analysis.centralizer(y)
+            cxy = analysis.centralizer(G.mul(x, y))
             _record(report, "2.1c", G.name, cxy == (cx & cy),
                     f"x={x}, y={y}")
             budget -= 1
@@ -213,6 +209,7 @@ def check_pi_element_lifting(G, analysis, report: LemmaReport):
     if len(normals) > MAX_QUOTIENT_NORMALS:
         normals = normals[:MAX_QUOTIENT_NORMALS]
         report.skipped.append(("2.1e", G.name, "normal subgroups truncated"))
+    powers: dict[int, list[int]] = {}  # x -> [x^0, ..., x^(o(x)-1)], once per group
     for N in normals:
         # the classes of G/N are the unions x^G N; each is represented by
         # its least element x, the representative of its first class
@@ -221,13 +218,17 @@ def check_pi_element_lifting(G, analysis, report: LemmaReport):
             if covered >> c & 1:
                 continue
             covered |= profile.product(1 << c, mask)
-            k, xk = 1, x  # the order of xN is the least k with x^k in N
-            while xk not in N:
-                k, xk = k + 1, G.mul(xk, x)
+            if x not in powers:
+                powers[x] = _powers(G, x)
+            xs = powers[x]
+            o = len(xs)
+            # the order of xN is the least k with x^k in N
+            k = next(k for k in range(1, o + 1) if xs[k % o] in N)
             pi = set(arithmetic_profile(k).primes)
-            y = pi_part_of_element(G, x, pi)
-            z = pi_part_of_element(G, x, set(arithmetic_profile(int(G.element_orders[x])).primes) - pi)
-            ok = (z in N and G.mul(int(G.inv[x]), y) in N
+            e = pi_part_exponent(o, pi)
+            y, z = xs[e], xs[pi_part_exponent(o, set(arithmetic_profile(o).primes) - pi)]
+            # y = x^e maps to xN: x^-1 y = x^(e-1) lies in N
+            ok = (z in N and xs[(e - 1) % o] in N
                   and arithmetic_profile(int(G.element_orders[y])).is_pi_number(pi))
             _record(report, "2.1e", G.name, ok,
                     f"N order {len(N)}, x={x}")
@@ -372,35 +373,43 @@ def check_minimal_centralizer_shape(G, analysis, report: LemmaReport):
     (Sylow r-subgroup) x (abelian r'-group)."""
     if analysis.is_abelian:
         return
-    profile = analysis.profile
-    orders = G.element_orders
-    cents = {x: centralizer_of_set(G, [x]) for x in profile.representatives}
-    for x, X in cents.items():
+    verdicts: dict[frozenset[int], tuple[bool, str] | None] = {}
+    for x in analysis.profile.representatives:
         if x == 0:
             continue
-        # minimal: no centralizer of an element of X is a smaller subgroup of X
-        minimal = all(profile.centralizer_order_of(y) >= len(X)
-                      or not (centralizer_of_set(G, [y]) < X)
-                      for y in sorted(X) if y != 0)
-        if not minimal:
+        X = analysis.centralizer(x)
+        if X not in verdicts:  # the verdict depends on X alone
+            verdicts[X] = _minimal_centralizer_verdict(G, analysis, X)
+        if verdicts[X] is not None:
+            ok, detail = verdicts[X]
+            _record(report, "2.6", G.name, ok, f"x={x}, {detail}")
+
+
+def _minimal_centralizer_verdict(G, analysis, X: frozenset[int]) -> tuple[bool, str] | None:
+    """Lemma 2.6 on one centralizer X: None when X is not minimal or no
+    element of prime-power order has centralizer X, else the verdict on
+    the first such element, the one witness, and its detail."""
+    profile = analysis.profile
+    # minimal: no centralizer of an element of X is a smaller subgroup of X
+    if any(profile.centralizer_order_of(y) < len(X) and analysis.centralizer(y) < X
+           for y in sorted(X) if y != 0):
+        return None
+    for g in sorted(X):
+        prof = arithmetic_profile(int(G.element_orders[g]))
+        if g == 0 or not prof.is_prime_power():
             continue
-        for g in sorted(X):
-            prof = arithmetic_profile(int(orders[g]))
-            if g == 0 or not prof.is_prime_power():
-                continue
-            if profile.centralizer_order_of(g) != len(X) or centralizer_of_set(G, [g]) != X:
-                continue
-            r = prof.primes[0]
-            Xgrp, _ = subgroup_as_group(G, X)
-            R = sylow(Xgrp, r)
-            A = frozenset(i for i in range(Xgrp.order)
-                          if math.gcd(int(Xgrp.element_orders[i]), r) == 1)
-            a_subgroup = Xgrp.subgroup_closure(sorted(A)) == A
-            ok = (a_subgroup and _commute(Xgrp, A, A)
-                  and _direct_factor_check(Xgrp, R, A))
-            _record(report, "2.6", G.name, ok,
-                    f"x={x}, r={r}, |X|={len(X)}, |R|={len(R)}, |A|={len(A)}")
-            break  # one witness element per minimal centralizer
+        if profile.centralizer_order_of(g) != len(X) or analysis.centralizer(g) != X:
+            continue
+        r = prof.primes[0]
+        Xgrp, _ = subgroup_as_group(G, X)
+        R = sylow(Xgrp, r)
+        A = frozenset(i for i in range(Xgrp.order)
+                      if math.gcd(int(Xgrp.element_orders[i]), r) == 1)
+        a_subgroup = Xgrp.subgroup_closure(sorted(A)) == A
+        ok = (a_subgroup and _commute(Xgrp, A, A)
+              and _direct_factor_check(Xgrp, R, A))
+        return ok, f"r={r}, |X|={len(X)}, |R|={len(R)}, |A|={len(A)}"
+    return None
 
 
 def lemma_suite_for_group(G: FiniteGroup, analysis=None,

@@ -18,6 +18,7 @@ from .structure import (
     EnumerationLimitError,
     NotNilpotentError,
     center,
+    centralizer_of_set,
     derived_series,  # noqa: F401 - perfbench's tracer test reads theorems.derived_series
     fitting2,
     is_frobenius,
@@ -28,6 +29,9 @@ from .structure import (
     strip_abelian_factors,
     subgroup_as_group,
 )
+
+CENTRALIZER_MEMO_ENTRIES = 1 << 14  # indices a group analysis may hold in centralizers
+
 
 @dataclass
 class Conclusion:
@@ -59,11 +63,28 @@ class TheoremVerdict:
 
 class GroupAnalysis:
     """Caches the per-group data the verdicts share; ``profile`` is the
-    group's one class algebra, which the lattice and mask queries read."""
+    group's one class algebra, which the lattice and mask queries read.
+
+    Centralizers of single elements are cached per group too, while the
+    memo holds at most ``CENTRALIZER_MEMO_ENTRIES`` indices in all: the
+    lemma checks ask for the same C(x) many times.
+    """
 
     def __init__(self, G: FiniteGroup, normal_limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT):
         self.group = G
         self.normal_limit = normal_limit
+        self._centralizers: dict[int, frozenset[int]] = {}
+        self._centralizer_room = CENTRALIZER_MEMO_ENTRIES
+
+    def centralizer(self, x: int) -> frozenset[int]:
+        """C(x), the centralizer of the element x."""
+        C = self._centralizers.get(x)
+        if C is None:
+            C = centralizer_of_set(self.group, [x])
+            if len(C) <= self._centralizer_room:
+                self._centralizers[x] = C
+                self._centralizer_room -= len(C)
+        return C
 
     @cached_property
     def profile(self):

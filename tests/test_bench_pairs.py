@@ -60,3 +60,32 @@ def test_no_complete_pair_gives_no_metrics():
     summary = bench_pairs.aggregate([run("a", 1, "parent", 2.0, 0)], END_TO_END)
     assert summary["a"]["pairs"] == 0
     assert summary["a"]["metrics"] == {}
+
+
+def test_failed_run_is_recorded_and_the_other_runs_go_on(monkeypatch):
+    def fake_run(checkout, workload, seed, seconds):
+        if (workload, seed, checkout) == ("w", 41, "change-dir"):
+            raise bench_pairs.RunFailed(2, "x" * 3000 + "Traceback: boom\n")
+        return run(workload, seed, "?", 1.0 if checkout == "change-dir" else 2.0, 0)["result"]
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    runs, failures = bench_pairs.collect({"parent": "parent-dir", "change": "change-dir"},
+                                         ["w"], [40, 41, 42], 12)
+    assert failures == [{"workload": "w", "seed": 41, "side": "change", "exit_code": 2,
+                         "stderr_tail": ("x" * 3000 + "Traceback: boom\n")[-2000:]}]
+    assert [(r["seed"], r["side"]) for r in runs] == [
+        (40, "parent"), (40, "change"), (41, "parent"), (42, "parent"), (42, "change")]
+    summary = bench_pairs.aggregate(runs, END_TO_END)["w"]
+    assert summary["pairs"] == 2
+    assert summary["metrics"]["wall_s"]["change_better_pairs"] == 2
+
+
+def test_run_once_raises_with_exit_code_and_stderr_tail(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\nprint('partial output')\nsys.stderr.write('worker exited 1: boom')\n"
+        "sys.exit(3)\n")
+    with pytest.raises(bench_pairs.RunFailed) as info:
+        bench_pairs.run_once(tmp_path, "w", 1, 1)
+    assert info.value.exit_code == 3
+    assert info.value.stderr_tail == "worker exited 1: boom"

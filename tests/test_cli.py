@@ -1,7 +1,10 @@
 """Command-line interface: targets, reports, config files, exit codes."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,18 @@ from csgroups.cli import (
 from csgroups.construct import dump_fixture, symmetric
 
 DATA = Path(__file__).parent / "data"
+
+
+def test_import_leaves_process_pools_out():
+    """``concurrent.futures`` is imported only when a sweep runs workers."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, csgroups.cli; print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestTargets:

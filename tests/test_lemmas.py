@@ -1,6 +1,7 @@
 """Lemma property suite: hypothesis detection, instance counting, and
 zero-failure runs on known groups."""
 
+from csgroups import lemmas
 from csgroups.catalog import fixture_group, make_builtin
 from csgroups.classes import conjugacy_classes
 from csgroups.construct import (
@@ -11,6 +12,7 @@ from csgroups.construct import (
     quaternion8,
     symmetric,
 )
+from csgroups.structure import centralizer_of_set
 from csgroups.lemmas import (
     LEMMA_IDS,
     LemmaReport,
@@ -79,6 +81,23 @@ class TestSuiteOnKnownGroups:
         for n in (4, 5, 6, 9):
             rep = lemma_suite_for_group(dihedral(n))
             assert rep.ok(), [f.__dict__ for f in rep.failures]
+
+
+    def test_minimal_centralizer_reified_once_per_distinct_centralizer(self, monkeypatch):
+        G = make_builtin("q8xcyclic(15)")
+        profile = conjugacy_classes(G)
+        cents = {centralizer_of_set(G, [x]) for x in profile.representatives if x != 0}
+        minimal = [X for X in cents
+                   if not any(centralizer_of_set(G, [y]) < X for y in X)]
+        reified = []
+        subgroup_as_group = lemmas.subgroup_as_group
+        monkeypatch.setattr(lemmas, "subgroup_as_group",
+                            lambda H, X, *a: reified.append(X) or subgroup_as_group(H, X, *a))
+        rep = lemma_suite_for_group(G)
+        assert rep.ok()
+        assert rep.instances["2.6"] == 45  # one per non-central class
+        assert len(minimal) == 3
+        assert len(reified) <= len(minimal)
 
 
 class TestReportPlumbing:

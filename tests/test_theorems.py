@@ -5,7 +5,8 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from csgroups.catalog import fixture_group, iter_catalog
+from csgroups import theorems
+from csgroups.catalog import fixture_group, iter_catalog, make_builtin
 from csgroups.arith import arithmetic_profile, is_prime
 from csgroups.classes import conjugacy_classes
 from csgroups.construct import (
@@ -16,6 +17,7 @@ from csgroups.construct import (
     quaternion8,
     symmetric,
 )
+from csgroups.structure import centralizer_of_set
 from csgroups.theorems import (
     GroupAnalysis,
     _labeling_by_gcd,
@@ -42,6 +44,25 @@ def search_labeling(cs):
                 return {"p1": p1, "p2": p2, "p3": p3,
                         "m": p1 * p2, "n": p1 * p3}
     return None
+
+
+class TestGroupAnalysis:
+    def test_centralizer_is_centralizer_of_set_once_per_element(self):
+        for G in (make_builtin("q8xcyclic(15)"), symmetric(4), fixture_group("g162_5")):
+            a = GroupAnalysis(G)
+            for x in range(G.order):
+                assert a.centralizer(x) == centralizer_of_set(G, [x])
+            for x in range(G.order):
+                assert a.centralizer(x) is a.centralizer(x)
+
+    def test_centralizer_memo_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(theorems, "CENTRALIZER_MEMO_ENTRIES", 30)
+        G = symmetric(4)  # centralizer orders 24, 8, 4, 3 and 4
+        a = GroupAnalysis(G)
+        for x in range(G.order):
+            assert a.centralizer(x) == centralizer_of_set(G, [x])
+        assert sum(len(C) for C in a._centralizers.values()) <= 30
+        assert len(a._centralizers) < G.order
 
 
 class TestTheoremA:
