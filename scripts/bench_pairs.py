@@ -9,8 +9,11 @@ and runs ``perfbench/run.py --trace 0`` there and in the working tree,
 one pair per seed and workload, the side that runs first alternating from
 seed to seed.  Writes, for each workload and end-to-end metric of
 ``BENCHMARK.json``, both sides' medians, the pairs where the change was
-better, the parent's interquartile range and each side's ``failed``
-counts.  A run that exits non-zero or times out is listed under
+better, the parent's interquartile range, each side's ``failed`` counts
+and two verdicts: ``claim_holds``, when the change wins at least 9 pairs
+in 10 and its median is better by more than the parent's IQR, and
+``regressed``, when its median is worse than the parent's by more than
+the metric's ``bound``, a fraction of the parent's median.  A run that exits non-zero or times out is listed under
 ``failures`` (workload, seed, side, exit code, tail of stderr), its pair
 is left out, and the other runs go on.  Progress goes to stderr.  The
 exported copy is removed on exit.
@@ -31,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PARENT_COPY = ROOT / ".bench_work" / "parent"
 RUN_TIMEOUT_S = 300  # one perfbench run; run.py stops its own steps at 170 s
+CLAIM_WIN_SHARE = 0.9  # of the pairs, that a claimed gain must win
 SIDES = ("parent", "change")
 
 
@@ -56,15 +60,20 @@ def aggregate(runs: list[dict], end_to_end: list[dict]) -> dict:
             values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
             q1, q3 = (statistics.quantiles(values["parent"], n=4, method="inclusive")[::2]
                       if len(pairs) > 1 else values["parent"] * 2)
+            parent_median = statistics.median(values["parent"])
+            change_median = statistics.median(values["change"])
+            gain = parent_median - change_median if lower else change_median - parent_median
+            wins = sum((c < p) if lower else (c > p)
+                       for p, c in zip(values["parent"], values["change"]))
             metrics[name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
-                "parent_median": statistics.median(values["parent"]),
-                "change_median": statistics.median(values["change"]),
-                "change_better_pairs": sum(
-                    (c < p) if lower else (c > p)
-                    for p, c in zip(values["parent"], values["change"])),
+                "parent_median": parent_median,
+                "change_median": change_median,
+                "change_better_pairs": wins,
                 "parent_iqr": q3 - q1,
+                "claim_holds": wins >= CLAIM_WIN_SHARE * len(pairs) and gain > q3 - q1,
+                "regressed": -gain > metric["bound"] * abs(parent_median),
             }
         out[workload] = {
             "pairs": len(pairs),

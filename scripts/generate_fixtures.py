@@ -30,7 +30,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from csgroups.classes import conjugacy_classes
+from csgroups.classes import ClassProfile, conjugacy_classes
 from csgroups.construct import (
     FiniteGroup,
     cyclic,
@@ -50,6 +50,11 @@ def group_signature(G: FiniteGroup) -> tuple:
     orders = sorted(int(o) for o in G.element_orders)
     sizes = sorted(len(m) for _, m in prof.classes)
     return (G.order, tuple(orders), tuple(sizes))
+
+
+def class_members(prof: ClassProfile, x: int) -> frozenset[int]:
+    """The conjugacy class of the element x."""
+    return prof.classes[prof.class_index[x]][1]
 
 
 def rename(G: FiniteGroup, name: str) -> FiniteGroup:
@@ -188,7 +193,7 @@ def automorphisms_of_order(G: FiniteGroup, k: int, *, fix_first_up_to_conjugacy=
             cand = [y for y in cand if candidate_filter(g, y)]
         if i == 0 and fix_first_up_to_conjugacy:
             # conjugate automorphisms give isomorphic extensions
-            cand = sorted({min(prof.class_members(y)) for y in cand})
+            cand = sorted({min(class_members(prof, y)) for y in cand})
         candidates.append(cand)
 
     pair_sig = {}
@@ -416,7 +421,7 @@ def build_g486_176() -> FiniteGroup:
 
         def fusion_ok(g, y, prof=prof):
             # the fusion constraints below, applied per generator image
-            cls = prof.class_members(g)
+            cls = class_members(prof, g)
             if len(cls) in (3, 27):
                 return y in cls
             if len(cls) == 9:

@@ -14,18 +14,12 @@ class ArithmeticProfile:
 
     value: int
     prime_factors: tuple[tuple[int, int], ...]  # (prime, exponent), sorted
+    primes: tuple[int, ...]                     # the primes of prime_factors
     is_composite: bool
     p_part: dict[int, int]  # prime -> largest p-power dividing value
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.prime_factors)
-
     def part(self, p: int) -> int:
         return self.p_part.get(p, 1)
-
-    def coprime_part(self, p: int) -> int:
-        return self.value // self.part(p)
 
     def is_prime_power(self) -> bool:
         return len(self.prime_factors) == 1
@@ -52,7 +46,7 @@ def arithmetic_profile(n: int) -> ArithmeticProfile:
     if m > 1:
         factors.append((m, 1))
     composite = n > 1 and not (len(factors) == 1 and factors[0][1] == 1)
-    return ArithmeticProfile(n, tuple(factors), composite,
+    return ArithmeticProfile(n, tuple(factors), tuple(p for p, _ in factors), composite,
                              {p: p ** e for p, e in factors})
 
 

@@ -100,10 +100,6 @@ def make_builtin(spec: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     return G
 
 
-def fixture_names() -> list[str]:
-    return sorted(p.stem for p in FIXTURE_DIR.glob("*.txt"))
-
-
 def fixture_group(name: str, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     path = FIXTURE_DIR / f"{name}.txt"
     if not path.exists():

@@ -4,7 +4,7 @@ sizes into primes and composites."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -26,8 +26,11 @@ class ClassProfile:
     """Conjugacy classes of a group, with class sizes and centralizer
     orders, and the algebra of unions of classes.
 
-    A union of classes, such as a normal subgroup, is a *mask*: a k-bit
-    integer over the k classes; class 0 is the identity.  The support
+    Class data is indexed by class position, built once: ``class_index``
+    maps an element to its class as a list, for scalar reads, and
+    ``class_of`` as an array, for batched ones; ``sizes`` holds the class
+    sizes.  A union of classes, such as a normal subgroup, is a *mask*: a
+    k-bit integer over the k classes; class 0 is the identity.  The support
     ``support[i][j]``, the classes met by ``rep_i * C_j``, takes one
     multiplication row per class and is built on first use.  Conjugation
     maps ``rep_i * C_j`` onto ``rep_i^g * C_j``, so it is also the classes
@@ -37,21 +40,21 @@ class ClassProfile:
 
     group: FiniteGroup
     classes: list[tuple[int, frozenset[int]]]  # (min-index representative, members)
-    class_of: np.ndarray                       # element index -> class position
+    class_index: list[int]                     # element index -> class position
+    sizes: list[int]                           # class position -> class size
     cs_set: tuple[int, ...]                    # sorted distinct class sizes
+    class_of: np.ndarray = field(init=False)   # class_index as an array
+    representatives: list[int] = field(init=False)
+
+    def __post_init__(self):
+        self.class_of = np.array(self.class_index, dtype=np.int64)
+        self.representatives = [rep for rep, _ in self.classes]
 
     def class_size_of(self, x: int) -> int:
-        return len(self.classes[int(self.class_of[x])][1])
+        return self.sizes[self.class_index[x]]
 
     def centralizer_order_of(self, x: int) -> int:
-        return self.group.order // self.class_size_of(x)
-
-    @property
-    def representatives(self) -> list[int]:
-        return [rep for rep, _ in self.classes]
-
-    def class_members(self, x: int) -> frozenset[int]:
-        return self.classes[int(self.class_of[x])][1]
+        return self.group.order // self.sizes[self.class_index[x]]
 
     @cached_property
     def support(self) -> list[list[int]]:
@@ -77,16 +80,18 @@ class ClassProfile:
         """The normal closure of each class: the fixpoint of multiplying by it."""
         closures = []
         for c in range(len(self.classes)):
-            gen = mask = new = 1 | 1 << c
+            mask = new = 1 | 1 << c
             while new:  # only the classes added last can add more
-                grown = self.product(new, gen)
+                grown = 0
+                for i in _bits(new):
+                    grown |= self.support[i][c]
                 new = grown & ~mask
                 mask |= grown
             closures.append(mask)
         return closures
 
     def size(self, mask: int) -> int:
-        return sum(len(self.classes[c][1]) for c in _bits(mask))
+        return sum(self.sizes[c] for c in _bits(mask))
 
     def members(self, mask: int) -> frozenset[int]:
         return frozenset().union(*(self.classes[c][1] for c in _bits(mask)))
@@ -136,8 +141,8 @@ def conjugacy_classes(G: FiniteGroup) -> ClassProfile:
                     class_of[y] = cid
                     members.append(y)
         classes.append((start, frozenset(members)))
-    cs_set = tuple(sorted({len(m) for _, m in classes}))
-    return ClassProfile(G, classes, np.array(class_of, dtype=np.int64), cs_set)
+    sizes = [len(m) for _, m in classes]
+    return ClassProfile(G, classes, class_of, sizes, tuple(sorted(set(sizes))))
 
 
 def pi_part_exponent(o: int, pi: set[int] | frozenset[int]) -> int:

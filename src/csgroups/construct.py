@@ -167,6 +167,20 @@ class FiniteGroup:
             k >>= 1
         return result
 
+    def power_table(self, xs: Sequence[int]) -> list[list[int]]:
+        """[x^0, x^1, ..., x^(o(x)-1)] for each x in ``xs``, one batched
+        lookup per exponent: x^k = x^(k-1) * x, read on x's base images."""
+        mat = self.table.matrix
+        on_base = mat[np.asarray(xs, dtype=np.intp)][:, self.table.base]
+        orders = self.element_orders[xs].tolist()
+        power = np.zeros(len(xs), dtype=np.intp)
+        table = [power]
+        for _ in range(max(orders, default=1) - 1):
+            starts = power[:, None] * self.deg  # x^(k-1)'s row in mat.ravel()
+            power = self.table.indices_of_base(mat.ravel()[starts + on_base])
+            table.append(power)
+        return [row[:o] for row, o in zip(np.array(table).T.tolist(), orders)]
+
     def subgroup_closure(self, seed: Sequence[int],
                          rows: Optional[dict[int, list[int]]] = None) -> frozenset[int]:
         """Element indices of the subgroup generated by ``seed``.

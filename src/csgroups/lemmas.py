@@ -12,6 +12,9 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
 
 from .arith import arithmetic_profile
 from .classes import conjugacy_classes, is_p_element, pi_part_exponent
@@ -25,7 +28,6 @@ from .structure import (
     is_frobenius,
     is_normal,
     quotient,
-    subgroup_as_group,
     sylow,
 )
 from .theorems import GroupAnalysis
@@ -64,22 +66,24 @@ class LemmaReport:
         return {lem: self.instances.get(lem, 0) for lem in LEMMA_IDS}
 
 
-def _record(report: LemmaReport, lemma: str, group: str, passed: bool, detail: str):
+def _record(report: LemmaReport, lemma: str, group: str, passed: bool,
+            detail: Callable[[], str] = str):
+    """Count one instance; a failure keeps ``detail()``, built only then."""
     report.instances[lemma] += 1
     if not passed:
-        report.failures.append(LemmaFailure(lemma, group, detail))
+        report.failures.append(LemmaFailure(lemma, group, detail()))
 
 
 def o_p_prime(p: int, profile) -> frozenset[int]:
     """O_{p'}(G): the largest normal subgroup of order coprime to p.
 
-    One pass over the class closures N: N joins M when |MN| stays prime
-    to p.  M stays a normal p'-group, so every class inside O_{p'} joins.
+    It is the join of the class closures N of order prime to p: their
+    product MN has order |M||N|/|M n N|, still prime to p, and a closure
+    of order divisible by p lies in no p'-group.
     """
     M = 1
     for N in profile.class_closures:
-        order = profile.size(M) * profile.size(N) // profile.size(M & N)
-        if order % p:
+        if N & ~M and profile.size(N) % p:
             M = profile.product(M, N)
     return profile.members(M)
 
@@ -97,12 +101,11 @@ def _commute(G: FiniteGroup, A: frozenset[int], B: frozenset[int]) -> bool:
     return all(G.mul(x, y) == G.mul(y, x) for x in ga for y in gb)
 
 
-def _powers(G: FiniteGroup, x: int) -> list[int]:
-    """[x^0, x^1, ..., x^(o(x)-1)]."""
-    xs = [0]
-    for _ in range(int(G.element_orders[x]) - 1):
-        xs.append(G.mul(xs[-1], x))
-    return xs
+def _members(mask: int, n: int) -> np.ndarray:
+    """The elements whose bits are set in an n-bit element mask, in
+    increasing order."""
+    packed = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(packed, count=n, bitorder="little"))
 
 
 # -- individual lemma checks ----------------------------------------------------
@@ -112,7 +115,7 @@ def check_quotient_class_size_divides(G, analysis, report: LemmaReport):
     """2.1a: class sizes in a quotient divide the class sizes upstairs."""
     profile = analysis.profile
     if analysis.is_abelian:
-        _record(report, "2.1a", G.name, True, "")
+        _record(report, "2.1a", G.name, True)
         return
     normals = analysis.normals
     if len(normals) > MAX_QUOTIENT_NORMALS:
@@ -121,10 +124,9 @@ def check_quotient_class_size_divides(G, analysis, report: LemmaReport):
         report.skipped.append(("2.1a", G.name, "normal subgroups truncated"))
     for N in normals:
         downs = profile.quotient_class_sizes(profile.mask_of(N))
-        for (x, members), down in zip(profile.classes, downs):
-            up = len(members)
+        for x, up, down in zip(profile.representatives, profile.sizes, downs):
             _record(report, "2.1a", G.name, up % down == 0,
-                    f"N order {len(N)}, x={x}: {down} does not divide {up}")
+                    lambda: f"N order {len(N)}, x={x}: {down} does not divide {up}")
 
 
 def check_coprime_class_size_factorization(G, analysis, report: LemmaReport):
@@ -132,27 +134,27 @@ def check_coprime_class_size_factorization(G, analysis, report: LemmaReport):
     |(xy)^G| dividing |x^G||y^G|."""
     profile = analysis.profile
     if analysis.is_abelian:
-        _record(report, "2.1b", G.name, True, "")
+        _record(report, "2.1b", G.name, True)
         return
-    reps = [r for r in profile.representatives if profile.class_size_of(r) > 1]
-    for i, x in enumerate(reps):
-        cx = None
-        for y in reps[i:]:
-            sx, sy = profile.class_size_of(x), profile.class_size_of(y)
-            if math.gcd(sx, sy) != 1:
-                continue
-            cx = cx if cx is not None else analysis.centralizer(x)
+    reps, sizes, class_index = profile.representatives, profile.sizes, profile.class_index
+    noncentral = [c for c, size in enumerate(sizes) if size > 1]
+    for i, a in enumerate(noncentral):
+        x, sx = reps[a], sizes[a]
+        coprime = [b for b in noncentral[i:] if math.gcd(sx, sizes[b]) == 1]
+        if not coprime:
+            continue
+        cx = analysis.centralizer(x)
+        xys = G.products([x], [reps[b] for b in coprime])[0].tolist()
+        for b, xy in zip(coprime, xys):
+            y, sy = reps[b], sizes[b]
             cy = analysis.centralizer(y)
-            product_order = len(cx) * len(cy) // len(cx & cy)
-            ok = product_order == G.order
-            xy = G.mul(x, y)
-            sxy = profile.class_size_of(xy)
-            ok = ok and sx * sy % sxy == 0
+            # |C(x)C(y)| = |C(x)||C(y)|/|C(x) n C(y)| is |G|
+            ok = cx.bit_count() * cy.bit_count() == G.order * (cx & cy).bit_count()
+            ok = ok and sx * sy % sizes[class_index[xy]] == 0
             # x^G y^G is a union of classes: (xy)^G when it meets no other class
-            met = profile.product(profile.mask_of([x]), profile.mask_of([y]))
-            ok = ok and met == profile.mask_of([xy])
+            ok = ok and profile.support[a][b] == 1 << class_index[xy]
             _record(report, "2.1b", G.name, ok,
-                    f"x={x} (size {sx}), y={y} (size {sy})")
+                    lambda: f"x={x} (size {sx}), y={y} (size {sy})")
 
 
 def check_commuting_coprime_centralizer(G, analysis, report: LemmaReport):
@@ -160,7 +162,7 @@ def check_commuting_coprime_centralizer(G, analysis, report: LemmaReport):
     C(xy) = C(x) n C(y)."""
     profile = analysis.profile
     if analysis.is_abelian:
-        _record(report, "2.1c", G.name, True, "")
+        _record(report, "2.1c", G.name, True)
         return
     orders = G.element_orders
     budget = MAX_COMMUTING_PAIRS
@@ -168,20 +170,18 @@ def check_commuting_coprime_centralizer(G, analysis, report: LemmaReport):
         if x == 0:
             continue
         cx = analysis.centralizer(x)
-        ox = int(orders[x])
-        for y in sorted(cx):
-            if y == 0 or math.gcd(ox, int(orders[y])) != 1:
-                continue
+        ys = _members(cx, G.order)
+        ys = ys[(np.gcd(orders[ys], orders[x]) == 1) & (ys != 0)][:budget]
+        if not len(ys):
+            continue
+        for y, xy in zip(ys.tolist(), G.products([x], ys)[0].tolist()):
             cy = analysis.centralizer(y)
-            cxy = analysis.centralizer(G.mul(x, y))
-            _record(report, "2.1c", G.name, cxy == (cx & cy),
-                    f"x={x}, y={y}")
+            _record(report, "2.1c", G.name, analysis.centralizer(xy) == cx & cy,
+                    lambda: f"x={x}, y={y}")
             budget -= 1
             if budget <= 0:
                 report.skipped.append(("2.1c", G.name, "pair budget reached"))
                 return
-        if budget <= 0:
-            return
 
 
 def check_prime_missing_from_class_sizes(G, analysis, report: LemmaReport):
@@ -195,21 +195,21 @@ def check_prime_missing_from_class_sizes(G, analysis, report: LemmaReport):
         O = o_p_prime(p, profile)
         rhs = P_abelian and _direct_factor_check(G, P, O)
         _record(report, "2.1d", G.name, lhs == rhs,
-                f"p={p}: lhs={lhs}, rhs={rhs}")
+                lambda: f"p={p}: lhs={lhs}, rhs={rhs}")
 
 
 def check_pi_element_lifting(G, analysis, report: LemmaReport):
     """2.1e: pi-elements of a quotient lift to pi-elements, via the
     primary decomposition of any preimage."""
     if analysis.is_abelian:
-        _record(report, "2.1e", G.name, True, "")
+        _record(report, "2.1e", G.name, True)
         return
     profile = analysis.profile
     normals = [N for N in analysis.normals if 1 < len(N) < G.order]
     if len(normals) > MAX_QUOTIENT_NORMALS:
         normals = normals[:MAX_QUOTIENT_NORMALS]
         report.skipped.append(("2.1e", G.name, "normal subgroups truncated"))
-    powers: dict[int, list[int]] = {}  # x -> [x^0, ..., x^(o(x)-1)], once per group
+    powers = G.power_table(profile.representatives) if normals else []
     for N in normals:
         # the classes of G/N are the unions x^G N; each is represented by
         # its least element x, the representative of its first class
@@ -218,9 +218,7 @@ def check_pi_element_lifting(G, analysis, report: LemmaReport):
             if covered >> c & 1:
                 continue
             covered |= profile.product(1 << c, mask)
-            if x not in powers:
-                powers[x] = _powers(G, x)
-            xs = powers[x]
+            xs = powers[c]
             o = len(xs)
             # the order of xN is the least k with x^k in N
             k = next(k for k in range(1, o + 1) if xs[k % o] in N)
@@ -231,7 +229,7 @@ def check_pi_element_lifting(G, analysis, report: LemmaReport):
             ok = (z in N and xs[(e - 1) % o] in N
                   and arithmetic_profile(int(G.element_orders[y])).is_pi_number(pi))
             _record(report, "2.1e", G.name, ok,
-                    f"N order {len(N)}, x={x}")
+                    lambda: f"N order {len(N)}, x={x}")
 
 
 def check_coprime_triple_growth(G, analysis, report: LemmaReport):
@@ -248,7 +246,7 @@ def check_coprime_triple_growth(G, analysis, report: LemmaReport):
                 ok = any(c > b and (a_val * b) % c == 0
                          for b in (b1, b2) for c in analysis.profile.cs_set)
                 _record(report, "2.2", G.name, ok,
-                        f"triple ({a_val}, {b1}, {b2})")
+                        lambda: f"triple ({a_val}, {b1}, {b2})")
 
 
 def _coprimality_components(values: list[int]) -> list[set[int]]:
@@ -276,12 +274,12 @@ def check_disconnected_class_sizes(G, analysis, report: LemmaReport):
         pi |= set(arithmetic_profile(v).primes)
     core, _ = analysis.stripped
     if core.order == 1:
-        _record(report, "2.3", G.name, False, "trivial core despite split class sizes")
+        _record(report, "2.3", G.name, False, lambda: "trivial core despite split class sizes")
         return
     pi_all = set(arithmetic_profile(core.order).primes)
     ok = _disconnected_conclusion(core, pi & pi_all, analysis.normal_limit) or \
         _disconnected_conclusion(core, pi_all - pi, analysis.normal_limit)
-    _record(report, "2.3", G.name, ok, f"pi={sorted(pi)}")
+    _record(report, "2.3", G.name, ok, lambda: f"pi={sorted(pi)}")
 
 
 def _disconnected_conclusion(core: FiniteGroup, pi: set[int], limit: int) -> bool:
@@ -317,7 +315,7 @@ def check_mixed_prime_power_products(G, analysis, report: LemmaReport,
         telts = [x for x in range(1, G.order)
                  if x not in zset and is_p_element(G, x, t)
                  and arithmetic_profile(profile.class_size_of(x)).is_prime_power()]
-        reps = [x for x in telts if profile.representatives[int(profile.class_of[x])] == x]
+        reps = [x for x in telts if profile.representatives[profile.class_index[x]] == x]
         pairs = [(x, y) for x in reps for y in telts
                  if arithmetic_profile(profile.class_size_of(x)).primes
                  != arithmetic_profile(profile.class_size_of(y)).primes]
@@ -338,7 +336,7 @@ def check_mixed_prime_power_products(G, analysis, report: LemmaReport,
             inside = G.subgroup_closure([x, y]) <= core
             max_ok = sxy == max(sx, sy) and arithmetic_profile(sxy).primes == (t,)
             _record(report, "2.4", G.name, inside and max_ok and nonabelian,
-                    f"t={t}, x={x} (size {sx}), y={y} (size {sy}), |(xy)^G|={sxy}")
+                    lambda: f"t={t}, x={x} (size {sx}), y={y} (size {sy}), |(xy)^G|={sxy}")
 
 
 def check_two_class_sizes_for_p_regular(G, analysis, report: LemmaReport):
@@ -346,13 +344,13 @@ def check_two_class_sizes_for_p_regular(G, analysis, report: LemmaReport):
     then m = p^a q^b for a single prime q distinct from p; when q really
     divides m, the stripped group is a {p,q}-group."""
     profile = analysis.profile
-    orders = G.element_orders
+    # element order and class size are class functions: one look per class
+    orders = [arithmetic_profile(int(o)) for o in G.element_orders[profile.representatives]]
     for p in arithmetic_profile(G.order).primes:
         sizes = set()
-        for x in range(1, G.order):
-            prof = arithmetic_profile(int(orders[x]))
+        for prof, size in zip(orders, profile.sizes):
             if prof.is_prime_power() and prof.primes != (p,):
-                sizes.add(profile.class_size_of(x))
+                sizes.add(size)
         nontrivial = sizes - {1}
         if len(nontrivial) > 1:
             continue
@@ -365,7 +363,7 @@ def check_two_class_sizes_for_p_regular(G, analysis, report: LemmaReport):
             core, _ = analysis.stripped
             ok = arithmetic_profile(core.order).is_pi_number({p, q})
             detail += f", q={q}, core order {core.order}"
-        _record(report, "2.5", G.name, ok, detail)
+        _record(report, "2.5", G.name, ok, lambda: detail)
 
 
 def check_minimal_centralizer_shape(G, analysis, report: LemmaReport):
@@ -373,7 +371,7 @@ def check_minimal_centralizer_shape(G, analysis, report: LemmaReport):
     (Sylow r-subgroup) x (abelian r'-group)."""
     if analysis.is_abelian:
         return
-    verdicts: dict[frozenset[int], tuple[bool, str] | None] = {}
+    verdicts: dict[int, tuple[bool, str] | None] = {}
     for x in analysis.profile.representatives:
         if x == 0:
             continue
@@ -382,34 +380,53 @@ def check_minimal_centralizer_shape(G, analysis, report: LemmaReport):
             verdicts[X] = _minimal_centralizer_verdict(G, analysis, X)
         if verdicts[X] is not None:
             ok, detail = verdicts[X]
-            _record(report, "2.6", G.name, ok, f"x={x}, {detail}")
+            _record(report, "2.6", G.name, ok, lambda: f"x={x}, {detail}")
 
 
-def _minimal_centralizer_verdict(G, analysis, X: frozenset[int]) -> tuple[bool, str] | None:
-    """Lemma 2.6 on one centralizer X: None when X is not minimal or no
-    element of prime-power order has centralizer X, else the verdict on
-    the first such element, the one witness, and its detail."""
-    profile = analysis.profile
+def _minimal_centralizer_verdict(G, analysis, X: int) -> tuple[bool, str] | None:
+    """Lemma 2.6 on one centralizer mask X: None when X is not minimal or
+    no element of prime-power order has centralizer X, else the verdict on
+    the first such element, an r-element, and its detail."""
+    profile, order = analysis.profile, X.bit_count()
+    members = _members(X, G.order).tolist()
     # minimal: no centralizer of an element of X is a smaller subgroup of X
-    if any(profile.centralizer_order_of(y) < len(X) and analysis.centralizer(y) < X
-           for y in sorted(X) if y != 0):
+    if any(profile.centralizer_order_of(y) < order and analysis.centralizer(y) | X == X
+           for y in members if y != 0):
         return None
-    for g in sorted(X):
+    for g in members:
         prof = arithmetic_profile(int(G.element_orders[g]))
         if g == 0 or not prof.is_prime_power():
             continue
-        if profile.centralizer_order_of(g) != len(X) or analysis.centralizer(g) != X:
+        if profile.centralizer_order_of(g) != order or analysis.centralizer(g) != X:
             continue
         r = prof.primes[0]
-        Xgrp, _ = subgroup_as_group(G, X)
-        R = sylow(Xgrp, r)
-        A = frozenset(i for i in range(Xgrp.order)
-                      if math.gcd(int(Xgrp.element_orders[i]), r) == 1)
-        a_subgroup = Xgrp.subgroup_closure(sorted(A)) == A
-        ok = (a_subgroup and _commute(Xgrp, A, A)
-              and _direct_factor_check(Xgrp, R, A))
-        return ok, f"r={r}, |X|={len(X)}, |R|={len(R)}, |A|={len(A)}"
+        ok, a_order = _splits_off_sylow(G, analysis, X, r)
+        return ok, f"r={r}, |X|={order}, |R|={arithmetic_profile(order).part(r)}, |A|={a_order}"
     return None
+
+
+def _splits_off_sylow(G, analysis, X: int, r: int) -> tuple[bool, int]:
+    """Is the subgroup with mask X the direct product R x A of a Sylow
+    r-subgroup R and an abelian r'-group A?  With the number of
+    r'-elements of X.
+
+    It is exactly when X has |X|_r r-elements and |X|/|X|_r r'-elements,
+    all central in X.  Then the r-elements are X's one Sylow r-subgroup R,
+    the r'-elements of the abelian Z(X) are a subgroup A, and R n A = 1
+    with RA = X.  Conversely R is normal in R x A, so it holds every
+    r-element of X, and A every r'-element.
+    """
+    order = X.bit_count()
+    r_part = arithmetic_profile(order).part(r)
+    members = _members(X, G.order)
+    orders = G.element_orders[members]
+    A = members[orders % r != 0].tolist()
+    profile = analysis.profile
+    ok = (np.count_nonzero(r_part % orders == 0) == r_part
+          and r_part * len(A) == order
+          and all(profile.centralizer_order_of(a) >= order
+                  and analysis.centralizer(a) & X == X for a in A))
+    return ok, len(A)
 
 
 def lemma_suite_for_group(G: FiniteGroup, analysis=None,

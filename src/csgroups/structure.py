@@ -60,16 +60,21 @@ def center(G: FiniteGroup) -> frozenset[int]:
     return centralizer_of_set(G, G.generator_indices)
 
 
-def centralizer_of_set(G: FiniteGroup, xs: list[int]) -> frozenset[int]:
-    """Elements g with gx = xg for every x in ``xs``, compared on the base,
-    whose images tell elements apart."""
+def centralizer_mask(G: FiniteGroup, xs: list[int]) -> np.ndarray:
+    """The boolean mask of the elements g with gx = xg for every x in
+    ``xs``, compared on the base, whose images tell elements apart."""
     mat = G.table.matrix
     on_base = mat[:, G.table.base]
     mask = np.ones(G.order, dtype=bool)
     for x in xs:
         xrow = mat[x]
         mask &= (mat[:, xrow[G.table.base]] == xrow[on_base]).all(axis=1)
-    return frozenset(np.nonzero(mask)[0].tolist())
+    return mask
+
+
+def centralizer_of_set(G: FiniteGroup, xs: list[int]) -> frozenset[int]:
+    """Elements g with gx = xg for every x in ``xs``."""
+    return frozenset(np.flatnonzero(centralizer_mask(G, xs)).tolist())
 
 
 def normalizer(G: FiniteGroup, members: frozenset[int]) -> frozenset[int]:

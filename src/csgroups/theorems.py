@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .arith import arithmetic_profile, is_prime
 from .catalog import psl_2_8_fixture
 from .classes import composite_split, conjugacy_classes
@@ -18,7 +20,7 @@ from .structure import (
     EnumerationLimitError,
     NotNilpotentError,
     center,
-    centralizer_of_set,
+    centralizer_mask,
     derived_series,  # noqa: F401 - perfbench's tracer test reads theorems.derived_series
     fitting2,
     is_frobenius,
@@ -29,8 +31,6 @@ from .structure import (
     strip_abelian_factors,
     subgroup_as_group,
 )
-
-CENTRALIZER_MEMO_ENTRIES = 1 << 14  # indices a group analysis may hold in centralizers
 
 
 @dataclass
@@ -65,25 +65,24 @@ class GroupAnalysis:
     """Caches the per-group data the verdicts share; ``profile`` is the
     group's one class algebra, which the lattice and mask queries read.
 
-    Centralizers of single elements are cached per group too, while the
-    memo holds at most ``CENTRALIZER_MEMO_ENTRIES`` indices in all: the
-    lemma checks ask for the same C(x) many times.
+    The centralizer of each element is kept too, once asked for, as an
+    n-bit mask: an int whose bit g is set when g commutes with the
+    element.  The lemma checks ask for the same C(x) many times and test
+    products, intersections and inclusions of centralizers, which are
+    popcounts and bit operations on masks.  All n masks take n^2/8 bytes.
     """
 
     def __init__(self, G: FiniteGroup, normal_limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT):
         self.group = G
         self.normal_limit = normal_limit
-        self._centralizers: dict[int, frozenset[int]] = {}
-        self._centralizer_room = CENTRALIZER_MEMO_ENTRIES
+        self._centralizers: dict[int, int] = {}
 
-    def centralizer(self, x: int) -> frozenset[int]:
-        """C(x), the centralizer of the element x."""
+    def centralizer(self, x: int) -> int:
+        """C(x), the centralizer of the element x, as a bit mask."""
         C = self._centralizers.get(x)
         if C is None:
-            C = centralizer_of_set(self.group, [x])
-            if len(C) <= self._centralizer_room:
-                self._centralizers[x] = C
-                self._centralizer_room -= len(C)
+            bits = np.packbits(centralizer_mask(self.group, [x]), bitorder="little")
+            C = self._centralizers[x] = int.from_bytes(bits.tobytes(), "little")
         return C
 
     @cached_property

@@ -42,6 +42,35 @@ def test_medians_wins_iqr_and_failures():
     assert score["parent_iqr"] == 0
 
 
+def test_claim_and_regression_verdicts():
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # IQR 0.45, median 1.45
+    cases = {
+        # nine wins and a median 0.5 lower: the claim holds
+        "gain": ([p - 0.5 for p in parent[:9]] + [2.0], True, False),
+        # ten wins, but the median only 0.2 lower, inside the IQR
+        "small": ([p - 0.2 for p in parent], False, False),
+        # a median 0.5 lower, but only eight wins
+        "split": ([p - 0.5 for p in parent[:8]] + [2.0, 2.1], False, False),
+        # a median 0.4 higher: worse than the parent by more than 25%
+        "worse": ([p + 0.4 for p in parent], False, True),
+        # a median 0.3 higher: worse, but within the bound
+        "near": ([p + 0.3 for p in parent], False, False),
+    }
+    runs = []
+    for workload, (change, _, _) in cases.items():
+        for seed, (p, c) in enumerate(zip(parent, change)):
+            runs.append(run(workload, seed, "parent", p, 100))
+            runs.append(run(workload, seed, "change", c, 100 - 11 * (workload == "worse")))
+    summary = bench_pairs.aggregate(runs, END_TO_END)
+    for workload, (_, claim, regressed) in cases.items():
+        wall = summary[workload]["metrics"]["wall_s"]
+        assert (wall["claim_holds"], wall["regressed"]) == (claim, regressed), workload
+    # higher is better: a score 11% lower regresses past the 10% bound
+    assert summary["worse"]["metrics"]["score"]["regressed"]
+    assert not summary["near"]["metrics"]["score"]["regressed"]
+    assert not summary["near"]["metrics"]["score"]["claim_holds"]
+
+
 def test_workloads_apart_and_unpaired_runs_left_out():
     runs = [run("a", 1, "parent", 2.0, 0), run("a", 1, "change", 1.0, 0),
             run("b", 1, "change", 1.0, 0), run("b", 2, "parent", 3.0, 0),

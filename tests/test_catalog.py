@@ -5,8 +5,8 @@ import pytest
 from csgroups.catalog import (
     BUILTIN_GRID,
     CatalogError,
+    catalog_entries,
     fixture_group,
-    fixture_names,
     iter_catalog,
     make_builtin,
     psl_2_8_fixture,
@@ -47,7 +47,7 @@ class TestSpecStrings:
 
 class TestFixtures:
     def test_bundled_names(self):
-        names = fixture_names()
+        names = [name for name, source, _ in catalog_entries() if source == "fixture"]
         assert "psl_2_8" in names
         assert "g160_234" in names
 

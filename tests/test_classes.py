@@ -45,7 +45,6 @@ class TestArithmeticProfile:
     def test_p_part(self):
         assert arithmetic_profile(60).part(2) == 4
         assert arithmetic_profile(60).part(7) == 1
-        assert arithmetic_profile(60).coprime_part(2) == 15
 
     def test_prime_power(self):
         assert arithmetic_profile(32).is_prime_power()

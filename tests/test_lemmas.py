@@ -1,8 +1,13 @@
 """Lemma property suite: hypothesis detection, instance counting, and
 zero-failure runs on known groups."""
 
+import math
+import time
+from collections import Counter
+
 from csgroups import lemmas
-from csgroups.catalog import fixture_group, make_builtin
+from csgroups.arith import arithmetic_profile
+from csgroups.catalog import fixture_group, iter_catalog, make_builtin
 from csgroups.classes import conjugacy_classes
 from csgroups.construct import (
     cyclic,
@@ -12,7 +17,7 @@ from csgroups.construct import (
     quaternion8,
     symmetric,
 )
-from csgroups.structure import centralizer_of_set
+from csgroups.structure import centralizer_of_set, subgroup_as_group, sylow
 from csgroups.lemmas import (
     LEMMA_IDS,
     LemmaReport,
@@ -20,6 +25,36 @@ from csgroups.lemmas import (
     o_p_prime,
     _coprimality_components,
 )
+from csgroups.theorems import GroupAnalysis
+
+
+def reified_split(G, X: frozenset[int], r: int) -> tuple[bool, int]:
+    """Is X = R x A, R a Sylow r-subgroup and A an abelian r'-group?  With
+    |A|.  Decided on X's own table, with a Sylow subgroup and a direct
+    factor check: the oracle for the order-based test of lemma 2.6."""
+    Xgrp, _ = subgroup_as_group(G, X)
+    R = sylow(Xgrp, r)
+    A = frozenset(i for i in range(Xgrp.order)
+                  if math.gcd(int(Xgrp.element_orders[i]), r) == 1)
+    ok = (Xgrp.subgroup_closure(sorted(A)) == A and lemmas._commute(Xgrp, A, A)
+          and lemmas._direct_factor_check(Xgrp, R, A))
+    assert len(R) == arithmetic_profile(len(X)).part(r)
+    return ok, len(A)
+
+
+def reified_verdict(G, cents: list[frozenset[int]], X: frozenset[int]):
+    """Lemma 2.6 on the centralizer X, from the centralizers ``cents`` of
+    all elements: None when X is not minimal or realized by no element of
+    prime-power order, else the verdict on the first such element."""
+    if any(cents[y] < X for y in X):
+        return None
+    for g in sorted(X):
+        prof = arithmetic_profile(int(G.element_orders[g]))
+        if g != 0 and prof.is_prime_power() and cents[g] == X:
+            r = prof.primes[0]
+            ok, a_order = reified_split(G, X, r)
+            return ok, f"r={r}, |X|={len(X)}, |R|={arithmetic_profile(len(X)).part(r)}, |A|={a_order}"
+    return None
 
 
 class TestHelpers:
@@ -83,21 +118,61 @@ class TestSuiteOnKnownGroups:
             assert rep.ok(), [f.__dict__ for f in rep.failures]
 
 
-    def test_minimal_centralizer_reified_once_per_distinct_centralizer(self, monkeypatch):
+    def test_minimal_centralizer_decided_once_per_distinct_centralizer(self, monkeypatch):
         G = make_builtin("q8xcyclic(15)")
         profile = conjugacy_classes(G)
         cents = {centralizer_of_set(G, [x]) for x in profile.representatives if x != 0}
         minimal = [X for X in cents
                    if not any(centralizer_of_set(G, [y]) < X for y in X)]
-        reified = []
-        subgroup_as_group = lemmas.subgroup_as_group
-        monkeypatch.setattr(lemmas, "subgroup_as_group",
-                            lambda H, X, *a: reified.append(X) or subgroup_as_group(H, X, *a))
+        decided = []
+        verdict = lemmas._minimal_centralizer_verdict
+        monkeypatch.setattr(lemmas, "_minimal_centralizer_verdict",
+                            lambda H, a, X: decided.append(X) or verdict(H, a, X))
         rep = lemma_suite_for_group(G)
         assert rep.ok()
         assert rep.instances["2.6"] == 45  # one per non-central class
         assert len(minimal) == 3
-        assert len(reified) <= len(minimal)
+        assert len(decided) == len(set(decided)) == len(cents)
+
+
+class TestMinimalCentralizerOracle:
+    def test_order_based_split_matches_reified_check_on_catalog(self):
+        """Lemma 2.6's verdict on every distinct centralizer of every
+        catalog group, and the split X = R x A for each prime of |X|,
+        against the same decisions made on X's own table."""
+        seen = Counter()
+        for entry in iter_catalog():
+            G = entry.group
+            analysis = GroupAnalysis(G)
+            if analysis.is_abelian:
+                continue
+            cents = [centralizer_of_set(G, [x]) for x in range(G.order)]
+            for X in set(cents[x] for x in analysis.profile.representatives if x != 0):
+                mask = sum(1 << g for g in X)
+                verdict = lemmas._minimal_centralizer_verdict(G, analysis, mask)
+                assert verdict == reified_verdict(G, cents, X), (G.name, sorted(X))
+                for r in arithmetic_profile(len(X)).primes:
+                    split = lemmas._splits_off_sylow(G, analysis, mask, r)
+                    assert split == reified_split(G, X, r), (G.name, sorted(X), r)
+                    seen[split[0]] += 1
+                seen["verdicts"] += verdict is not None
+        assert seen[True] and seen[False] and seen["verdicts"]
+
+
+class TestNearCap:
+    def test_suite_on_sym5_times_frobenius_39(self):
+        """The first lemma suite near the order cap; the counts are those
+        of the frozenset centralizers that the bit masks replaced."""
+        G = make_builtin("sym(5)xfrobenius(13,3)")
+        assert G.order == 4680
+        start = time.perf_counter()
+        rep = lemma_suite_for_group(G)
+        elapsed = time.perf_counter() - start
+        assert rep.ok()
+        assert rep.instances == Counter({"2.1a": 441, "2.1b": 104, "2.1c": 400, "2.1d": 4,
+                                         "2.1e": 53, "2.2": 2, "2.6": 4})
+        assert rep.skipped == [("2.1c", G.name, "pair budget reached")]
+        assert elapsed < 1.0
 
 
 class TestReportPlumbing:

@@ -294,6 +294,15 @@ class TestClassAlgebraOracles:
         assert sum(map(len, classes)) == G.order == profile.size((1 << len(classes)) - 1)
         assert all(G.order % len(C) == 0 for C in classes)
         assert len(classes) * G.order == brute.commuting_pairs()
+        assert sum(profile.sizes) == G.order
+        assert profile.sizes == [len(members) for _, members in profile.classes]
+
+        # C(x) as a bit mask: bit g is set when gx = xg
+        analysis = GroupAnalysis(G)
+        everything = range(G.order)
+        for x in everything:
+            commuting = np.flatnonzero(brute.times(x) == brute.products(x, everything))
+            assert analysis.centralizer(x) == sum(1 << int(g) for g in commuting)
 
         normals = brute.normal_subgroups()
         lattice = normal_subgroups(G, profile=profile)

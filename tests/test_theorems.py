@@ -5,7 +5,6 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from csgroups import theorems
 from csgroups.catalog import fixture_group, iter_catalog, make_builtin
 from csgroups.arith import arithmetic_profile, is_prime
 from csgroups.classes import conjugacy_classes
@@ -51,18 +50,17 @@ class TestGroupAnalysis:
         for G in (make_builtin("q8xcyclic(15)"), symmetric(4), fixture_group("g162_5")):
             a = GroupAnalysis(G)
             for x in range(G.order):
-                assert a.centralizer(x) == centralizer_of_set(G, [x])
+                assert a.centralizer(x) == sum(1 << g for g in centralizer_of_set(G, [x]))
             for x in range(G.order):
                 assert a.centralizer(x) is a.centralizer(x)
 
-    def test_centralizer_memo_stays_within_its_bound(self, monkeypatch):
-        monkeypatch.setattr(theorems, "CENTRALIZER_MEMO_ENTRIES", 30)
-        G = symmetric(4)  # centralizer orders 24, 8, 4, 3 and 4
+    def test_centralizer_masks_are_all_kept(self):
+        G = make_builtin("sym(5)xcyclic(6)")  # the centralizers hold 42 * 720 indices
         a = GroupAnalysis(G)
-        for x in range(G.order):
-            assert a.centralizer(x) == centralizer_of_set(G, [x])
-        assert sum(len(C) for C in a._centralizers.values()) <= 30
-        assert len(a._centralizers) < G.order
+        masks = [a.centralizer(x) for x in range(G.order)]
+        assert len(a._centralizers) == G.order
+        assert all(0 < C < 1 << G.order for C in masks)
+        assert sum(C.bit_count() for C in masks) == len(conjugacy_classes(G).classes) * G.order
 
 
 class TestTheoremA:
