@@ -49,8 +49,12 @@ def generating_set(G: FiniteGroup, members: frozenset[int]) -> list[int]:
     raise ValueError("member set is not closed")
 
 
-def is_normal(G: FiniteGroup, members: frozenset[int]) -> bool:
-    gens = generating_set(G, members)
+def is_normal(G: FiniteGroup, members: frozenset[int],
+              gens: Optional[list[int]] = None) -> bool:
+    """Whether conjugation by G's generators keeps ``members``; ``gens``
+    is a generating set of it, found when not given."""
+    if gens is None:
+        gens = generating_set(G, members)
     return all(G.conjugate(x, g) in members
                for x in gens for g in G.generator_indices)
 
@@ -216,7 +220,7 @@ class Quotient:
 def quotient(G: FiniteGroup, N: frozenset[int]) -> Quotient:
     """G/N realized on the left cosets of N by translation."""
     gens = generating_set(G, N)
-    if not all(G.conjugate(x, g) in N for x in gens for g in G.generator_indices):
+    if not is_normal(G, N, gens):
         raise ValueError("quotient by a non-normal subgroup")
     # the coset xN is the orbit of x under right multiplication by N's generators
     columns = [G.mul_column(g).tolist() for g in gens]
@@ -369,30 +373,119 @@ def hall(G: FiniteGroup, pi: set[int] | frozenset[int]) -> Optional[frozenset[in
     return None
 
 
-def strip_abelian_factors(G: FiniteGroup,
-                          limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT,
-                          normals: Optional[list[frozenset[int]]] = None
-                          ) -> tuple[FiniteGroup, frozenset[int]]:
-    """Split G = H x A with A a maximal-order central direct factor.
+def _adjoin(G: FiniteGroup, B: np.ndarray, g: int) -> np.ndarray:
+    """The mask of <B, g> for the mask B of a subgroup that g normalizes:
+    the union of the cosets g^i B, each g times the last one."""
+    row = G.mul_row(g)
+    joined = B.copy()
+    coset = np.flatnonzero(B)
+    while True:
+        coset = row[coset]
+        if joined[coset[0]]:
+            return joined
+        joined[coset] = True
 
-    Returns H reified as a group (the class-size-carrying core) and A.
-    Both factors are normal, so both come from the normal subgroups of G
-    (``normals`` when given): every subgroup of Z(G) is normal.  The
-    witness is one maximal choice; no canonicity is claimed.
+
+def _central_split(G: FiniteGroup, Z: frozenset[int], K: np.ndarray,
+                   kgens: list[int], derived: np.ndarray):
+    """The first z in Z(G) n K of prime-power order q = p^e with <z> a
+    direct factor of K, or None when there is none.  With z come
+    y = z^(q/p), the mask of G'K^q and its generators modulo G'."""
+    seeds: dict[int, tuple[np.ndarray, list[int]]] = {}  # q -> G'K^q
+    orders = G.element_orders
+    for z in sorted(Z):
+        q = int(orders[z])
+        prof = arithmetic_profile(q)
+        if not K[z] or not prof.is_prime_power():
+            continue
+        if q not in seeds:
+            powers = [G.power(k, q) for k in kgens]
+            seed = derived
+            for x in powers:
+                seed = _adjoin(G, seed, x)
+            seeds[q] = seed, powers
+        y = G.power(z, q // prof.primes[0])
+        if not seeds[q][0][y]:
+            return z, q, y, *seeds[q]
+    return None
+
+
+def _complement(G: FiniteGroup, K: np.ndarray, seed: np.ndarray, gens: list[int],
+                y: int, q: int) -> tuple[np.ndarray, list[int]]:
+    """A subgroup of K of index q that contains ``seed`` and misses y,
+    grown greedily, with its generators modulo G' (``gens`` are the
+    seed's)."""
+    B, target = seed, np.count_nonzero(K) // q
+    tried = B.copy()  # in B, or in a coset gB with y in <B, g>
+    while np.count_nonzero(B) < target and not tried[K].all():
+        g = int(np.flatnonzero(K & ~tried)[0])
+        joined = _adjoin(G, B, g)
+        if joined[y]:
+            tried[G.mul_row(g)[B]] = True
+        else:
+            B, tried, gens = joined, tried | joined, gens + [g]
+    if np.count_nonzero(B) != target:  # pragma: no cover - the complement exists
+        raise RuntimeError(f"no complement of a central factor of order {q} in {G.name}")
+    return B, gens
+
+
+def strip_abelian_factors(G: FiniteGroup, commutators: Optional[frozenset[int]] = None,
+                          Z: Optional[frozenset[int]] = None
+                          ) -> tuple[FiniteGroup, frozenset[int]]:
+    """Split G = H x A with A an abelian direct factor of largest order.
+
+    Returns H as a group (G itself when A = 1, else H reified), the
+    class-size-carrying core, and A.  Central cyclic factors of
+    prime-power order are split off one at a time; only Z(G) (``Z``),
+    G' (``commutators``, found by one normal closure when not given) and
+    p^e-th powers are read.  Let G = K x A so far; then K' = G'.
+
+    - Split test: for z in Z(G) n K of order p^e, <z> is a direct factor
+      of K exactly when z^(p^(e-1)) lies outside G'K^(p^e).  That says
+      <z> n G' = 1 and <zG'> is a direct factor of the abelian K/G'
+      (a cyclic subgroup of order p^e is one exactly when its element of
+      order p is no p^e-th power); then the preimage of a complement of
+      <zG'> complements <z>.
+    - Complement: a subgroup of K maximal among those that contain
+      G'K^(p^e) and miss z^(p^(e-1)), grown greedily.  Modulo this seed,
+      K has exponent p^e, so the quotient by such a subgroup has one
+      subgroup of order p, is cyclic of order at most p^e, and so is
+      generated by the image of z: the subgroup complements <z>.  Grown
+      from 1 it can fall short: in C4 x C2, <(0,1)> misses (2,1) and lies
+      in no larger subgroup that does, yet it does not complement
+      <(2,1)>.  A complement short of index p^e raises.  Every
+      subgroup containing G' is normal, and G'K^(p^e) is generated
+      modulo G' by the p^e-th powers of generators of K, as K/G' is
+      abelian.
+
+    The loop ends when no central factor splits off K, so K has no
+    abelian direct factor.  By the Krull-Remak-Schmidt theorem, H is
+    then, up to isomorphism, the product of the non-abelian
+    indecomposable factors of any decomposition of G, and |A| is the
+    largest order of an abelian direct factor: the same orders as a
+    search of the normal-subgroup lattice, without the lattice.
     """
-    Z = center(G)
+    if Z is None:
+        Z = center(G)
     if len(Z) == G.order:
         H, _ = subgroup_as_group(G, frozenset([0]), name=f"{G.name}|core")
         return H, Z
-    if normals is None:
-        normals = normal_subgroups(G, limit)
-    central = [N for N in normals if N <= Z]
-    for A in sorted(central, key=len, reverse=True):
-        for H in normals:
-            if len(H) * len(A) == G.order and H & A == {0}:
-                core, _ = subgroup_as_group(G, H, name=f"{G.name}|core")
-                return core, A
-    raise RuntimeError("no decomposition found; the trivial factor always works")
+    split: list[int] = []
+    if len(Z) > 1:
+        if commutators is None:
+            commutators = _derived_with_generators(G, G.generator_indices)[0]
+        derived = np.zeros(G.order, dtype=bool)
+        derived[list(commutators)] = True
+        K, kgens = np.ones(G.order, dtype=bool), G.generator_indices  # K = <kgens, G'>
+        while (found := _central_split(G, Z, K, kgens, derived)) is not None:
+            z, q, y, seed, powers = found
+            K, kgens = _complement(G, K, seed, powers, y, q)
+            split.append(z)
+    factor = G.subgroup_closure(split)
+    if not split:
+        return G, factor
+    H, _ = subgroup_as_group(G, frozenset(np.flatnonzero(K).tolist()), name=f"{G.name}|core")
+    return H, factor
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:

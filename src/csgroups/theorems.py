@@ -21,10 +21,9 @@ from .structure import (
     NotNilpotentError,
     center,
     centralizer_mask,
-    derived_series,  # noqa: F401 - perfbench's tracer test reads theorems.derived_series
+    derived_series,
     fitting2,
     is_frobenius,
-    is_soluble,
     nilpotency_class,
     normal_subgroups,
     quotient,
@@ -65,11 +64,14 @@ class GroupAnalysis:
     """Caches the per-group data the verdicts share; ``profile`` is the
     group's one class algebra, which the lattice and mask queries read.
 
-    The centralizer of each element is kept too, once asked for, as an
-    n-bit mask: an int whose bit g is set when g commutes with the
-    element.  The lemma checks ask for the same C(x) many times and test
-    products, intersections and inclusions of centralizers, which are
-    popcounts and bit operations on masks.  All n masks take n^2/8 bytes.
+    The derived series and the center are computed once: solubility and
+    the stripping of abelian factors read G' from the one, and the strip
+    and the lemma checks read the other.  The centralizer of each
+    element is kept too, once asked for, as an n-bit mask: an int whose
+    bit g is set when g commutes with the element.  The lemma checks ask
+    for the same C(x) many times and test products, intersections and
+    inclusions of centralizers, which are popcounts and bit operations
+    on masks.  All n masks take n^2/8 bytes.
     """
 
     def __init__(self, G: FiniteGroup, normal_limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT):
@@ -94,13 +96,23 @@ class GroupAnalysis:
         return composite_split(self.profile)
 
     @cached_property
+    def derived(self) -> tuple[list[frozenset[int]], bool]:
+        """G's derived series, and whether it reaches 1."""
+        return derived_series(self.group)
+
+    @cached_property
     def soluble(self) -> bool:
-        return is_soluble(self.group)
+        return self.derived[1]
 
     @cached_property
     def stripped(self):
-        return strip_abelian_factors(self.group, self.normal_limit,
-                                     None if self.is_abelian else self.normals)
+        # G' from the derived series when it is known (a perfect group's
+        # series is [G]); else the strip finds G' alone, by one normal closure
+        commutators = None
+        if "derived" in self.__dict__:
+            series = self.derived[0]
+            commutators = series[1] if len(series) > 1 else series[0]
+        return strip_abelian_factors(self.group, commutators, self.center)
 
     @cached_property
     def normals(self):
@@ -178,7 +190,7 @@ def _check_theorem_A_decomposition(a: GroupAnalysis, lab: dict,
                                    verdict: TheoremVerdict) -> None:
     core, factor = a.stripped
     p1, p2, p3 = lab["p1"], lab["p2"], lab["p3"]
-    core_analysis = GroupAnalysis(core, a.normal_limit)
+    core_analysis = a if core is a.group else GroupAnalysis(core, a.normal_limit)
     if core_analysis.profile.cs_set != a.profile.cs_set:
         verdict.conclusions.append(Conclusion(
             "strip-preserves-class-sizes", False,
@@ -319,10 +331,7 @@ def _theorem_C_for_labeling(a: GroupAnalysis, reason: str, pa: int, n: int) -> T
     match = matches[0]
     verdict.witnesses.update(match)
     if match["case"] in ("b", "c"):
-        try:
-            core, _ = a.stripped
-        except EnumerationLimitError as exc:
-            return _limit_reached(verdict, exc)
+        core, _ = a.stripped
         pi = {p, match["q"]}
         ok = arithmetic_profile(core.order).is_pi_number(pi)
         verdict.conclusions.append(Conclusion(
@@ -351,10 +360,7 @@ def check_chillag_herzog(G: FiniteGroup, analysis: Optional[GroupAnalysis] = Non
                              f"composite class sizes: {sorted(composites)}")
     if not verdict.hypotheses_apply:
         return verdict
-    try:
-        core, _ = a.stripped
-    except EnumerationLimitError as exc:
-        return _limit_reached(verdict, exc)
+    core, _ = a.stripped
     if core.order == 1:
         verdict.conclusions.append(Conclusion("abelian", True, "trivial after stripping"))
         verdict.witnesses["branch"] = "abelian"

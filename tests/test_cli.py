@@ -78,15 +78,37 @@ class TestAnalyze:
         assert entry["theorems"]["C"]["status"] == "pass"
         assert entry["timings_ms"] is None
 
-    def test_limit_in_case_c_is_inconclusive(self, tmp_path, capsys):
-        # case (c) strips abelian factors, which needs the normal subgroups
+    def test_limit_does_not_reach_the_case_c_strip(self, tmp_path, capsys):
+        # case (c) strips abelian factors, which reads Z(G) and G' but no
+        # normal subgroups, so a limit of 3 leaves the verdict as it is
+        verdicts = []
+        for limit in ([], ["--max-normal-subgroups", "3"]):
+            report = tmp_path / "out.json"
+            assert main(["analyze", "fixture:g162_5", *limit, "--report", str(report)]) == EXIT_OK
+            verdicts.append(json.loads(report.read_text())["entries"][0]["theorems"]["C"])
+        assert "theorem C: pass" in capsys.readouterr().out
+        assert verdicts[1] == verdicts[0]
+        assert verdicts[1]["status"] == "pass" and verdicts[1]["witnesses"]["case"] == "c"
+        assert "limit" not in verdicts[1]["witnesses"]
+
+    def test_limit_in_theorem_A_core_is_inconclusive(self, tmp_path, capsys):
+        # Theorem A searches the normal subgroups of the core for P x H
         report = tmp_path / "out.json"
-        assert main(["analyze", "fixture:g162_5", "--max-normal-subgroups", "3",
+        assert main(["analyze", "builtin:q8xF21", "--max-normal-subgroups", "3",
                      "--report", str(report)]) == EXIT_OK
-        assert "theorem C: inconclusive" in capsys.readouterr().out
-        verdict = json.loads(report.read_text())["entries"][0]["theorems"]["C"]
-        assert verdict["witnesses"]["case"] == "c"
-        assert verdict["witnesses"]["limit"] == "more than 3 normal subgroups in g162_5"
+        assert "theorem A: inconclusive" in capsys.readouterr().out
+        verdict = json.loads(report.read_text())["entries"][0]["theorems"]["A"]
+        assert verdict["witnesses"]["limit"] == "more than 3 normal subgroups in q8xF21"
+
+    def test_limit_in_central_quotient_is_inconclusive(self, capsys):
+        # the Chillag-Herzog Frobenius test enumerates the normal
+        # subgroups of G/Z(G); symmetric(3) has three
+        assert main(["verify", "CH", "builtin:sym(3)",
+                     "--max-normal-subgroups", "2"]) == EXIT_INCONCLUSIVE
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert verdict["status"] == "inconclusive"
+        assert verdict["witnesses"] == {
+            "limit": "more than 2 normal subgroups in symmetric(3)/N1"}
 
     def test_max_elements_raises_the_closure_cap(self, capsys):
         assert main(["analyze", "builtin:sym(7)", "--max-elements", "6000"]) == EXIT_OK
@@ -148,10 +170,11 @@ class TestVerify:
 
 class TestNestedLimits:
     def test_every_lattice_call_gets_the_configured_limit(self, monkeypatch, capsys):
-        # Theorem A's core analysis and both is_frobenius calls (Theorem A,
-        # lemma 2.3) enumerate normal subgroups of groups built on the way;
-        # a group's own lattice is enumerated once, for lemma 2.1a and the
-        # stripping of abelian factors alike
+        # Theorem A's P x H search on the core and both is_frobenius calls
+        # (Theorem A, lemma 2.3) enumerate normal subgroups; stripping
+        # abelian factors enumerates none.  q8xF21 is its own core, so its
+        # lattice is enumerated once, for Theorem A, and a lemma suite
+        # enumerates its group's lattice once, for lemma 2.1a
         limits = []
         enumerate_normals = structure.normal_subgroups
 
@@ -162,7 +185,7 @@ class TestNestedLimits:
         monkeypatch.setattr(structure, "normal_subgroups", spy)
         monkeypatch.setattr(theorems, "normal_subgroups", spy)
         assert main(["analyze", "builtin:q8xF21", "--max-normal-subgroups", "500"]) == EXIT_OK
-        assert limits == [500] * 3
+        assert limits == [500] * 2
         limits.clear()
         assert main(["verify", "lemmas", "builtin:dihedral(5)xcyclic(3)",
                      "--max-normal-subgroups", "500"]) == EXIT_OK

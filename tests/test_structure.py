@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
-from csgroups.catalog import fixture_group, make_builtin
+from csgroups.catalog import fixture_group, iter_catalog, make_builtin
 from csgroups.arith import arithmetic_profile
 from csgroups.classes import conjugacy_classes
 from csgroups.lemmas import MAX_QUOTIENT_NORMALS, LemmaReport, check_pi_element_lifting, o_p_prime
@@ -361,6 +361,7 @@ class TestClassAlgebraOracles:
                    if any(len(A) * len(H) == G.order and A & H == {0} for H in normals))
         assert len(factor) == best and core.order * len(factor) == G.order
         assert factor <= Z
+        assert conjugacy_classes(core).cs_set == profile.cs_set
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(small_permutation_groups())
@@ -415,7 +416,69 @@ class TestFrobeniusAndHall:
         assert len(hall(fixture_group("psl_2_8"), {2, 7})) == 56
 
 
+def _lattice_strip(G: FiniteGroup) -> tuple[frozenset[int], frozenset[int]]:
+    """The strip as a search of the normal-subgroup lattice: a largest
+    central subgroup A with a normal complement H, and H."""
+    Z = center(G)
+    if len(Z) == G.order:
+        return frozenset([0]), Z
+    normals = normal_subgroups(G)
+    for A in sorted((N for N in normals if N <= Z), key=len, reverse=True):
+        for H in normals:
+            if len(H) * len(A) == G.order and H & A == {0}:
+                return H, A
+    raise AssertionError("the trivial factor always has a complement")
+
+
+def _assert_strip_matches_lattice(G: FiniteGroup) -> None:
+    core, factor = strip_abelian_factors(G)
+    H, A = _lattice_strip(G)
+    assert (core.order, len(factor)) == (len(H), len(A))
+    assert factor <= center(G) and G.subgroup_closure(factor) == factor
+    assert conjugacy_classes(core).cs_set == conjugacy_classes(G).cs_set
+
+
 class TestStripAbelianFactors:
+    def test_orders_match_the_lattice_strip_on_the_catalog(self):
+        for entry in iter_catalog():
+            _assert_strip_matches_lattice(entry.group)
+
+    @pytest.mark.parametrize("spec", ["sym(3)xcyclic(4)xcyclic(2)",
+                                      "dihedral(4)xcyclic(4)xcyclic(2)",
+                                      "q8xcyclic(4)xcyclic(2)",
+                                      "extraspecial(3)xcyclic(9)xcyclic(3)"])
+    def test_orders_match_the_lattice_strip_with_several_factors(self, spec):
+        _assert_strip_matches_lattice(make_builtin(spec))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(small_permutation_groups())
+    def test_orders_match_the_lattice_strip_on_random_groups(self, G):
+        _assert_strip_matches_lattice(G)
+
+    def test_complement_grows_from_the_seed(self):
+        # sym(3) x C4 x C2, numbered so that the central z = (2,1) is tried
+        # first and (0,1) comes before (1,0).  <z> splits off, with the
+        # complement sym(3) x <(1,0)>; grown from 1 (or from G'), the
+        # complement takes (0,1) first and then stops at index 4
+        deg = 9
+        gens = [from_cycles(deg, [(3, 5), (4, 6), (7, 8)]),  # (2,1)
+                from_cycles(deg, [(7, 8)]),                  # (0,1)
+                from_cycles(deg, [(3, 4, 5, 6)]),            # (1,0)
+                from_cycles(deg, [(0, 1, 2)]), from_cycles(deg, [(0, 1)])]
+        table = close_with_degree(gens, deg)
+        G = FiniteGroup(table, [table.index_of(g) for g in gens], "sym(3)xC4xC2")
+        assert [table.index_of(g) for g in gens[:3]] == [1, 2, 3]
+        core, factor = strip_abelian_factors(G)
+        assert (core.order, len(factor)) == (6, 8)
+        assert conjugacy_classes(core).cs_set == (1, 2, 3)
+
+    def test_given_center_and_commutator_subgroup(self):
+        G = make_builtin("q8xcyclic(4)xcyclic(2)")
+        series, _ = derived_series(G)
+        for core, factor in (strip_abelian_factors(G, series[1], center(G)),
+                             strip_abelian_factors(G)):
+            assert (core.order, len(factor)) == (8, 8)
+
     def test_quaternion_times_cyclic(self):
         G = direct_product(quaternion8(), cyclic(15))
         core, factor = strip_abelian_factors(G)

@@ -5,7 +5,9 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
+from csgroups import structure, theorems
 from csgroups.catalog import fixture_group, iter_catalog, make_builtin
+from csgroups.cli import entry_for_group
 from csgroups.arith import arithmetic_profile, is_prime
 from csgroups.classes import conjugacy_classes
 from csgroups.construct import (
@@ -61,6 +63,34 @@ class TestGroupAnalysis:
         assert len(a._centralizers) == G.order
         assert all(0 < C < 1 << G.order for C in masks)
         assert sum(C.bit_count() for C in masks) == len(conjugacy_classes(G).classes) * G.order
+
+
+class TestStripNearCap:
+    """Near the order cap the strip reads Z(G) and G', not G's lattice."""
+
+    def test_entry_enumerates_no_normal_subgroups_of_G(self, monkeypatch):
+        G = make_builtin("extraspecial(3)xcyclic(2)xcyclic(60)")  # 1,320 classes
+        assert G.order == 3240
+        lattices = []
+        enumerate_normals = structure.normal_subgroups
+
+        def spy(H, *args, **kwargs):
+            lattices.append(H)
+            return enumerate_normals(H, *args, **kwargs)
+
+        monkeypatch.setattr(structure, "normal_subgroups", spy)
+        monkeypatch.setattr(theorems, "normal_subgroups", spy)
+        entry, _ = entry_for_group(G.name, "builtin", G, {"max_normal_subgroups": 10000}, False)
+        assert all(H is not G for H in lattices)
+        verdict = entry["theorems"]["CH"]
+        assert verdict["status"] == "pass"
+        assert verdict["witnesses"] == {"branch": "p-group", "p": 3, "class": 2}
+
+    def test_theorem_A_witnesses_keep_the_abelian_factor(self):
+        verdict = check_theorem_A(make_builtin("q8xF21xcyclic(25)"))
+        assert verdict.status() == "pass"
+        assert {k: verdict.witnesses[k] for k in ("P_order", "H_order", "abelian_factor_order")} \
+            == {"P_order": 8, "H_order": 21, "abelian_factor_order": 25}
 
 
 class TestTheoremA:
