@@ -109,7 +109,7 @@ class FiniteGroup:
     def inv(self) -> np.ndarray:
         if self._inv is None:
             mat = self.table.matrix
-            images = np.empty((self.order, len(self.table.base)), dtype=np.int32)
+            images = np.empty((self.order, len(self.table.base)), dtype=mat.dtype)
             for col, b in enumerate(self.table.base):
                 # the inverse of x maps b to the point that x maps to b
                 images[:, col] = (mat == b).argmax(axis=1)
@@ -149,7 +149,8 @@ class FiniteGroup:
         """Indices of ``g^-1 x g`` for every g in the group (vectorized)."""
         mat = self.table.matrix
         xg = mat[x].take(mat[:, self.table.base])     # row g -> x*g on the base
-        return self.table.indices_of_base(mat.ravel()[self.inv[:, None] * self.deg + xg])
+        starts = self.inv.astype(np.intp)[:, None] * self.deg  # g^-1's row in mat.ravel()
+        return self.table.indices_of_base(mat.ravel()[starts + xg])
 
     def commutator(self, x: int, y: int) -> int:
         """Index of ``x^-1 y^-1 x y``."""
@@ -176,7 +177,7 @@ class FiniteGroup:
         power = np.zeros(len(xs), dtype=np.intp)
         table = [power]
         for _ in range(max(orders, default=1) - 1):
-            starts = power[:, None] * self.deg  # x^(k-1)'s row in mat.ravel()
+            starts = power.astype(np.intp)[:, None] * self.deg  # x^(k-1)'s row in mat.ravel()
             power = self.table.indices_of_base(mat.ravel()[starts + on_base])
             table.append(power)
         return [row[:o] for row, o in zip(np.array(table).T.tolist(), orders)]

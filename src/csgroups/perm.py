@@ -2,11 +2,15 @@
 
 Everything downstream computes on an ``ElementTable``, the fully
 enumerated closure of a generating set, whose elements are the rows of
-an int32 image matrix; a ``Permutation`` (a bijection on ``{0, ...,
-deg-1}``) is for I/O only.  Within a table an element is identified by
-its images of a base, a few points that only the identity fixes (Sims
-1970; Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
-ch. 4), so that finding a product or conjugate reads a few columns.
+an image matrix in the narrowest dtype that holds the points (uint8 up
+to 256 points, see ``point_dtype``); a ``Permutation`` (a bijection on
+``{0, ..., deg-1}``) is for I/O only.  Matrix values are only used as
+indices and compared; arithmetic on them, such as a row start plus a
+point, is done in intp, where it cannot wrap.  Within a table an element
+is identified by its images of a base, a few points that only the
+identity fixes (Sims 1970; Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, ch. 4), so that finding a product or
+conjugate reads a few columns.
 
 Composition convention: ``compose(p, q)`` applies the *right* factor
 first, i.e. the result maps ``i -> p(q(i))``.  All fixtures and tests
@@ -155,6 +159,16 @@ def _key_weights(count: int) -> tuple[int, ...]:
     return tuple(rng.getrandbits(64) for _ in range(count))
 
 
+def point_dtype(deg: int) -> np.dtype:
+    """The dtype of the image matrix of a group on ``deg`` points: the
+    narrowest that holds the points ``0..deg-1``."""
+    if deg <= 1 << 8:
+        return np.dtype(np.uint8)
+    if deg <= 1 << 16:
+        return np.dtype(np.uint16)
+    return np.dtype(np.int32)
+
+
 def _base_of(matrix: np.ndarray) -> list[int]:
     """Points that only the first row (the identity) fixes pointwise.
 
@@ -180,9 +194,11 @@ def _base_of(matrix: np.ndarray) -> list[int]:
 class ElementTable:
     """Fully enumerated group of permutations, closed under the operations.
 
-    ``matrix`` is the element store: row ``i`` holds the images of
-    element ``i``, row 0 is the identity, and the row index is the
-    element's canonical identifier everywhere else in the package.
+    ``matrix`` is the element store, in ``point_dtype(deg)``: row ``i``
+    holds the images of element ``i``, row 0 is the identity, and the row
+    index is the element's canonical identifier everywhere else in the
+    package.  The matrix given is checked before it is narrowed, so an
+    image out of range is rejected, not wrapped into range.
     ``images[i, p]`` reads one image through a memoryview of ``matrix``,
     which is faster than ``ndarray.item``; ``element(i)`` builds a
     ``Permutation`` on demand.  Elements are found by their images of
@@ -196,14 +212,19 @@ class ElementTable:
     """
 
     def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix = np.ascontiguousarray(matrix, dtype=np.int32)
-        points = np.arange(matrix.shape[-1], dtype=np.int32)
-        if matrix.ndim != 2 or not len(matrix) or (matrix[0] != points).any():
+        matrix = np.asarray(matrix)
+        if matrix.ndim != 2 or not len(matrix):
             raise ValueError("row 0 must be the identity")
-        self.deg = len(points)
+        self.deg = deg = matrix.shape[1]
+        if matrix.size and (matrix.min() < 0 or matrix.max() >= deg):
+            raise ValueError(f"not every row is a bijection on 0..{deg - 1}")
+        self.matrix = matrix = np.ascontiguousarray(matrix, dtype=point_dtype(deg))
+        points = np.arange(deg, dtype=matrix.dtype)
+        if (matrix[0] != points).any():
+            raise ValueError("row 0 must be the identity")
         self.images = memoryview(matrix)
         if (np.sort(matrix, axis=1) != points).any():
-            raise ValueError(f"not every row is a bijection on 0..{self.deg - 1}")
+            raise ValueError(f"not every row is a bijection on 0..{deg - 1}")
         self.base = _base_of(matrix)
         self._weights = _key_weights(len(self.base))
         self._weight_vector = np.array(self._weights, dtype=np.uint64)
@@ -295,8 +316,9 @@ def close(generators: Sequence[Permutation], cap: int = DEFAULT_CLOSURE_CAP) -> 
     """Breadth-first closure of ``generators`` under composition.
 
     Raises ``OrderCapExceededError``, with ``partial_count == cap + 1``,
-    once a level takes the count past ``cap``.  An empty generator list
-    needs an explicit degree; use ``close_with_degree``.
+    once a generator's block of a level takes the count past ``cap``.  An
+    empty generator list needs an explicit degree; use
+    ``close_with_degree``.
     """
     if not generators:
         raise ValueError("empty generator list; use close_with_degree")
@@ -308,29 +330,46 @@ def close_with_degree(generators: Sequence[Permutation], deg: int,
                       cap: int = DEFAULT_CLOSURE_CAP) -> ElementTable:
     """``close`` on ``deg`` points, a level at a time: the next level is
     each element of the last one times the first generator, then each
-    times the second, and so on, keeping the first of each new element."""
+    times the second, and so on, keeping the first of each new element.
+
+    Works in ``point_dtype(deg)`` throughout.  Each generator's block of
+    products is deduplicated on the rows' bytes, and its new rows are
+    written straight into one store, which grows by at least a quarter
+    when full and is trimmed to the order before the table takes it.  So
+    the table holds no spare rows, and the closure holds no more than the
+    store, the bytes of its rows and one block with the bytes of its
+    rows."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     for g in generators:
         if g.deg != deg:
             raise DegreeMismatchError(f"generator degree {g.deg} != {deg}")
-    gens = np.array([g.images for g in generators], dtype=np.int32).reshape(len(generators), deg)
-    row_bytes = np.dtype((np.void, 4 * deg))
-    frontier = np.arange(deg, dtype=np.int32)[None, :]
-    seen = {frontier.tobytes()}
-    levels = [frontier]
-    count = 1
-    while len(frontier):
-        # row-wise composition: (e * g)(i) = e[g[i]], grouped by generator
-        level = frontier[:, gens].swapaxes(0, 1).reshape(len(gens) * len(frontier), deg)
-        fresh = []
-        for i, key in enumerate(level.view(row_bytes).ravel().tolist()):
-            if key not in seen:
-                seen.add(key)
-                fresh.append(i)
-        count += len(fresh)
-        if count > cap:
-            raise OrderCapExceededError(cap, cap + 1)
-        frontier = level[fresh]
-        levels.append(frontier)
-    return ElementTable(np.concatenate(levels))
+    dtype = point_dtype(deg)
+    gens = np.array([g.images for g in generators], dtype=dtype).reshape(len(generators), deg)
+    row_bytes = np.dtype((np.void, dtype.itemsize * deg))
+    store = np.empty((min(cap, 1 + len(gens)), deg), dtype=dtype)
+    store[0] = np.arange(deg)
+    seen = {store[0].tobytes()}
+    start, count = 0, 1
+    while start < count:
+        end = count  # the last level is store[start:end]
+        for g in gens:
+            # row-wise composition: (e * g)(i) = e[g[i]]
+            block = store[start:end].take(g, axis=1)
+            fresh = []
+            for i, key in enumerate(block.view(row_bytes).ravel().tolist()):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(i)
+            grown = count + len(fresh)
+            if grown > cap:
+                raise OrderCapExceededError(cap, cap + 1)
+            if grown > len(store):  # no view of the store is alive here
+                store.resize((min(cap, max(grown, len(store) * 5 // 4)), deg), refcheck=False)
+            # "clip" writes straight into the store ("raise" would buffer); no index is out of range
+            block.take(fresh, axis=0, out=store[count:grown], mode="clip")
+            count = grown
+        start = end
+    del seen
+    store.resize((count, deg), refcheck=False)
+    return ElementTable(store)

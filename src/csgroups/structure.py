@@ -18,7 +18,7 @@ import numpy as np
 from .arith import arithmetic_profile
 from .classes import ClassProfile, conjugacy_classes, pi_part_of_element
 from .construct import FiniteGroup
-from .perm import ElementTable
+from .perm import ElementTable, point_dtype
 
 DEFAULT_NORMAL_SUBGROUP_LIMIT = 10000
 QUOTIENT_BATCH = 1 << 16  # products looked up at once for a quotient's action
@@ -240,8 +240,9 @@ def quotient(G: FiniteGroup, N: frozenset[int]) -> Quotient:
     # an element acts on the cosets as its coset's representative does,
     # and as N is normal distinct cosets act differently: coset c is
     # element c of the quotient
+    cosets = projection.astype(point_dtype(len(reps)))  # the quotient's points, narrowed once
     step = max(1, QUOTIENT_BATCH // len(reps))
-    table = ElementTable(np.concatenate([projection[G.products(reps[start:start + step], reps)]
+    table = ElementTable(np.concatenate([cosets[G.products(reps[start:start + step], reps)]
                                          for start in range(0, len(reps), step)]))
     gen_idx = sorted({int(projection[g]) for g in G.generator_indices} - {0})
     Q = FiniteGroup(table, gen_idx, f"{G.name}/N{len(N)}")

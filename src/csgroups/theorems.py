@@ -305,20 +305,17 @@ def _theorem_C_for_labeling(a: GroupAnalysis, reason: str, pa: int, n: int) -> T
 
     verdict.conclusions.append(Conclusion("soluble", a.soluble))
 
-    try:
-        F2 = fitting2(G)
-        if len(F2) == G.order:
-            cond = True
-            note = "G equals its second Fitting subgroup"
-        else:
-            q = quotient(G, F2)
-            orders = [int(q.group.element_orders[i]) for i in range(1, q.group.order)]
-            cond = all(is_prime(o) for o in orders)
-            note = f"|G/F2|={q.group.order}, nonidentity orders {sorted(set(orders))}"
-        verdict.witnesses["F2_index"] = G.order // len(F2)
-        verdict.conclusions.append(Conclusion("F2-covers-or-prime-order-quotient", cond, note))
-    except EnumerationLimitError as exc:
-        return _limit_reached(verdict, exc)
+    F2 = fitting2(G)
+    if len(F2) == G.order:
+        cond = True
+        note = "G equals its second Fitting subgroup"
+    else:
+        q = quotient(G, F2)
+        orders = [int(q.group.element_orders[i]) for i in range(1, q.group.order)]
+        cond = all(is_prime(o) for o in orders)
+        note = f"|G/F2|={q.group.order}, nonidentity orders {sorted(set(orders))}"
+    verdict.witnesses["F2_index"] = G.order // len(F2)
+    verdict.conclusions.append(Conclusion("F2-covers-or-prime-order-quotient", cond, note))
 
     verdict.conclusions.append(Conclusion("p-divides-n", n % p == 0, f"p={p}, n={n}"))
 

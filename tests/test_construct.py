@@ -3,6 +3,7 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +24,7 @@ from csgroups.construct import (
     quaternion8,
     symmetric,
 )
-from csgroups.perm import Permutation, close_with_degree, compose, element_order, inverse
+from csgroups.perm import Permutation, close_with_degree, compose, element_order, identity, inverse
 
 _spec = importlib.util.spec_from_file_location(
     "generate_fixtures", Path(__file__).resolve().parent.parent / "scripts" / "generate_fixtures.py")
@@ -140,9 +141,9 @@ class TestFixtures:
 
 def check_against_elements(G: FiniteGroup, picks: list[int]) -> None:
     """Index-level algebra equals element-level compose/inverse followed
-    by a linear search of the elements, on rows of the picked elements."""
+    by a lookup among the elements, on rows of the picked elements."""
     els = G.table.elements
-    find = els.index
+    find = {p: i for i, p in enumerate(els)}.__getitem__
     all_idx = list(range(G.order))
     assert G.inv.tolist() == [find(inverse(p)) for p in els]
     for i in picks:
@@ -159,6 +160,28 @@ def check_against_elements(G: FiniteGroup, picks: list[int]) -> None:
         assert [G.conjugate(x, i) for x in all_idx] == conj
         by_all = [find(compose(compose(inverse(g), els[i]), g)) for g in els]
         assert G.conjugate_by_all(i).tolist() == by_all
+
+
+class TestPointDtypeBoundary:
+    """256 points are the most that uint8 holds and 257 the fewest that need
+    uint16.  The dihedral group of order 2n on n points moves the last point,
+    and its row starts (index times degree) are far past either dtype."""
+
+    @pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_index_algebra_matches_permutations(self, n, dtype):
+        G = dihedral(n)
+        assert G.table.matrix.dtype == dtype
+        picks = [1, n, 2 * n - 1]  # the first generator, a middle row and the last
+        check_against_elements(G, picks)
+        els = G.table.elements
+        assert G.element_orders.tolist() == [element_order(p) for p in els]
+        find = {p: i for i, p in enumerate(els)}.__getitem__
+        for x, row in zip(picks, G.power_table(picks)):
+            power, expected = identity(n), []
+            for _ in range(element_order(els[x])):
+                expected.append(find(power))
+                power = compose(power, els[x])
+            assert row == expected
 
 
 class TestIndexAlgebra:

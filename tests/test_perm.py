@@ -1,5 +1,7 @@
 """Permutation primitives and closure enumeration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from csgroups.perm import (
     from_cycles,
     identity,
     inverse,
+    point_dtype,
 )
 
 
@@ -125,6 +128,35 @@ class TestClosure:
         assert close_with_degree([], 3).elements == [identity(3)]
         assert close_with_degree([], 0).elements == [identity(0)]
 
+    def test_cap_crossed_in_a_later_block_of_a_level(self):
+        a, b = from_cycles(4, [(0, 1)]), from_cycles(4, [tuple(range(4))])
+        # level 1 is [a, b]; level 2 is the block [b*a] (a*a is the identity)
+        # and then the block [a*b, b*b]: a cap of 4 fits the first and not the second
+        assert reference_closure([a, b], 4)[:6] == [
+            identity(4), a, b, compose(b, a), compose(a, b), compose(b, b)]
+        with pytest.raises(OrderCapExceededError) as info:
+            close([a, b], cap=4)
+        assert (info.value.cap, info.value.partial_count) == (4, 5)
+
+    def test_matrix_holds_exactly_the_order(self):
+        table = close([from_cycles(6, [(0, 1)]), from_cycles(6, [tuple(range(6))])])
+        # the store was trimmed: the matrix owns its memory and has no spare rows
+        assert table.matrix.shape == (720, 6) and table.matrix.dtype == np.uint8
+        assert table.matrix.base is None and table.matrix.flags.owndata
+
+    def test_closure_peak_is_below_four_matrices(self):
+        # the regular representation of a group of order 2,520 on 2,520 points
+        G = make_builtin("alt(4)xfrobenius(7,3)xdihedral(5)")
+        gens = [Permutation(G.mul_row(g).tolist()) for g in G.generator_indices]
+        tracemalloc.start()
+        try:
+            table = close_with_degree(gens, G.order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == G.order and table.matrix.dtype == np.uint16
+        assert peak < 4 * table.matrix.nbytes
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_row_by_row_closure(self, data):
@@ -203,6 +235,24 @@ class TestElementTable:
             perm.ElementTable(np.array([[0, 1, 2], [1, 1, 2]]))
         with pytest.raises(ValueError, match="bijection"):
             perm.ElementTable(np.array([[0, 1, 2], [1, 2, 3]]))
+
+    def test_out_of_range_images_rejected_not_wrapped(self):
+        # in uint8 the second row would wrap to the transposition [1, 0, 2]
+        with pytest.raises(ValueError, match="bijection"):
+            perm.ElementTable(np.array([[0, 1, 2], [1, 0, 258]]))
+        # and on 256 points -1 would wrap to the valid point 255
+        row = list(range(256))
+        row[0], row[255] = -1, 0
+        with pytest.raises(ValueError, match="bijection"):
+            perm.ElementTable(np.array([list(range(256)), row]))
+        row[0] = 255
+        assert perm.ElementTable(np.array([list(range(256)), row])).matrix.dtype == np.uint8
+
+    def test_point_dtype_is_the_narrowest_that_holds_the_points(self):
+        assert [point_dtype(n) for n in (1, 256, 257, 65536, 65537)] == [
+            np.uint8, np.uint8, np.uint16, np.uint16, np.int32]
+        table = perm.ElementTable(np.array([[0, 1, 2], [1, 0, 2]], dtype=np.int64))
+        assert table.matrix.dtype == np.uint8
 
     def test_row_zero_must_be_the_identity(self):
         with pytest.raises(ValueError, match="identity"):
