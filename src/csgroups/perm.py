@@ -10,7 +10,11 @@ point, is done in intp, where it cannot wrap.  Within a table an element
 is identified by its images of a base, a few points that only the
 identity fixes (Sims 1970; Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory*, ch. 4), so that finding a product or
-conjugate reads a few columns.
+conjugate reads a few columns.  Each image is below ``deg``, so the
+images read as digits in radix ``deg`` make an exact key whenever
+``deg**len(base)`` fits 64 bits, as it does for every group in the
+catalog; only beyond that (say C2^5 moving 10 of 7,133 points) is the
+key a hash whose matches are checked against the images.
 
 Composition convention: ``compose(p, q)`` applies the *right* factor
 first, i.e. the result maps ``i -> p(q(i))``.  All fixtures and tests
@@ -32,6 +36,7 @@ import numpy as np
 DEFAULT_CLOSURE_CAP = 5000
 KEY_SEED = 0x6373  # seeds the fixed weights of the base-image hash
 _KEY_MASK = (1 << 64) - 1
+_MARK_CHUNK = 1 << 16  # matrix entries per chunk of the bijection check
 
 
 class DegreeMismatchError(ValueError):
@@ -159,6 +164,35 @@ def _key_weights(count: int) -> tuple[int, ...]:
     return tuple(rng.getrandbits(64) for _ in range(count))
 
 
+def _radix_weights(deg: int, count: int) -> tuple[int, ...] | None:
+    """The weights ``deg**c`` of base points ``c < count``, or None when
+    ``deg**count`` exceeds 2^64.
+
+    Every image is below ``deg``, so under these weights a key reads the
+    base images as the digits of a number in radix ``deg``: it is below
+    ``deg**count`` and names one tuple of images, so it fits 64 bits
+    without wrapping exactly when ``deg**count <= 2**64``."""
+    if deg ** count > 1 << 64:
+        return None
+    return tuple(deg ** c for c in range(count))
+
+
+def _check_bijections(matrix: np.ndarray) -> None:
+    """Raise ValueError unless every row of ``matrix``, whose values are
+    known to be points, is a bijection: each row's points are marked in a
+    flat boolean array, a chunk of rows at a time so that the marks and
+    their intp positions stay small next to the matrix, and every mark
+    must be set."""
+    rows, deg = matrix.shape
+    step = max(1, _MARK_CHUNK // max(deg, 1))
+    for start in range(0, rows, step):
+        block = matrix[start:start + step]
+        marks = np.zeros(block.size, dtype=bool)
+        marks[(np.arange(len(block)) * deg)[:, None] + block] = True  # row start plus point
+        if not marks.all():
+            raise ValueError(f"not every row is a bijection on 0..{deg - 1}")
+
+
 def point_dtype(deg: int) -> np.dtype:
     """The dtype of the image matrix of a group on ``deg`` points: the
     narrowest that holds the points ``0..deg-1``."""
@@ -201,14 +235,23 @@ class ElementTable:
     image out of range is rejected, not wrapped into range.
     ``images[i, p]`` reads one image through a memoryview of ``matrix``,
     which is faster than ``ndarray.item``; ``element(i)`` builds a
-    ``Permutation`` on demand.  Elements are found by their images of
-    ``base``: a 64-bit hash of those images, kept sorted with the element
-    each key belongs to (12 bytes per element), narrows a search to the
-    elements of one key, and comparing images settles it, so a hash
-    collision never gives a wrong index.  A batch of lookups is searched
-    in key order, which needs nothing beyond those 12 bytes per element,
-    and its candidates are checked one base column at a time.  Immutable
-    after construction.
+    ``Permutation`` on demand.
+
+    Elements are found by a 64-bit key of their images of ``base``, kept
+    sorted with the element each key belongs to (12 bytes per element).
+    When ``deg**len(base) <= 2**64`` the key is the images read as
+    digits in radix ``deg`` and ``exact`` is true: a key names one tuple
+    of images, so a key match is the element, with no images read back,
+    and two rows with one key are duplicates.  A batch of lookups sorts
+    its keys; a batch of ``len(self)`` rows whose sorted keys are the
+    table's is a permutation of the whole group (a multiplication row, a
+    conjugation map, the inverses), and its indices are the table's key
+    order scattered back, with no search.  Any other batch is searched in
+    key order.  Only when the radix key would not fit (``exact`` false)
+    is the key a hash with fixed random weights, which narrows a search
+    to the elements of one key; each candidate is then checked against
+    the images, a batch one base column at a time, so a hash collision
+    never gives a wrong index.  Immutable after construction.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -219,14 +262,14 @@ class ElementTable:
         if matrix.size and (matrix.min() < 0 or matrix.max() >= deg):
             raise ValueError(f"not every row is a bijection on 0..{deg - 1}")
         self.matrix = matrix = np.ascontiguousarray(matrix, dtype=point_dtype(deg))
-        points = np.arange(deg, dtype=matrix.dtype)
-        if (matrix[0] != points).any():
+        if (matrix[0] != np.arange(deg)).any():
             raise ValueError("row 0 must be the identity")
+        _check_bijections(matrix)
         self.images = memoryview(matrix)
-        if (np.sort(matrix, axis=1) != points).any():
-            raise ValueError(f"not every row is a bijection on 0..{deg - 1}")
         self.base = _base_of(matrix)
-        self._weights = _key_weights(len(self.base))
+        weights = _radix_weights(deg, len(self.base))
+        self.exact = weights is not None
+        self._weights = weights if self.exact else _key_weights(len(self.base))
         self._weight_vector = np.array(self._weights, dtype=np.uint64)
         keys = self._keys_of(self.matrix[:, self.base])
         order = np.argsort(keys)
@@ -236,8 +279,12 @@ class ElementTable:
         self._keys = np.frombuffer(self._key_list, dtype=np.uint64)
         self._key_order = np.frombuffer(self._order_list, dtype=np.int32)
         tied = np.flatnonzero(self._keys[1:] == self._keys[:-1]).tolist()
-        rows = {pos for t in tied for pos in (t, t + 1)}
-        if len({self.matrix[self._key_order[pos]].tobytes() for pos in rows}) < len(rows):
+        if self.exact:  # rows with one exact key have the same base images
+            duplicated = bool(tied)
+        else:  # rows with one hash key may differ
+            rows = {int(self._key_order[pos]) for t in tied for pos in (t, t + 1)}
+            duplicated = len({self.matrix[row].tobytes() for row in rows}) < len(rows)
+        if duplicated:
             raise ValueError("duplicate elements in table")
 
     def __len__(self) -> int:
@@ -270,29 +317,44 @@ class ElementTable:
         Only for products and conjugates of table elements, whose base
         images belong to exactly one element.
         """
-        rows = self.images
-        for idx in self._candidates(images):
-            if [rows[idx, b] for b in self.base] == images:
-                return idx
+        if self.exact:  # the key is the images, so a key match is the element
+            key = sum(map(mul, self._weights, images))
+            keys = self._key_list
+            pos = bisect_left(keys, key)
+            if pos < len(keys) and keys[pos] == key:
+                return self._order_list[pos]
+        else:
+            rows = self.images
+            for idx in self._candidates(images):
+                if [rows[idx, b] for b in self.base] == images:
+                    return idx
         raise KeyError(f"no element has base images {images}")
 
     def indices_of_base(self, images: np.ndarray) -> np.ndarray:
         """``index_of_base`` of every row of ``images``, in one batch.
 
-        The keys are searched in sorted order, which walks the sorted
-        index once instead of jumping about it, and each candidate is
-        checked one base column at a time."""
+        The keys are sorted, and under exact keys a batch whose sorted
+        keys are the table's is a permutation of the whole group, read
+        off the table's key order with no search.  Any other batch is
+        searched in sorted order, which walks the sorted index once
+        instead of jumping about it; under hash keys each candidate is
+        then checked one base column at a time."""
         keys = self._keys_of(images)
         order = keys.argsort()
+        if self.exact and len(keys) == len(self._keys) and np.array_equal(keys[order], self._keys):
+            idx = np.empty(len(keys), dtype=np.int32)
+            idx[order] = self._key_order
+            return idx
         pos = np.empty(len(keys), dtype=np.intp)
         pos[order] = np.searchsorted(self._keys, keys[order])
         np.minimum(pos, len(self._keys) - 1, out=pos)
         idx = self._key_order[pos]
         wrong = self._keys[pos] != keys
-        flat, starts = self.matrix.ravel(), idx * self.deg  # row starts in matrix.ravel()
-        for col, b in enumerate(self.base):
-            wrong |= flat.take(starts + b) != images[:, col]
-        for m in np.flatnonzero(wrong).tolist():  # hash collisions: scan the elements of the key
+        if not self.exact:
+            flat, starts = self.matrix.ravel(), idx.astype(np.intp) * self.deg  # row starts
+            for col, b in enumerate(self.base):
+                wrong |= flat.take(starts + b) != images[:, col]
+        for m in np.flatnonzero(wrong).tolist():  # scan a hash collision, or raise KeyError
             idx[m] = self.index_of_base(images[m].tolist())
         return idx
 

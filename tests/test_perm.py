@@ -193,9 +193,10 @@ class TestElementTable:
         assert fixers == [identity(6)]
 
     def test_lookups_stay_exact_when_every_key_collides(self, monkeypatch):
+        monkeypatch.setattr(perm, "_radix_weights", lambda deg, count: None)
         monkeypatch.setattr(perm, "_key_weights", lambda count: [0] * count)
         table = close([from_cycles(5, [tuple(range(5))]), from_cycles(5, [(1, 4), (2, 3)])])
-        assert len(table) == 10
+        assert len(table) == 10 and not table.exact
         assert len(set(table._keys.tolist())) == 1
         for i, p in enumerate(table.elements):
             assert table.index_of(p) == i
@@ -222,9 +223,70 @@ class TestElementTable:
         images[len(images) // 2] = images[0, 0]  # no bijection maps the base to one point
         with pytest.raises(KeyError):
             table.indices_of_base(images)
+        # n rows again, one of them distinct points that no element maps the base to
+        images = table.matrix[:, table.base].copy()
+        outsider = images[1][::-1].copy()
+        assert outsider.tobytes() not in {row.tobytes() for row in images}
+        images[len(images) // 3] = outsider
+        with pytest.raises(KeyError):
+            table.indices_of_base(images)
+
+    def test_radix_keys_are_exact_on_the_near_cap_table(self, near_cap_table):
+        table = near_cap_table
+        assert table.exact and table.deg ** len(table.base) <= 2 ** 64
+        keys = table._keys_of(table.matrix[:, table.base]).tolist()
+        digits = [sum(int(v) * table.deg ** c for c, v in enumerate(row))
+                  for row in table.matrix[:, table.base].tolist()]
+        assert keys == digits
+
+    def test_whole_group_batch_needs_no_search(self, near_cap_table, monkeypatch):
+        table = near_cap_table
+        rows = np.random.default_rng(11).permutation(len(table))
+        monkeypatch.setattr(np, "searchsorted", lambda *args, **kw: pytest.fail("searched"))
+        found = table.indices_of_base(table.matrix[rows][:, table.base])
+        assert found.dtype == np.int32 and found.tolist() == rows.tolist()
+
+    def test_whole_group_sized_batch_with_a_repeat_is_searched(self, near_cap_table,
+                                                               monkeypatch):
+        table = near_cap_table
+        rows = np.random.default_rng(12).permutation(len(table))
+        rows[7] = rows[8]  # n rows, but one element twice and one missing
+        searches = []
+        search = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda *args, **kw: searches.append(1) or search(*args, **kw))
+        found = table.indices_of_base(table.matrix[rows][:, table.base])
+        assert found.tolist() == rows.tolist() and searches == [1]
+
+    def test_lookups_on_a_table_without_exact_keys(self):
+        # C2^5 on 10 points, padded with fixed points to 7,133: the five base
+        # points are too many for radix-7,133 keys in 64 bits
+        deg = 7133
+        table = close([from_cycles(deg, [(i, i + 1)]) for i in range(0, 10, 2)])
+        assert len(table) == 32 and len(table.base) == 5
+        assert deg ** 5 > 2 ** 64 and not table.exact
+        els = table.elements
+        for i, p in enumerate(els):
+            assert p in table
+            assert table.index_of(p) == i
+            assert table.index_of_base([p(b) for b in table.base]) == i
+        rows = [5, 31, 0, 5, 17, 2]
+        images = table.matrix[rows][:, table.base]
+        assert table.indices_of_base(images).tolist() == rows
+        whole = np.arange(len(table))[::-1]
+        assert table.indices_of_base(table.matrix[whole][:, table.base]).tolist() == whole.tolist()
+        outsider = from_cycles(deg, [(0, 2)])
+        assert outsider not in table
+        with pytest.raises(KeyError):
+            table.index_of(outsider)
+        with pytest.raises(KeyError):
+            table.index_of_base([outsider(b) for b in table.base])
+        with pytest.raises(KeyError):
+            table.indices_of_base(np.concatenate([images, [[outsider(b) for b in table.base]]]))
 
     def test_duplicate_elements_rejected(self):
         e, t = [0, 1, 2], [1, 0, 2]
+        assert perm.ElementTable(np.array([e, t])).exact
         with pytest.raises(ValueError, match="duplicate"):
             perm.ElementTable(np.array([e, t, t]))
         with pytest.raises(ValueError, match="duplicate"):
@@ -235,6 +297,13 @@ class TestElementTable:
             perm.ElementTable(np.array([[0, 1, 2], [1, 1, 2]]))
         with pytest.raises(ValueError, match="bijection"):
             perm.ElementTable(np.array([[0, 1, 2], [1, 2, 3]]))
+
+    def test_non_bijection_in_the_last_chunk_rejected(self, near_cap_table):
+        matrix = near_cap_table.matrix.copy()
+        assert matrix.size > 2 * perm._MARK_CHUNK  # rows are checked in several chunks
+        matrix[-1, -1] = matrix[-1, 0]
+        with pytest.raises(ValueError, match="bijection"):
+            perm.ElementTable(matrix)
 
     def test_out_of_range_images_rejected_not_wrapped(self):
         # in uint8 the second row would wrap to the transposition [1, 0, 2]
