@@ -4,7 +4,7 @@ sizes into primes and composites."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,29 +26,41 @@ class ClassProfile:
     """Conjugacy classes of a group, with class sizes and centralizer
     orders, and the algebra of unions of classes.
 
-    Class data is indexed by class position, built once: ``class_index``
-    maps an element to its class as a list, for scalar reads, and
-    ``class_of`` as an array, for batched ones; ``sizes`` holds the class
-    sizes.  A union of classes, such as a normal subgroup, is a *mask*: a
-    k-bit integer over the k classes; class 0 is the identity.  The support
-    ``support[i][j]``, the classes met by ``rep_i * C_j``, takes one
-    multiplication row per class and is built on first use.  Conjugation
-    maps ``rep_i * C_j`` onto ``rep_i^g * C_j``, so it is also the classes
-    met by C_i C_j: a product of unions of classes is an OR over it.  Normal
-    subgroups M and N have the join MN, of order |M||N|/|M n N| (``M & N``).
+    Classes are in order of their least member, which is their
+    representative; class 0 is the identity.  Class data is indexed by
+    class position: ``class_index`` maps an element to its class, as a
+    list for scalar reads; ``sizes`` holds the class sizes.  Two views are
+    built on first read: ``class_of``, ``class_index`` as an array for
+    batched reads, and ``classes``, the (representative, members) pairs
+    (which ``conjugacy_classes`` fills in when its walk has listed the
+    members), so a caller that needs only the sizes of a large group
+    never builds a member set.  A union of classes, such as a normal
+    subgroup, is a *mask*: a k-bit integer over the k classes.  The
+    support ``support[i][j]``, the classes met by ``rep_i * C_j``, takes
+    one multiplication row per class and is built on first use.
+    Conjugation maps ``rep_i * C_j`` onto ``rep_i^g * C_j``, so it is also
+    the classes met by C_i C_j: a product of unions of classes is an OR
+    over it.  Normal subgroups M and N have the join MN, of order
+    |M||N|/|M n N| (``M & N``).
     """
 
     group: FiniteGroup
-    classes: list[tuple[int, frozenset[int]]]  # (min-index representative, members)
-    class_index: list[int]                     # element index -> class position
-    sizes: list[int]                           # class position -> class size
-    cs_set: tuple[int, ...]                    # sorted distinct class sizes
-    class_of: np.ndarray = field(init=False)   # class_index as an array
-    representatives: list[int] = field(init=False)
+    class_index: list[int]      # element index -> class position
+    representatives: list[int]  # class position -> least member
+    sizes: list[int]            # class position -> class size
+    cs_set: tuple[int, ...]     # sorted distinct class sizes
 
-    def __post_init__(self):
-        self.class_of = np.array(self.class_index, dtype=np.int64)
-        self.representatives = [rep for rep, _ in self.classes]
+    @cached_property
+    def class_of(self) -> np.ndarray:
+        return np.array(self.class_index, dtype=np.int64)
+
+    @cached_property
+    def classes(self) -> list[tuple[int, frozenset[int]]]:
+        """(representative, members) of each class, by one pass over ``class_index``."""
+        members: list[list[int]] = [[] for _ in self.representatives]
+        for x, c in enumerate(self.class_index):
+            members[c].append(x)
+        return [(rep, frozenset(m)) for rep, m in zip(self.representatives, members)]
 
     def class_size_of(self, x: int) -> int:
         return self.sizes[self.class_index[x]]
@@ -58,7 +70,7 @@ class ClassProfile:
 
     @cached_property
     def support(self) -> list[list[int]]:
-        k = len(self.classes)
+        k = len(self.sizes)
         sup = [[0] * k for _ in range(k)]
         for i, rep in enumerate(self.representatives):
             for pair in set((self.class_of * k + self.class_of[self.group.mul_row(rep)]).tolist()):
@@ -79,7 +91,7 @@ class ClassProfile:
     def class_closures(self) -> list[int]:
         """The normal closure of each class: the fixpoint of multiplying by it."""
         closures = []
-        for c in range(len(self.classes)):
+        for c in range(len(self.sizes)):
             mask = new = 1 | 1 << c
             while new:  # only the classes added last can add more
                 grown = 0
@@ -102,7 +114,7 @@ class ClassProfile:
         The unions x^G N partition G, and every class in one of them has
         the same size downstairs, so each union is multiplied out once.
         """
-        k, n = len(self.classes), self.size(N)
+        k, n = len(self.sizes), self.size(N)
         downs = [0] * k
         for c in range(k):
             if not downs[c]:
@@ -117,32 +129,113 @@ class ClassProfile:
         return sum(1 << c for c in set(self.class_of[list(members)].tolist()))
 
 
+# Orders below this are split into classes by a walk over Python lists,
+# orders from it up by ``orbit_labels``.  Timed per call (2 cores), numpy's
+# fixed cost makes the labels slower below about order 200 (sym(5): 82
+# against 53 us); up to about 300 they win only where no member set is
+# read, as the walk lists the members on its way (dihedral(150), order
+# 300: 86 against 113 us, or 120 against 111 us with the members); far
+# above it they win by up to 7x (cyclic(4999): 0.51 against 3.4 ms).
+WALK_BELOW_ORDER = 300
+
+
+def orbit_labels(maps: list[np.ndarray], n: int) -> np.ndarray:
+    """The least point of each point's orbit under the permutations ``maps``
+    of range(n): the connected components of the edges x -> m[x].
+
+    Hooking and shortcutting (Shiloach and Vishkin, 1982): each round
+    hooks the larger of the two roots on every edge under the smaller,
+    then jumps every label to its root (``_shortcut``); it stops when no
+    edge joins two roots.  A long cycle is so joined in O(log n) jumps,
+    not in one round per step.  An edge whose ends share a root keeps
+    sharing it, so later rounds read only the edges still live.
+    """
+    label = np.arange(n)
+    tail = np.tile(label, len(maps))
+    # in intp, as ``label`` is: gathers by other index dtypes are slower
+    head = np.concatenate(maps, dtype=np.intp) if maps else tail
+    tail_root, head_root = tail, head  # every point is its own root at first
+    while True:
+        live = np.flatnonzero(tail_root != head_root)  # indices: faster than a mask
+        if not len(live):
+            return label
+        tail, head = tail[live], head[live]
+        tail_root, head_root = tail_root[live], head_root[live]
+        np.minimum.at(label, np.maximum(tail_root, head_root), np.minimum(tail_root, head_root))
+        label = _shortcut(label)
+        tail_root, head_root = label[tail], label[head]
+
+
+def _shortcut(label: np.ndarray) -> np.ndarray:
+    """Jump every label to its root: ``label = label[label]`` until nothing changes."""
+    while True:
+        jumped = label[label]
+        if np.array_equal(jumped, label):
+            return label
+        label = jumped
+
+
+def _walk_orbits(maps: list[np.ndarray], n: int) -> tuple[list[int], list[list[int]]]:
+    """Class index and the members of each class, by breadth-first orbit walks.
+
+    Each walk starts at the least element not yet in a class, so classes
+    come in order of their least member, which is listed first.
+    """
+    rows = [m.tolist() for m in maps]
+    class_index = [-1] * n
+    orbits: list[list[int]] = []
+    for start in range(n):
+        if class_index[start] != -1:
+            continue
+        cid = len(orbits)
+        class_index[start] = cid
+        members = [start]
+        for x in members:  # grows while it is read: a breadth-first orbit
+            for conj in rows:
+                y = conj[x]
+                if class_index[y] == -1:
+                    class_index[y] = cid
+                    members.append(y)
+        orbits.append(members)
+    return class_index, orbits
+
+
+def _label_orbits(maps: list[np.ndarray], n: int) -> tuple[list[int], list[int], list[int]]:
+    """Class index, representatives and sizes from ``orbit_labels``: the
+    roots, in increasing order, are the classes in order of least member."""
+    label = orbit_labels(maps, n)
+    reps = np.flatnonzero(label == np.arange(n))
+    position = np.empty(n, dtype=np.intp)
+    position[reps] = np.arange(len(reps))
+    class_of = position[label]
+    return class_of.tolist(), reps.tolist(), np.bincount(class_of).tolist()
+
+
 def conjugacy_classes(G: FiniteGroup) -> ClassProfile:
     """Partition the element table into conjugation orbits.
 
-    Orbits are grown by conjugating with generators only, which
-    suffices since conjugation by a product factors through generators;
-    each generator's conjugation map is computed once, for all elements.
+    Conjugating by the generators suffices, since conjugation by a product
+    factors through them; each generator's conjugation map is computed
+    once, for all elements.  The orbits are then found by a walk over
+    Python lists below ``WALK_BELOW_ORDER`` and by ``orbit_labels`` from
+    it up; both give the classes in order of their least member.  The
+    walk lists each class's members as it goes, and they are kept; from
+    ``WALK_BELOW_ORDER`` up no member set is built here, and
+    ``ClassProfile.classes`` builds them on first read.
     """
     n = G.order
-    class_of = [-1] * n
-    classes: list[tuple[int, frozenset[int]]] = []
-    maps = [G.conjugate_many(np.arange(n), g).tolist() for g in G.generator_indices]
-    for start in range(n):
-        if class_of[start] != -1:
-            continue
-        cid = len(classes)
-        class_of[start] = cid
-        members = [start]
-        for x in members:  # grows while it is read: a breadth-first orbit
-            for conj in maps:
-                y = conj[x]
-                if class_of[y] == -1:
-                    class_of[y] = cid
-                    members.append(y)
-        classes.append((start, frozenset(members)))
-    sizes = [len(m) for _, m in classes]
-    return ClassProfile(G, classes, class_of, sizes, tuple(sorted(set(sizes))))
+    points = np.arange(n)
+    maps = [G.conjugate_many(points, g) for g in G.generator_indices]
+    if n < WALK_BELOW_ORDER:
+        class_index, orbits = _walk_orbits(maps, n)
+        reps, sizes = [m[0] for m in orbits], [len(m) for m in orbits]
+    else:
+        class_index, reps, sizes = _label_orbits(maps, n)
+        orbits = None
+    profile = ClassProfile(G, class_index, reps, sizes, tuple(sorted(set(sizes))))
+    if orbits is not None:  # the walk has listed the members: cache them as ``classes``
+        profile.__dict__["classes"] = [(m[0], frozenset(m)) for m in orbits]
+    return profile
 
 
 def pi_part_exponent(o: int, pi: set[int] | frozenset[int]) -> int:

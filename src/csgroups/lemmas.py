@@ -214,7 +214,7 @@ def check_pi_element_lifting(G, analysis, report: LemmaReport):
         # the classes of G/N are the unions x^G N; each is represented by
         # its least element x, the representative of its first class
         covered = mask = profile.mask_of(N)
-        for c, (x, _) in enumerate(profile.classes):
+        for c, x in enumerate(profile.representatives):
             if covered >> c & 1:
                 continue
             covered |= profile.product(1 << c, mask)

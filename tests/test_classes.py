@@ -1,12 +1,19 @@
 """Conjugacy class computation and class-size arithmetic."""
 
+import math
+
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from csgroups import classes, cli
 from csgroups.arith import arithmetic_profile, is_prime
+from csgroups.catalog import make_builtin
 from csgroups.classes import (
     composite_split,
     conjugacy_classes,
     is_p_element,
+    orbit_labels,
     pi_part_of_element,
 )
 from csgroups.construct import (
@@ -97,6 +104,118 @@ class TestConjugacyClasses:
         primes, composites = composite_split(prof)
         assert primes == frozenset({2, 3, 7})
         assert composites == frozenset({6, 14})
+
+
+def orbit_oracle(G):
+    """The classes at element level: each least x not yet seen, with all of
+    its conjugates g^-1 x g, g running over every element."""
+    seen = np.zeros(G.order, dtype=bool)
+    found = []
+    for x in range(G.order):
+        if not seen[x]:
+            conjugates = np.unique(G.conjugate_by_all(x))
+            seen[conjugates] = True
+            found.append((x, frozenset(conjugates.tolist())))
+    return found
+
+
+def count_rounds(monkeypatch) -> list:
+    """Record one entry per hooking round of ``orbit_labels``: each round
+    ends in one shortcut."""
+    rounds = []
+    shortcut = classes._shortcut
+    monkeypatch.setattr(classes, "_shortcut", lambda label: (rounds.append(1), shortcut(label))[1])
+    return rounds
+
+
+def cycle(order: np.ndarray) -> np.ndarray:
+    """The permutation mapping each point of ``order`` to the next, cyclically."""
+    perm = np.empty(len(order), dtype=np.intp)
+    perm[order] = np.roll(order, -1)
+    return perm
+
+
+class TestOrbitLabels:
+    N = 5000
+
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_single_long_cycle_in_one_round(self, monkeypatch, direction):
+        # plain min-label propagation needs a round per step along it
+        rounds = count_rounds(monkeypatch)
+        points = np.arange(self.N)
+        perm = cycle(points if direction == "up" else points[::-1])
+        assert not orbit_labels([perm], self.N).any()
+        assert len(rounds) == 1
+
+    def test_shuffled_long_cycle_in_logarithmic_rounds(self, monkeypatch):
+        rounds = count_rounds(monkeypatch)
+        perm = cycle(np.random.default_rng(5).permutation(self.N))
+        assert not orbit_labels([perm], self.N).any()
+        assert len(rounds) <= math.log2(self.N)
+
+    def test_no_maps_leave_every_point_alone(self):
+        assert orbit_labels([], 1).tolist() == [0]
+        assert orbit_labels([], 7).tolist() == list(range(7))
+
+    def test_identity_maps_give_singletons(self, monkeypatch):
+        rounds = count_rounds(monkeypatch)
+        points = np.arange(50)
+        assert orbit_labels([points, points.copy()], 50).tolist() == list(range(50))
+        assert rounds == []
+
+    def test_orbits_merge_only_through_both_maps(self):
+        # a pairs 2i with 2i+1 and b pairs 2i+1 with 2i+2: alone each has
+        # orbits of two, together they join every point into one path
+        points = np.arange(self.N)
+        a = points ^ 1
+        b = np.concatenate(([0], (points[1:-1] - 1 ^ 1) + 1, [self.N - 1]))
+        assert orbit_labels([a], self.N).tolist() == (points & ~1).tolist()
+        assert orbit_labels([b], self.N).tolist() == ((points + 1 & ~1) - 1).clip(0).tolist()
+        assert not orbit_labels([a, b], self.N).any()
+        shuffle = np.random.default_rng(6).permutation(self.N)  # relabel the points
+        relabelled = [shuffle[m[np.argsort(shuffle)]] for m in (a, b)]
+        assert not orbit_labels(relabelled, self.N).any()
+
+    @pytest.mark.parametrize("G", CATALOG + [dihedral(2499), cyclic(4999)],
+                             ids=lambda G: f"{G.name}-{G.order}")
+    def test_both_paths_match_the_element_orbits(self, monkeypatch, G):
+        found = orbit_oracle(G)
+        class_index = [-1] * G.order
+        for c, (_, cls) in enumerate(found):
+            for x in cls:
+                class_index[x] = c
+        expected = {"classes": found, "representatives": [rep for rep, _ in found],
+                    "sizes": [len(cls) for _, cls in found], "class_index": class_index,
+                    "class_of": class_index,
+                    "cs_set": tuple(sorted({len(cls) for _, cls in found}))}
+        for path, walk_below in (("labels", 0), ("walk", 10**9)):
+            monkeypatch.setattr(classes, "WALK_BELOW_ORDER", walk_below)
+            prof = conjugacy_classes(G)
+            observed = {"classes": prof.classes, "representatives": prof.representatives,
+                        "sizes": prof.sizes, "class_index": prof.class_index,
+                        "class_of": prof.class_of.tolist(), "cs_set": prof.cs_set}
+            assert observed == expected, path
+
+
+class TestLazyMembers:
+    def test_class_size_entry_builds_no_member_sets(self, monkeypatch):
+        # a class-sizes-style product: order 2,112, >= 3 composite class sizes
+        G = make_builtin("dihedral(11)xdihedral(8)xsym(3)")
+        analyses = []
+
+        class Recorded(cli.GroupAnalysis):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                analyses.append(self)
+
+        monkeypatch.setattr(cli, "GroupAnalysis", Recorded)
+        config = cli.effective_config(cli.build_parser().parse_args(["sweep"]))
+        entry, _ = cli.entry_for_group("g", "builtin", G, config, False)
+        assert G.order >= 2000 and len(entry["composites"]) >= 3
+        assert G.order >= classes.WALK_BELOW_ORDER
+        profile = analyses[0].profile
+        assert "classes" not in profile.__dict__
+        assert sum(len(m) for _, m in profile.classes) == G.order  # built on first read
 
 
 class TestPrimaryDecomposition:
