@@ -41,7 +41,6 @@ from .structure import (
     fitting2,
     hall,
     is_frobenius,
-    is_soluble,
     nilpotency_class,
     normal_subgroups,
     quotient,

@@ -1,5 +1,10 @@
-"""Conjugacy classes, pi-parts of elements, and the split of class
-sizes into primes and composites."""
+"""Orbit partitions, conjugacy classes, pi-parts of elements, and the
+split of class sizes into primes and composites.
+
+``orbit_partition`` is the one orbit routine: conjugacy classes are the
+orbits of the generators' conjugation maps, and the cosets of a quotient
+(``structure.quotient``) the orbits of right multiplication by the
+generators of N."""
 
 from __future__ import annotations
 
@@ -31,17 +36,15 @@ class ClassProfile:
     class position: ``class_index`` maps an element to its class, as a
     list for scalar reads; ``sizes`` holds the class sizes.  Two views are
     built on first read: ``class_of``, ``class_index`` as an array for
-    batched reads, and ``classes``, the (representative, members) pairs
-    (which ``conjugacy_classes`` fills in when its walk has listed the
-    members), so a caller that needs only the sizes of a large group
-    never builds a member set.  A union of classes, such as a normal
-    subgroup, is a *mask*: a k-bit integer over the k classes.  The
-    support ``support[i][j]``, the classes met by ``rep_i * C_j``, takes
-    one multiplication row per class and is built on first use.
-    Conjugation maps ``rep_i * C_j`` onto ``rep_i^g * C_j``, so it is also
-    the classes met by C_i C_j: a product of unions of classes is an OR
-    over it.  Normal subgroups M and N have the join MN, of order
-    |M||N|/|M n N| (``M & N``).
+    batched reads, and ``classes``, the (representative, members) pairs,
+    so a caller that needs only the sizes never builds a member set.  A
+    union of classes, such as a normal subgroup, is a *mask*: a k-bit
+    integer over the k classes.  The support ``support[i][j]``, the
+    classes met by ``rep_i * C_j``, takes one multiplication row per
+    class and is built on first use.  Conjugation maps ``rep_i * C_j``
+    onto ``rep_i^g * C_j``, so it is also the classes met by C_i C_j: a
+    product of unions of classes is an OR over it.  Normal subgroups M
+    and N have the join MN, of order |M||N|/|M n N| (``M & N``).
     """
 
     group: FiniteGroup
@@ -129,13 +132,12 @@ class ClassProfile:
         return sum(1 << c for c in set(self.class_of[list(members)].tolist()))
 
 
-# Orders below this are split into classes by a walk over Python lists,
-# orders from it up by ``orbit_labels``.  Timed per call (2 cores), numpy's
-# fixed cost makes the labels slower below about order 200 (sym(5): 82
-# against 53 us); up to about 300 they win only where no member set is
-# read, as the walk lists the members on its way (dihedral(150), order
-# 300: 86 against 113 us, or 120 against 111 us with the members); far
-# above it they win by up to 7x (cyclic(4999): 0.51 against 3.4 ms).
+# Orbit partitions of fewer points than this are found by a walk over
+# Python lists, larger ones by ``orbit_labels``.  Timed per call on the
+# generators' conjugation maps (2 cores, numpy 2.4), numpy's fixed cost
+# makes the labels slower at sym(5), order 120 (60 against 29 us); at
+# dihedral(150), order 300, they are about even (43 against 52 us); far
+# above it they win by up to 6x (cyclic(4999): 0.21 against 1.26 ms).
 WALK_BELOW_ORDER = 300
 
 
@@ -175,40 +177,47 @@ def _shortcut(label: np.ndarray) -> np.ndarray:
         label = jumped
 
 
-def _walk_orbits(maps: list[np.ndarray], n: int) -> tuple[list[int], list[list[int]]]:
-    """Class index and the members of each class, by breadth-first orbit walks.
+def orbit_partition(maps: list[np.ndarray], n: int) -> tuple[list[int], list[int], list[int]]:
+    """The orbits of range(n) under the permutations ``maps``, in order of
+    least member: each point's orbit index, each orbit's least member and
+    each orbit's size.  A walk over Python lists finds them below
+    ``WALK_BELOW_ORDER``, and ``orbit_labels`` from it up."""
+    return (_walk_orbits if n < WALK_BELOW_ORDER else _label_orbits)(maps, n)
 
-    Each walk starts at the least element not yet in a class, so classes
-    come in order of their least member, which is listed first.
-    """
+
+def _walk_orbits(maps: list[np.ndarray], n: int) -> tuple[list[int], list[int], list[int]]:
+    """``orbit_partition`` by breadth-first walks, each from the least
+    point not yet in an orbit."""
     rows = [m.tolist() for m in maps]
-    class_index = [-1] * n
-    orbits: list[list[int]] = []
+    index = [-1] * n
+    reps: list[int] = []
+    sizes: list[int] = []
     for start in range(n):
-        if class_index[start] != -1:
+        if index[start] != -1:
             continue
-        cid = len(orbits)
-        class_index[start] = cid
-        members = [start]
-        for x in members:  # grows while it is read: a breadth-first orbit
-            for conj in rows:
-                y = conj[x]
-                if class_index[y] == -1:
-                    class_index[y] = cid
-                    members.append(y)
-        orbits.append(members)
-    return class_index, orbits
+        oid = len(reps)
+        index[start] = oid
+        orbit = [start]
+        for x in orbit:  # grows while it is read: a breadth-first orbit
+            for row in rows:
+                y = row[x]
+                if index[y] == -1:
+                    index[y] = oid
+                    orbit.append(y)
+        reps.append(start)
+        sizes.append(len(orbit))
+    return index, reps, sizes
 
 
 def _label_orbits(maps: list[np.ndarray], n: int) -> tuple[list[int], list[int], list[int]]:
-    """Class index, representatives and sizes from ``orbit_labels``: the
-    roots, in increasing order, are the classes in order of least member."""
+    """``orbit_partition`` from ``orbit_labels``: the roots, in increasing
+    order, are the orbits in order of least member."""
     label = orbit_labels(maps, n)
     reps = np.flatnonzero(label == np.arange(n))
     position = np.empty(n, dtype=np.intp)
     position[reps] = np.arange(len(reps))
-    class_of = position[label]
-    return class_of.tolist(), reps.tolist(), np.bincount(class_of).tolist()
+    index = position[label]
+    return index.tolist(), reps.tolist(), np.bincount(index).tolist()
 
 
 def conjugacy_classes(G: FiniteGroup) -> ClassProfile:
@@ -216,26 +225,14 @@ def conjugacy_classes(G: FiniteGroup) -> ClassProfile:
 
     Conjugating by the generators suffices, since conjugation by a product
     factors through them; each generator's conjugation map is computed
-    once, for all elements.  The orbits are then found by a walk over
-    Python lists below ``WALK_BELOW_ORDER`` and by ``orbit_labels`` from
-    it up; both give the classes in order of their least member.  The
-    walk lists each class's members as it goes, and they are kept; from
-    ``WALK_BELOW_ORDER`` up no member set is built here, and
+    once, for all elements, and ``orbit_partition`` splits the elements
+    into their orbits, the classes in order of their least member.  No member set is built here:
     ``ClassProfile.classes`` builds them on first read.
     """
-    n = G.order
-    points = np.arange(n)
+    points = np.arange(G.order)
     maps = [G.conjugate_many(points, g) for g in G.generator_indices]
-    if n < WALK_BELOW_ORDER:
-        class_index, orbits = _walk_orbits(maps, n)
-        reps, sizes = [m[0] for m in orbits], [len(m) for m in orbits]
-    else:
-        class_index, reps, sizes = _label_orbits(maps, n)
-        orbits = None
-    profile = ClassProfile(G, class_index, reps, sizes, tuple(sorted(set(sizes))))
-    if orbits is not None:  # the walk has listed the members: cache them as ``classes``
-        profile.__dict__["classes"] = [(m[0], frozenset(m)) for m in orbits]
-    return profile
+    class_index, reps, sizes = orbit_partition(maps, G.order)
+    return ClassProfile(G, class_index, reps, sizes, tuple(sorted(set(sizes))))
 
 
 def pi_part_exponent(o: int, pi: set[int] | frozenset[int]) -> int:
@@ -262,9 +259,3 @@ def composite_split(profile: ClassProfile) -> tuple[frozenset[int], frozenset[in
                            if arithmetic_profile(s).is_composite)
     return primes, composites
 
-
-def is_p_element(G: FiniteGroup, x: int, p: int) -> bool:
-    o = int(G.element_orders[x])
-    while o % p == 0:
-        o //= p
-    return o == 1

@@ -215,30 +215,25 @@ class FiniteGroup:
 # -- named families ----------------------------------------------------------
 
 
-def _trivial(deg: int = 1) -> ElementTable:
-    return ElementTable(np.arange(deg)[None, :])
+def _generated(gens: Sequence[Permutation], deg: int, name: str, cap: int) -> FiniteGroup:
+    """The group generated by ``gens`` on ``deg`` points, with the indices
+    of its non-identity generators; no generators give the trivial group."""
+    table = close_with_degree(gens, deg, cap)
+    return FiniteGroup(table, [table.index_of(g) for g in gens if not g.is_identity()], name)
 
 
 def cyclic(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     if n < 1:
         raise ParameterError(f"cyclic({n}): n must be >= 1")
-    if n == 1:
-        return FiniteGroup(_trivial(), [], "cyclic(1)")
-    gen = from_cycles(n, [tuple(range(n))])
-    table = close_with_degree([gen], n, cap)
-    return FiniteGroup(table, [table.index_of(gen)], f"cyclic({n})")
+    return _generated([from_cycles(n, [tuple(range(n))])], n, f"cyclic({n})", cap)
 
 
 def symmetric(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     if n < 1:
         raise ParameterError(f"symmetric({n}): n must be >= 1")
-    if n == 1:
-        return FiniteGroup(_trivial(), [], "symmetric(1)")
-    gens = [from_cycles(n, [(0, 1)])]
-    if n > 2:
-        gens.append(from_cycles(n, [tuple(range(n))]))
-    table = close_with_degree(gens, n, cap)
-    return FiniteGroup(table, [table.index_of(g) for g in gens], f"symmetric({n})")
+    # a transposition and an n-cycle: n = 2 needs only the first, n = 1 neither
+    gens = [from_cycles(n, [c]) for c in [(0, 1), tuple(range(n))][:n - 1]]
+    return _generated(gens, n, f"symmetric({n})", cap)
 
 
 def alternating(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
@@ -248,8 +243,7 @@ def alternating(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     if n > 3:
         big = tuple(range(n)) if n % 2 == 1 else tuple(range(1, n))
         gens.append(from_cycles(n, [big]))
-    table = close_with_degree(gens, n, cap)
-    return FiniteGroup(table, [table.index_of(g) for g in gens], f"alternating({n})")
+    return _generated(gens, n, f"alternating({n})", cap)
 
 
 def dihedral(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
@@ -258,9 +252,7 @@ def dihedral(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
         raise ParameterError(f"dihedral({n}): n must be >= 2")
     rot = from_cycles(n, [tuple(range(n))])
     refl = Permutation([(n - i) % n for i in range(n)])
-    table = close_with_degree([rot, refl], n, cap)
-    return FiniteGroup(table, [table.index_of(rot), table.index_of(refl)],
-                       f"dihedral({n})")
+    return _generated([rot, refl], n, f"dihedral({n})", cap)
 
 
 def quaternion8(cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
@@ -268,9 +260,7 @@ def quaternion8(cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     # points: 0:1, 1:-1, 2:i, 3:-i, 4:j, 5:-j, 6:k, 7:-k
     left_i = Permutation([2, 3, 1, 0, 6, 7, 5, 4])  # i*1=i, i*i=-1, i*j=k, i*k=-j
     left_j = Permutation([4, 5, 7, 6, 1, 0, 2, 3])  # j*1=j, j*i=-k, j*j=-1, j*k=i
-    table = close_with_degree([left_i, left_j], 8, cap)
-    return FiniteGroup(table, [table.index_of(left_i), table.index_of(left_j)],
-                       "quaternion8")
+    return _generated([left_i, left_j], 8, "quaternion8", cap)
 
 
 def extraspecial_p3(p: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
@@ -297,8 +287,7 @@ def extraspecial_p3(p: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
         return Permutation(images)
 
     gens = [left_mult(1, 0, 0), left_mult(0, 1, 0)]
-    table = close_with_degree(gens, p ** 3, cap)
-    return FiniteGroup(table, [table.index_of(g) for g in gens], f"extraspecial_p3({p})")
+    return _generated(gens, p ** 3, f"extraspecial_p3({p})", cap)
 
 
 def frobenius_pq(p: int, q: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
@@ -310,9 +299,7 @@ def frobenius_pq(p: int, q: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     mult = pow(primitive_root(p), (p - 1) // q, p)
     shift = Permutation([(i + 1) % p for i in range(p)])
     scale = Permutation([(i * mult) % p for i in range(p)])
-    table = close_with_degree([shift, scale], p, cap)
-    return FiniteGroup(table, [table.index_of(shift), table.index_of(scale)],
-                       f"frobenius_pq({p},{q})")
+    return _generated([shift, scale], p, f"frobenius_pq({p},{q})", cap)
 
 
 # -- products ----------------------------------------------------------------
@@ -332,9 +319,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup,
 
     gens = ([lift_g(G.element(i)) for i in G.generator_indices]
             + [lift_h(H.element(i)) for i in H.generator_indices])
-    table = close_with_degree(gens, deg, cap)
-    name = f"{G.name} x {H.name}"
-    return FiniteGroup(table, [table.index_of(g) for g in gens], name)
+    return _generated(gens, deg, f"{G.name} x {H.name}", cap)
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -395,9 +380,7 @@ def load_fixture(path: str | Path, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGrou
             raise FixtureError(f"{path}:{lineno}: {exc}") from exc
     if name is None or deg is None:
         raise FixtureError(f"{path}: missing name/degree header")
-    table = close_with_degree(gens, deg, cap) if gens else _trivial(deg)
-    gen_idx = [table.index_of(g) for g in gens if not g.is_identity()]
-    return FiniteGroup(table, gen_idx, name)
+    return _generated(gens, deg, name, cap)
 
 
 def dump_fixture(G: FiniteGroup, path: str | Path,

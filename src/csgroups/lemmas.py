@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .arith import arithmetic_profile
-from .classes import conjugacy_classes, is_p_element, pi_part_exponent
+from .classes import conjugacy_classes, pi_part_exponent
 from .construct import FiniteGroup
 from .structure import (
     EnumerationLimitError,
@@ -310,10 +310,10 @@ def check_mixed_prime_power_products(G, analysis, report: LemmaReport,
     profile = analysis.profile
     if analysis.is_abelian:
         return
-    zset = analysis.center
+    zset, orders = analysis.center, G.element_orders
     for t in arithmetic_profile(G.order).primes:
         telts = [x for x in range(1, G.order)
-                 if x not in zset and is_p_element(G, x, t)
+                 if x not in zset and arithmetic_profile(int(orders[x])).primes == (t,)
                  and arithmetic_profile(profile.class_size_of(x)).is_prime_power()]
         reps = [x for x in telts if profile.representatives[profile.class_index[x]] == x]
         pairs = [(x, y) for x in reps for y in telts

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import arithmetic_profile
-from .classes import ClassProfile, conjugacy_classes, pi_part_of_element
+from .classes import ClassProfile, conjugacy_classes, orbit_partition, pi_part_of_element
 from .construct import FiniteGroup
 from .perm import ElementTable, point_dtype
 
@@ -145,10 +145,6 @@ def derived_series(G: FiniteGroup) -> tuple[list[frozenset[int]], bool]:
     return series, series[-1] == {0}
 
 
-def is_soluble(G: FiniteGroup) -> bool:
-    return derived_series(G)[1]
-
-
 def sylow(G: FiniteGroup, p: int) -> frozenset[int]:
     """A Sylow p-subgroup, grown by normalizer ascent.
 
@@ -223,19 +219,7 @@ def quotient(G: FiniteGroup, N: frozenset[int]) -> Quotient:
     if not is_normal(G, N, gens):
         raise ValueError("quotient by a non-normal subgroup")
     # the coset xN is the orbit of x under right multiplication by N's generators
-    columns = [G.mul_column(g).tolist() for g in gens]
-    coset_of = [-1] * G.order
-    reps: list[int] = []
-    for x in range(G.order):
-        if coset_of[x] == -1:
-            coset_of[x] = len(reps)
-            coset = [x]
-            for y in coset:  # grows while it is read
-                for col in columns:
-                    if coset_of[col[y]] == -1:
-                        coset_of[col[y]] = len(reps)
-                        coset.append(col[y])
-            reps.append(x)
+    coset_of, reps, _ = orbit_partition([G.mul_column(g) for g in gens], G.order)
     projection = np.array(coset_of, dtype=np.int64)
     # an element acts on the cosets as its coset's representative does,
     # and as N is normal distinct cosets act differently: coset c is
@@ -489,24 +473,18 @@ def strip_abelian_factors(G: FiniteGroup, commutators: Optional[frozenset[int]] 
     return H, factor
 
 
-def is_nilpotent(G: FiniteGroup) -> bool:
-    """Cheap check: nilpotent iff every Sylow subgroup is normal."""
-    return all(is_normal(G, sylow(G, p))
-               for p in arithmetic_profile(G.order).primes)
-
-
 def nilpotency_class(G: FiniteGroup) -> int:
-    """Length of the lower central series down to the trivial subgroup."""
-    if G.order == 1:
-        return 0
-    if not is_nilpotent(G):
-        raise NotNilpotentError(f"{G.name} is not nilpotent")
+    """Length of the lower central series down to the trivial subgroup;
+    a series that stops short of it raises ``NotNilpotentError``."""
     ggens = G.generator_indices
     current = frozenset(range(G.order))
     k = 0
     while current != {0}:
         gens = generating_set(G, current)
         comms = sorted({G.commutator(x, g) for x in gens for g in ggens})
-        current = normal_closure(G, comms, ggens)[0]
+        nxt = normal_closure(G, comms, ggens)[0]
+        if nxt == current:
+            raise NotNilpotentError(f"{G.name} is not nilpotent")
+        current = nxt
         k += 1
     return k

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -417,13 +417,6 @@ def conjecture_B_findings(G: FiniteGroup,
         return []
     return [Finding("conjecture-B-counterexample-candidate", G.name,
                     f"two composite class sizes {sorted(composites)} but not soluble")]
-
-
-def conjecture_B_sweep(catalog: Iterable[FiniteGroup]) -> list[Finding]:
-    findings: list[Finding] = []
-    for G in catalog:
-        findings.extend(conjecture_B_findings(G))
-    return findings
 
 
 # -- PSL(2, 2^a) class-size formula ---------------------------------------------

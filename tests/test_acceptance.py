@@ -16,7 +16,7 @@ from csgroups.theorems import (
     check_psl_formula,
     check_theorem_A,
     check_theorem_C,
-    conjecture_B_sweep,
+    conjecture_B_findings,
     psl_formula_set,
 )
 
@@ -161,7 +161,7 @@ def test_acceptance_7_lemma_suite(clock):
 
 def test_acceptance_8_solubility_sweep(clock):
     def body():
-        findings = conjecture_B_sweep(e.group for e in iter_catalog())
+        findings = [f for e in iter_catalog() for f in conjecture_B_findings(e.group)]
         return findings == []
     ok, elapsed = clock(body)
     report_line(8, "solubility sweep, zero findings", ok and elapsed < 300, elapsed)

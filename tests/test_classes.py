@@ -12,7 +12,6 @@ from csgroups.catalog import make_builtin
 from csgroups.classes import (
     composite_split,
     conjugacy_classes,
-    is_p_element,
     orbit_labels,
     pi_part_of_element,
 )
@@ -25,6 +24,7 @@ from csgroups.construct import (
     quaternion8,
     symmetric,
 )
+from csgroups.structure import core_p, derived_series, quotient
 
 CATALOG = [
     cyclic(12),
@@ -196,6 +196,27 @@ class TestOrbitLabels:
                         "class_of": prof.class_of.tolist(), "cs_set": prof.cs_set}
             assert observed == expected, path
 
+    @pytest.mark.parametrize("G, N", [
+        (symmetric(4), lambda G: core_p(G, 2)),
+        (direct_product(symmetric(4), frobenius_pq(7, 3)), lambda G: derived_series(G)[0][1]),
+    ], ids=["sym(4)/V4-24", "sym(4)xF21/derived-504"])
+    def test_both_paths_number_the_cosets_by_least_member(self, monkeypatch, G, N):
+        N = N(G)
+        # the coset xN at element level: x times every member of N
+        least = G.products(range(G.order), sorted(N)).min(axis=1)
+        expected = np.searchsorted(np.unique(least), least).tolist()
+        labels, calls = classes.orbit_labels, []
+        monkeypatch.setattr(classes, "orbit_labels", lambda maps, n: (calls.append(n), labels(maps, n))[1])
+        tables = []
+        for path, walk_below, labelled in (("labels", 0, [G.order]), ("walk", 10**9, [])):
+            monkeypatch.setattr(classes, "WALK_BELOW_ORDER", walk_below)
+            calls.clear()
+            q = quotient(G, N)
+            assert calls == labelled, path
+            assert q.projection.tolist() == expected, path
+            tables.append(q.group.table.matrix)
+        assert np.array_equal(*tables)
+
 
 class TestLazyMembers:
     def test_class_size_entry_builds_no_member_sets(self, monkeypatch):
@@ -216,6 +237,13 @@ class TestLazyMembers:
         profile = analyses[0].profile
         assert "classes" not in profile.__dict__
         assert sum(len(m) for _, m in profile.classes) == G.order  # built on first read
+
+    def test_profile_below_walk_order_builds_no_member_sets(self):
+        G = symmetric(4)
+        assert G.order < classes.WALK_BELOW_ORDER
+        profile = conjugacy_classes(G)
+        assert "classes" not in profile.__dict__
+        assert profile.classes == orbit_oracle(G)  # built on first read
 
 
 class TestPrimaryDecomposition:
@@ -243,7 +271,7 @@ class TestPrimaryDecomposition:
         x = G.generator_indices[0]  # order 12
         y = pi_part_of_element(G, x, {2})
         assert int(G.element_orders[y]) == 4
-        assert is_p_element(G, y, 2)
+        assert arithmetic_profile(int(G.element_orders[y])).primes == (2,)
 
     def test_pi_part_of_coprime_element_is_identity(self):
         G = cyclic(5)

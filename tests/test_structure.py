@@ -30,6 +30,7 @@ from csgroups.perm import (
 )
 from csgroups.structure import (
     EnumerationLimitError,
+    NotNilpotentError,
     center,
     core_p,
     derived_series,
@@ -38,9 +39,7 @@ from csgroups.structure import (
     generating_set,
     hall,
     is_frobenius,
-    is_nilpotent,
     is_normal,
-    is_soluble,
     nilpotency_class,
     normal_subgroups,
     quotient,
@@ -175,7 +174,7 @@ class TestSeries:
         assert soluble
 
     def test_alternating_5_insoluble(self):
-        assert not is_soluble(alternating(5))
+        assert not derived_series(alternating(5))[1]
 
     def test_derived_series_of_abelian_group(self):
         G = cyclic(12)
@@ -184,8 +183,9 @@ class TestSeries:
     def test_nilpotency(self):
         assert nilpotency_class(quaternion8()) == 2
         assert nilpotency_class(dihedral(8)) == 3
-        assert is_nilpotent(cyclic(9))
-        assert not is_nilpotent(symmetric(3))
+        assert nilpotency_class(cyclic(9)) == 1
+        with pytest.raises(NotNilpotentError):
+            nilpotency_class(symmetric(3))
 
 
 class TestCenterAndSylow:
@@ -320,7 +320,7 @@ class TestClassAlgebraOracles:
         # a Hall pi-subgroup for each pi of at least two primes but not all;
         # soluble groups have one (P. Hall)
         primes = arithmetic_profile(G.order).primes
-        soluble = is_soluble(G)
+        soluble = derived_series(G)[1]
         for r in range(2, len(primes)):
             for pi in itertools.combinations(primes, r):
                 H = hall(G, set(pi))

@@ -27,7 +27,6 @@ from csgroups.theorems import (
     check_theorem_A,
     check_theorem_C,
     conjecture_B_findings,
-    conjecture_B_sweep,
     psl_formula_set,
 )
 
@@ -207,7 +206,7 @@ class TestChillagHerzog:
 
 class TestConjectureB:
     def test_full_catalog_has_no_findings(self):
-        findings = conjecture_B_sweep(e.group for e in iter_catalog())
+        findings = [f for e in iter_catalog() for f in conjecture_B_findings(e.group)]
         assert findings == []
 
     def test_three_composites_out_of_scope(self):
