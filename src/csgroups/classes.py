@@ -177,15 +177,15 @@ def _shortcut(label: np.ndarray) -> np.ndarray:
         label = jumped
 
 
-def orbit_partition(maps: list[np.ndarray], n: int) -> tuple[list[int], list[int], list[int]]:
+def orbit_partition(maps: list[np.ndarray], n: int) -> tuple[np.ndarray, list[int], list[int]]:
     """The orbits of range(n) under the permutations ``maps``, in order of
-    least member: each point's orbit index, each orbit's least member and
-    each orbit's size.  A walk over Python lists finds them below
-    ``WALK_BELOW_ORDER``, and ``orbit_labels`` from it up."""
+    least member: each point's orbit index (an intp array), each orbit's
+    least member and each orbit's size.  A walk over Python lists finds
+    them below ``WALK_BELOW_ORDER``, and ``orbit_labels`` from it up."""
     return (_walk_orbits if n < WALK_BELOW_ORDER else _label_orbits)(maps, n)
 
 
-def _walk_orbits(maps: list[np.ndarray], n: int) -> tuple[list[int], list[int], list[int]]:
+def _walk_orbits(maps: list[np.ndarray], n: int) -> tuple[np.ndarray, list[int], list[int]]:
     """``orbit_partition`` by breadth-first walks, each from the least
     point not yet in an orbit."""
     rows = [m.tolist() for m in maps]
@@ -206,10 +206,10 @@ def _walk_orbits(maps: list[np.ndarray], n: int) -> tuple[list[int], list[int], 
                     orbit.append(y)
         reps.append(start)
         sizes.append(len(orbit))
-    return index, reps, sizes
+    return np.array(index, dtype=np.intp), reps, sizes
 
 
-def _label_orbits(maps: list[np.ndarray], n: int) -> tuple[list[int], list[int], list[int]]:
+def _label_orbits(maps: list[np.ndarray], n: int) -> tuple[np.ndarray, list[int], list[int]]:
     """``orbit_partition`` from ``orbit_labels``: the roots, in increasing
     order, are the orbits in order of least member."""
     label = orbit_labels(maps, n)
@@ -217,7 +217,7 @@ def _label_orbits(maps: list[np.ndarray], n: int) -> tuple[list[int], list[int],
     position = np.empty(n, dtype=np.intp)
     position[reps] = np.arange(len(reps))
     index = position[label]
-    return index.tolist(), reps.tolist(), np.bincount(index).tolist()
+    return index, reps.tolist(), np.bincount(index).tolist()
 
 
 def conjugacy_classes(G: FiniteGroup) -> ClassProfile:
@@ -231,8 +231,9 @@ def conjugacy_classes(G: FiniteGroup) -> ClassProfile:
     """
     points = np.arange(G.order)
     maps = [G.conjugate_many(points, g) for g in G.generator_indices]
-    class_index, reps, sizes = orbit_partition(maps, G.order)
-    return ClassProfile(G, class_index, reps, sizes, tuple(sorted(set(sizes))))
+    index, reps, sizes = orbit_partition(maps, G.order)
+    # a list of Python ints: 1 << class_index[x] must not overflow
+    return ClassProfile(G, index.tolist(), reps, sizes, tuple(sorted(set(sizes))))
 
 
 def pi_part_exponent(o: int, pi: set[int] | frozenset[int]) -> int:

@@ -211,8 +211,9 @@ def effective_config(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None and flag is not False:
             config[key] = flag
-    if config["jobs"] < 1:
-        raise TargetError("jobs must be at least 1")
+    for key in ("jobs", "max_normal_subgroups"):
+        if config[key] < 1:
+            raise TargetError(f"{key} must be at least 1")
     args.format = config["format"]
     return config
 
@@ -281,6 +282,8 @@ def lemma_report_to_dict(rep: LemmaReport) -> dict:
 
 def cmd_verify(args) -> int:
     config = effective_config(args)
+    if config["format"] != "json":
+        raise TargetError(f"verify writes json reports only, not {config['format']}")
     theorem = args.theorem
 
     if theorem == "psl":
@@ -343,7 +346,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help=f"element closure cap (default {DEFAULT_CLOSURE_CAP})")
     p.add_argument("--max-normal-subgroups", dest="max_normal_subgroups",
                    type=int, default=None,
-                   help=f"normal subgroup enumeration cap (default {DEFAULT_NORMAL_SUBGROUP_LIMIT})")
+                   help="cap on the normal subgroups the lemma suite enumerates "
+                        f"(default {DEFAULT_NORMAL_SUBGROUP_LIMIT})")
     p.add_argument("--pair-sample-seed", dest="pair_sample_seed", type=int,
                    default=None, help="seed for sampled pair enumeration")
     p.add_argument("--jobs", type=int, default=None,

@@ -27,6 +27,7 @@ from .structure import (
     hall,
     is_frobenius,
     is_normal,
+    o_pi,
     quotient,
     sylow,
 )
@@ -72,20 +73,6 @@ def _record(report: LemmaReport, lemma: str, group: str, passed: bool,
     report.instances[lemma] += 1
     if not passed:
         report.failures.append(LemmaFailure(lemma, group, detail()))
-
-
-def o_p_prime(p: int, profile) -> frozenset[int]:
-    """O_{p'}(G): the largest normal subgroup of order coprime to p.
-
-    It is the join of the class closures N of order prime to p: their
-    product MN has order |M||N|/|M n N|, still prime to p, and a closure
-    of order divisible by p lies in no p'-group.
-    """
-    M = 1
-    for N in profile.class_closures:
-        if N & ~M and profile.size(N) % p:
-            M = profile.product(M, N)
-    return profile.members(M)
 
 
 def _direct_factor_check(G: FiniteGroup, A: frozenset[int], B: frozenset[int]) -> bool:
@@ -188,11 +175,12 @@ def check_prime_missing_from_class_sizes(G, analysis, report: LemmaReport):
     """2.1d: p divides no class size iff G = P x O_{p'}(G) with P an
     abelian Sylow p-subgroup (both directions)."""
     profile = analysis.profile
-    for p in arithmetic_profile(G.order).primes:
+    primes = arithmetic_profile(G.order).primes
+    for p in primes:
         lhs = all(s % p != 0 for s in profile.cs_set)
         P = sylow(G, p)
         P_abelian = _commute(G, P, P)
-        O = o_p_prime(p, profile)
+        O = o_pi(profile, set(primes) - {p})
         rhs = P_abelian and _direct_factor_check(G, P, O)
         _record(report, "2.1d", G.name, lhs == rhs,
                 lambda: f"p={p}: lhs={lhs}, rhs={rhs}")
@@ -277,12 +265,12 @@ def check_disconnected_class_sizes(G, analysis, report: LemmaReport):
         _record(report, "2.3", G.name, False, lambda: "trivial core despite split class sizes")
         return
     pi_all = set(arithmetic_profile(core.order).primes)
-    ok = _disconnected_conclusion(core, pi & pi_all, analysis.normal_limit) or \
-        _disconnected_conclusion(core, pi_all - pi, analysis.normal_limit)
+    ok = _disconnected_conclusion(core, pi & pi_all) or \
+        _disconnected_conclusion(core, pi_all - pi)
     _record(report, "2.3", G.name, ok, lambda: f"pi={sorted(pi)}")
 
 
-def _disconnected_conclusion(core: FiniteGroup, pi: set[int], limit: int) -> bool:
+def _disconnected_conclusion(core: FiniteGroup, pi: set[int]) -> bool:
     pi_prime = set(arithmetic_profile(core.order).primes) - pi
     H = hall(core, pi)
     L = hall(core, pi_prime)
@@ -296,7 +284,7 @@ def _disconnected_conclusion(core: FiniteGroup, pi: set[int], limit: int) -> boo
         return False
     Z = center(core)
     q = quotient(core, Z)
-    if not is_frobenius(q.group, limit).is_frobenius:
+    if not is_frobenius(q.group).is_frobenius:
         return False
     expected = tuple(sorted({1, len(L), len(H) // len(Z)}))
     return conjugacy_classes(core).cs_set == expected

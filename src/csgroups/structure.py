@@ -1,5 +1,5 @@
-"""Structural subgroup machinery: center, derived series, Sylow and
-O_p, Fitting subgroups, quotients, normal-subgroup enumeration, Hall
+"""Structural subgroup machinery: center, derived series, Sylow, O_p and
+O_pi, Fitting subgroups, quotients, normal-subgroup enumeration, Hall
 subgroups, Frobenius detection, nilpotency class, and stripping of
 abelian direct factors.
 
@@ -9,6 +9,7 @@ that needs its own multiplication table is reified by
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -219,8 +220,7 @@ def quotient(G: FiniteGroup, N: frozenset[int]) -> Quotient:
     if not is_normal(G, N, gens):
         raise ValueError("quotient by a non-normal subgroup")
     # the coset xN is the orbit of x under right multiplication by N's generators
-    coset_of, reps, _ = orbit_partition([G.mul_column(g) for g in gens], G.order)
-    projection = np.array(coset_of, dtype=np.int64)
+    projection, reps, _ = orbit_partition([G.mul_column(g) for g in gens], G.order)
     # an element acts on the cosets as its coset's representative does,
     # and as N is normal distinct cosets act differently: coset c is
     # element c of the quotient
@@ -273,6 +273,20 @@ def normal_subgroups(G: FiniteGroup, limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT,
     return sorted(map(profile.members, found), key=lambda m: (len(m), sorted(m)))
 
 
+def o_pi(profile: ClassProfile, pi: set[int] | frozenset[int]) -> frozenset[int]:
+    """O_pi(G), the largest normal pi-subgroup of the group of ``profile``.
+
+    It is the join of the class closures of pi-order: the product MN of
+    normal pi-subgroups has order |M||N|/|M n N|, still a pi-number, and
+    a class inside O_pi(G) has its closure there too.
+    """
+    M = 1
+    for N in profile.class_closures:
+        if N & ~M and arithmetic_profile(profile.size(N)).is_pi_number(pi):
+            M = profile.product(M, N)
+    return profile.members(M)
+
+
 @dataclass(frozen=True)
 class FrobeniusVerdict:
     is_frobenius: bool
@@ -280,27 +294,28 @@ class FrobeniusVerdict:
     complement: Optional[frozenset[int]] = None
 
 
-def is_frobenius(Q: FiniteGroup,
-                 limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT) -> FrobeniusVerdict:
+def is_frobenius(Q: FiniteGroup) -> FrobeniusVerdict:
     """Search for a Frobenius kernel/complement pair.
 
     A proper nontrivial normal K qualifies iff centralizers of its
     nonidentity elements stay inside K; the complement is then a Hall
     subgroup for the complementary primes (kernel and complement have
-    coprime orders).
+    coprime orders).  A kernel is a normal Hall pi-subgroup, which is
+    O_pi(Q), so the candidates are the O_pi(Q) of full pi-part, one for
+    each proper nonempty set pi of primes of |Q|.
     """
-    n = Q.order
-    for K in normal_subgroups(Q, limit):
-        if len(K) in (1, n):
-            continue
-        if math.gcd(len(K), n // len(K)) != 1:
-            continue
-        if not all(centralizer_of_set(Q, [k]) <= K for k in K if k != 0):
-            continue
-        pi = set(arithmetic_profile(n // len(K)).primes)
-        H = hall(Q, pi)
-        if H is not None and len(H) == n // len(K) and (H & K) == {0}:
-            return FrobeniusVerdict(True, K, H)
+    n, prof = Q.order, arithmetic_profile(Q.order)
+    profile = conjugacy_classes(Q)
+    for r in range(1, len(prof.primes)):
+        for pi in itertools.combinations(prof.primes, r):
+            K = o_pi(profile, pi)
+            if len(K) != math.prod(map(prof.part, pi)):
+                continue
+            if not all(centralizer_of_set(Q, [k]) <= K for k in K if k != 0):
+                continue
+            H = hall(Q, set(prof.primes) - set(pi))
+            if H is not None and len(H) == n // len(K) and (H & K) == {0}:
+                return FrobeniusVerdict(True, K, H)
     return FrobeniusVerdict(False)
 
 

@@ -1,6 +1,7 @@
-"""Executable verdicts for the structural statements about groups whose
-class sizes contain exactly two composite numbers, plus the supporting
-lemma property suite and the solubility sweep."""
+"""Executable verdicts for the statements on class sizes: Theorems A and
+C (exactly two composite class sizes), the Chillag-Herzog dichotomy (no
+composite one), the Conjecture B check and the PSL(2, 2^a) formula; and
+``GroupAnalysis``, the per-group cache they share with the lemma suite."""
 
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from .classes import composite_split, conjugacy_classes
 from .construct import FiniteGroup, alternating
 from .structure import (
     DEFAULT_NORMAL_SUBGROUP_LIMIT,
-    EnumerationLimitError,
     NotNilpotentError,
     center,
     centralizer_mask,
@@ -26,6 +26,7 @@ from .structure import (
     is_frobenius,
     nilpotency_class,
     normal_subgroups,
+    o_pi,
     quotient,
     strip_abelian_factors,
     subgroup_as_group,
@@ -127,13 +128,6 @@ class GroupAnalysis:
         return len(self.center) == self.group.order
 
 
-def _limit_reached(verdict: TheoremVerdict, exc: EnumerationLimitError) -> TheoremVerdict:
-    """Mark a verdict inconclusive, with the limit it reached as witness."""
-    verdict.incomplete = True
-    verdict.witnesses["limit"] = str(exc)
-    return verdict
-
-
 # -- Theorem A ----------------------------------------------------------------
 
 
@@ -179,40 +173,28 @@ def check_theorem_A(G: FiniteGroup, analysis: Optional[GroupAnalysis] = None) ->
     if labeling is None:
         return verdict
     verdict.witnesses.update(labeling)
-    try:
-        _check_theorem_A_decomposition(a, labeling, verdict)
-    except EnumerationLimitError as exc:
-        _limit_reached(verdict, exc)
+    _check_theorem_A_decomposition(a, labeling, verdict)
     return verdict
 
 
 def _check_theorem_A_decomposition(a: GroupAnalysis, lab: dict,
                                    verdict: TheoremVerdict) -> None:
+    """P x H up to abelian direct factors, with P = O_p1(core) and
+    H = O_p1'(core): normal subgroups of the core of orders |core|_p1 and
+    |core|_p1' are normal Hall subgroups, so these two if any."""
     core, factor = a.stripped
     p1, p2, p3 = lab["p1"], lab["p2"], lab["p3"]
-    core_analysis = a if core is a.group else GroupAnalysis(core, a.normal_limit)
-    if core_analysis.profile.cs_set != a.profile.cs_set:
+    profile = a.profile if core is a.group else conjugacy_classes(core)
+    if profile.cs_set != a.profile.cs_set:
         verdict.conclusions.append(Conclusion(
-            "strip-preserves-class-sizes", False,
-            f"cs(core)={core_analysis.profile.cs_set}"))
+            "strip-preserves-class-sizes", False, f"cs(core)={profile.cs_set}"))
         return
-    p1_target = arithmetic_profile(core.order).part(p1)
-    found = None
-    for P in core_analysis.normals:
-        if len(P) != p1_target or core.order % len(P):
-            continue
-        for H in core_analysis.normals:
-            if len(P) * len(H) != core.order or (P & H) != {0}:
-                continue
-            found = (P, H)
-            break
-        if found:
-            break
-    if not found:
+    P_sub = o_pi(profile, {p1})
+    H_sub = o_pi(profile, set(arithmetic_profile(core.order).primes) - {p1})
+    if len(P_sub) * len(H_sub) != core.order:
         verdict.conclusions.append(Conclusion(
             "P-x-H-decomposition", False, "no internal direct decomposition found"))
         return
-    P_sub, H_sub = found
     P_grp, _ = subgroup_as_group(core, P_sub, name="P")
     H_grp, _ = subgroup_as_group(core, H_sub, name="H")
     cs_P = conjugacy_classes(P_grp).cs_set
@@ -228,7 +210,7 @@ def _check_theorem_A_decomposition(a: GroupAnalysis, lab: dict,
         f"|P|={P_grp.order}, cs(P)={cs_P}, class={nclass}"))
     ZH = center(H_grp)
     qH = quotient(H_grp, ZH)
-    frob = is_frobenius(qH.group, a.normal_limit)
+    frob = is_frobenius(qH.group)
     verdict.conclusions.append(Conclusion(
         "H-cs-1-p2-p3-and-H/Z-frobenius-p2p3",
         cs_H == tuple(sorted([1, p2, p3])) and frob.is_frobenius
@@ -378,10 +360,7 @@ def check_chillag_herzog(G: FiniteGroup, analysis: Optional[GroupAnalysis] = Non
         return verdict
     Z = center(core)
     q = quotient(core, Z)
-    try:
-        frob = is_frobenius(q.group, a.normal_limit)
-    except EnumerationLimitError as exc:
-        return _limit_reached(verdict, exc)
+    frob = is_frobenius(q.group)
     sizes = sorted(cs_core)
     ok = (len(sizes) == 3 and sizes[0] == 1 and is_prime(sizes[1]) and is_prime(sizes[2])
           and frob.is_frobenius and q.group.order == sizes[1] * sizes[2])

@@ -15,6 +15,7 @@ from csgroups.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
+    _worst_status,
     main,
     read_config_file,
     resolve_target,
@@ -91,24 +92,28 @@ class TestAnalyze:
         assert verdicts[1]["status"] == "pass" and verdicts[1]["witnesses"]["case"] == "c"
         assert "limit" not in verdicts[1]["witnesses"]
 
-    def test_limit_in_theorem_A_core_is_inconclusive(self, tmp_path, capsys):
-        # Theorem A searches the normal subgroups of the core for P x H
-        report = tmp_path / "out.json"
-        assert main(["analyze", "builtin:q8xF21", "--max-normal-subgroups", "3",
-                     "--report", str(report)]) == EXIT_OK
-        assert "theorem A: inconclusive" in capsys.readouterr().out
-        verdict = json.loads(report.read_text())["entries"][0]["theorems"]["A"]
-        assert verdict["witnesses"]["limit"] == "more than 3 normal subgroups in q8xF21"
+    def test_limit_does_not_reach_theorem_A(self, tmp_path, capsys):
+        # Theorem A reads P = O_2 and H = O_2' of the core from its class
+        # algebra, so a limit of 1 leaves the verdict as it is
+        verdicts = []
+        for limit in ([], ["--max-normal-subgroups", "1"]):
+            report = tmp_path / "out.json"
+            assert main(["analyze", "builtin:q8xF21", *limit, "--report", str(report)]) == EXIT_OK
+            verdicts.append(json.loads(report.read_text())["entries"][0]["theorems"]["A"])
+        assert capsys.readouterr().out.count("theorem A: pass") == 2
+        assert verdicts[1] == verdicts[0]
+        assert verdicts[1]["witnesses"]["P_order"] == 8
 
-    def test_limit_in_central_quotient_is_inconclusive(self, capsys):
-        # the Chillag-Herzog Frobenius test enumerates the normal
-        # subgroups of G/Z(G); symmetric(3) has three
-        assert main(["verify", "CH", "builtin:sym(3)",
-                     "--max-normal-subgroups", "2"]) == EXIT_INCONCLUSIVE
-        verdict = json.loads(capsys.readouterr().out)["verdict"]
-        assert verdict["status"] == "inconclusive"
-        assert verdict["witnesses"] == {
-            "limit": "more than 2 normal subgroups in symmetric(3)/N1"}
+    def test_limit_does_not_reach_the_frobenius_test(self, capsys):
+        # the Chillag-Herzog Frobenius test on G/Z(G) tries the O_pi of
+        # symmetric(3), not its three normal subgroups
+        verdicts = []
+        for limit in ([], ["--max-normal-subgroups", "1"]):
+            assert main(["verify", "CH", "builtin:sym(3)", *limit]) == EXIT_OK
+            verdicts.append(json.loads(capsys.readouterr().out)["verdict"])
+        assert verdicts[1] == verdicts[0]
+        assert verdicts[1]["status"] == "pass"
+        assert verdicts[1]["witnesses"]["branch"] == "frobenius"
 
     def test_max_elements_raises_the_closure_cap(self, capsys):
         assert main(["analyze", "builtin:sym(7)", "--max-elements", "6000"]) == EXIT_OK
@@ -131,11 +136,24 @@ class TestVerify:
         data = json.loads(capsys.readouterr().out)
         assert data["verdict"]["status"] == "not-applicable"
 
-    def test_verify_inconclusive_exit_code(self, capsys):
-        code = main(["verify", "A", "builtin:q8xF21",
-                     "--max-normal-subgroups", "1"])
-        capsys.readouterr()
-        assert code == EXIT_INCONCLUSIVE
+    def test_verify_inconclusive_exit_code(self):
+        # no A, C or CH verdict reaches a limit today; the exit code stays
+        assert _worst_status(["inconclusive"]) == EXIT_INCONCLUSIVE
+        assert _worst_status(["pass", "FAIL", "inconclusive"]) == EXIT_INCONCLUSIVE
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_verify_rejects_csv(self, tmp_path, capsys, how):
+        if how == "flag":
+            options = ["--format", "csv"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("format = csv\n")
+            options = ["--config", str(cfg)]
+        report = tmp_path / "out"
+        assert main(["verify", "A", "builtin:q8xF21", *options,
+                     "--report", str(report)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: verify writes json reports only, not csv\n"
+        assert not report.exists()
 
     def test_verify_requires_target_for_theorems(self, capsys):
         assert main(["verify", "A"]) == EXIT_USAGE
@@ -170,11 +188,8 @@ class TestVerify:
 
 class TestNestedLimits:
     def test_every_lattice_call_gets_the_configured_limit(self, monkeypatch, capsys):
-        # Theorem A's P x H search on the core and both is_frobenius calls
-        # (Theorem A, lemma 2.3) enumerate normal subgroups; stripping
-        # abelian factors enumerates none.  q8xF21 is its own core, so its
-        # lattice is enumerated once, for Theorem A, and a lemma suite
-        # enumerates its group's lattice once, for lemma 2.1a
+        # only lemmas 2.1a and 2.1e read a lattice, of the group itself,
+        # so analyze enumerates none and a lemma suite one
         limits = []
         enumerate_normals = structure.normal_subgroups
 
@@ -185,11 +200,10 @@ class TestNestedLimits:
         monkeypatch.setattr(structure, "normal_subgroups", spy)
         monkeypatch.setattr(theorems, "normal_subgroups", spy)
         assert main(["analyze", "builtin:q8xF21", "--max-normal-subgroups", "500"]) == EXIT_OK
-        assert limits == [500] * 2
-        limits.clear()
+        assert limits == []
         assert main(["verify", "lemmas", "builtin:dihedral(5)xcyclic(3)",
                      "--max-normal-subgroups", "500"]) == EXIT_OK
-        assert limits == [500] * 2
+        assert limits == [500]
         capsys.readouterr()
 
 
@@ -324,6 +338,14 @@ class TestConfig:
                      "--report", str(tmp_path / "out")]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: jobs must be at least 1\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_normal_subgroups_below_one_is_usage_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"max_normal_subgroups = {value}\n")
+        for options in (["--max-normal-subgroups", value], ["--config", str(cfg)]):
+            assert main(["analyze", "builtin:sym(3)", *options]) == EXIT_USAGE
+            assert capsys.readouterr().err == "error: max_normal_subgroups must be at least 1\n"
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -17,12 +17,11 @@ from csgroups.construct import (
     quaternion8,
     symmetric,
 )
-from csgroups.structure import centralizer_of_set, subgroup_as_group, sylow
+from csgroups.structure import centralizer_of_set, o_pi, subgroup_as_group, sylow
 from csgroups.lemmas import (
     LEMMA_IDS,
     LemmaReport,
     lemma_suite_for_group,
-    o_p_prime,
     _coprimality_components,
 )
 from csgroups.theorems import GroupAnalysis
@@ -61,14 +60,14 @@ class TestHelpers:
     def test_o_p_prime_of_symmetric_3(self):
         G = symmetric(3)
         prof = conjugacy_classes(G)
-        assert len(o_p_prime(2, prof)) == 3  # the rotation subgroup
-        assert len(o_p_prime(3, prof)) == 1
+        assert len(o_pi(prof, {3})) == 3  # O_2', the rotation subgroup
+        assert len(o_pi(prof, {2})) == 1  # O_3'
 
     def test_o_p_prime_of_direct_product(self):
         G = direct_product(quaternion8(), cyclic(3))
         prof = conjugacy_classes(G)
-        assert len(o_p_prime(2, prof)) == 3
-        assert len(o_p_prime(3, prof)) == 8
+        assert len(o_pi(prof, {3})) == 3  # O_2'
+        assert len(o_pi(prof, {2})) == 8  # O_3'
 
     def test_coprimality_components(self):
         assert len(_coprimality_components([2, 4, 3, 9])) == 2

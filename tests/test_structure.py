@@ -10,7 +10,7 @@ from hypothesis import assume, given, reject, settings, strategies as st
 from csgroups.catalog import fixture_group, iter_catalog, make_builtin
 from csgroups.arith import arithmetic_profile
 from csgroups.classes import conjugacy_classes
-from csgroups.lemmas import MAX_QUOTIENT_NORMALS, LemmaReport, check_pi_element_lifting, o_p_prime
+from csgroups.lemmas import MAX_QUOTIENT_NORMALS, LemmaReport, check_pi_element_lifting
 from csgroups.construct import (
     FiniteGroup,
     alternating,
@@ -30,8 +30,10 @@ from csgroups.perm import (
 )
 from csgroups.structure import (
     EnumerationLimitError,
+    FrobeniusVerdict,
     NotNilpotentError,
     center,
+    centralizer_of_set,
     core_p,
     derived_series,
     fitting,
@@ -42,6 +44,7 @@ from csgroups.structure import (
     is_normal,
     nilpotency_class,
     normal_subgroups,
+    o_pi,
     quotient,
     strip_abelian_factors,
     subgroup_as_group,
@@ -309,9 +312,15 @@ class TestClassAlgebraOracles:
         assert set(lattice) == normals
         assert all(profile.members(profile.mask_of(N)) == N for N in normals)
 
-        for p in arithmetic_profile(G.order).primes:
-            largest = max((N for N in normals if len(N) % p), key=len)
-            assert o_p_prime(p, profile) == largest
+        # O_pi(G), the largest normal pi-subgroup, for every nonempty pi
+        primes = arithmetic_profile(G.order).primes
+        for r in range(1, len(primes) + 1):
+            for pi in itertools.combinations(primes, r):
+                largest = max((N for N in normals if arithmetic_profile(len(N)).is_pi_number(pi)),
+                              key=len)
+                assert o_pi(profile, set(pi)) == largest
+
+        for p in primes:
             P = sylow(G, p)
             assert len(P) == arithmetic_profile(G.order).part(p) and brute.is_closed(sorted(P))
             p_normals = [N for N in normals if arithmetic_profile(len(N)).primes in ((), (p,))]
@@ -319,7 +328,6 @@ class TestClassAlgebraOracles:
 
         # a Hall pi-subgroup for each pi of at least two primes but not all;
         # soluble groups have one (P. Hall)
-        primes = arithmetic_profile(G.order).primes
         soluble = derived_series(G)[1]
         for r in range(2, len(primes)):
             for pi in itertools.combinations(primes, r):
@@ -362,6 +370,22 @@ class TestClassAlgebraOracles:
         assert len(factor) == best and core.order * len(factor) == G.order
         assert factor <= Z
         assert conjugacy_classes(core).cs_set == profile.cs_set
+
+    @pytest.mark.parametrize("spec", ["sym(5)xcyclic(2)", "alt(5)xcyclic(6)",
+                                      "frobenius(7,3)xcyclic(5)"])
+    def test_o_pi_where_it_misses_primes_of_pi(self, spec):
+        """O_pi against the largest normal pi-subgroup of the lattice, in
+        groups where some O_pi holds no element of order divisible by
+        some prime of pi, which random small groups rarely give."""
+        G = make_builtin(spec)
+        profile = conjugacy_classes(G)
+        normals = normal_subgroups(G, profile=profile)
+        primes = arithmetic_profile(G.order).primes
+        for r in range(1, len(primes) + 1):
+            for pi in itertools.combinations(primes, r):
+                largest = max((N for N in normals if arithmetic_profile(len(N)).is_pi_number(pi)),
+                              key=len)
+                assert o_pi(profile, set(pi)) == largest
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(small_permutation_groups())
@@ -414,6 +438,44 @@ class TestFrobeniusAndHall:
     def test_hall_subgroups_of_non_soluble_groups(self):
         assert len(hall(alternating(5), {2, 3})) == 12
         assert len(hall(fixture_group("psl_2_8"), {2, 7})) == 56
+
+
+def _frobenius_by_lattice(Q: FiniteGroup) -> FrobeniusVerdict:
+    """The Frobenius test as a walk over the normal-subgroup lattice: the
+    first normal K of coprime index whose nonidentity elements have their
+    centralizers inside K, with a Hall complement."""
+    n = Q.order
+    for K in normal_subgroups(Q):
+        if len(K) in (1, n) or math.gcd(len(K), n // len(K)) != 1:
+            continue
+        if not all(centralizer_of_set(Q, [k]) <= K for k in K if k != 0):
+            continue
+        H = hall(Q, set(arithmetic_profile(n // len(K)).primes))
+        if H is not None and len(H) == n // len(K) and (H & K) == {0}:
+            return FrobeniusVerdict(True, K, H)
+    return FrobeniusVerdict(False)
+
+
+class TestFrobeniusOracle:
+    """``is_frobenius`` tries the O_pi of full pi-part; the lattice walk
+    tries every normal subgroup.  Verdict, kernel and complement agree."""
+
+    @staticmethod
+    def _assert_matches_lattice(G: FiniteGroup) -> None:
+        for Q in (G, quotient(G, center(G)).group):
+            assert is_frobenius(Q) == _frobenius_by_lattice(Q), Q.name
+
+    def test_catalog_groups_and_central_quotients(self):
+        # dihedral(15) has a kernel of order 15, which no catalog group has
+        groups = [e.group for e in iter_catalog()] + [make_builtin("dihedral(15)")]
+        for G in groups:
+            self._assert_matches_lattice(G)
+        assert len(is_frobenius(groups[-1]).kernel) == 15
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(small_permutation_groups())
+    def test_random_groups_and_central_quotients(self, G):
+        self._assert_matches_lattice(G)
 
 
 def _lattice_strip(G: FiniteGroup) -> tuple[frozenset[int], frozenset[int]]:

@@ -3,6 +3,7 @@ solubility sweep, and the projective-line class-size formula."""
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from csgroups import structure, theorems
@@ -18,9 +19,11 @@ from csgroups.construct import (
     quaternion8,
     symmetric,
 )
-from csgroups.structure import centralizer_of_set
+from csgroups.structure import centralizer_of_set, normal_subgroups
 from csgroups.theorems import (
     GroupAnalysis,
+    TheoremVerdict,
+    _check_theorem_A_decomposition,
     _labeling_by_gcd,
     check_chillag_herzog,
     check_psl_formula,
@@ -46,6 +49,20 @@ def search_labeling(cs):
     return None
 
 
+def lattice_decomposition(core, p1):
+    """Reference P x H for Theorem A by a search of the core's
+    normal-subgroup lattice: a normal P of order |core|_p1 and a normal H
+    with |P||H| = |core| and P n H = 1, or None."""
+    normals = normal_subgroups(core)
+    for P in normals:
+        if len(P) != arithmetic_profile(core.order).part(p1):
+            continue
+        for H in normals:
+            if len(P) * len(H) == core.order and P & H == {0}:
+                return P, H
+    return None
+
+
 class TestGroupAnalysis:
     def test_centralizer_is_centralizer_of_set_once_per_element(self):
         for G in (make_builtin("q8xcyclic(15)"), symmetric(4), fixture_group("g162_5")):
@@ -62,6 +79,23 @@ class TestGroupAnalysis:
         assert len(a._centralizers) == G.order
         assert all(0 < C < 1 << G.order for C in masks)
         assert sum(C.bit_count() for C in masks) == len(conjugacy_classes(G).classes) * G.order
+
+
+class TestVerdictsWithoutLattice:
+    """No verdict enumerates a normal-subgroup lattice: Theorem A's P x H
+    and the Frobenius test read O_pi from the class algebra."""
+
+    def test_no_verdict_enumerates_normal_subgroups(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a verdict enumerated normal subgroups")
+
+        monkeypatch.setattr(structure, "normal_subgroups", refuse)
+        monkeypatch.setattr(theorems, "normal_subgroups", refuse)
+        statuses = set()
+        for e in iter_catalog():
+            entry, _ = entry_for_group(e.name, e.source, e.group, {"max_normal_subgroups": 1}, False)
+            statuses.update(v["status"] for v in entry["theorems"].values())
+        assert statuses == {"pass", "not-applicable"}
 
 
 class TestStripNearCap:
@@ -105,6 +139,48 @@ class TestTheoremA:
         assert verdict.witnesses["n"] == 14
         assert verdict.witnesses["P_order"] == 8
         assert verdict.witnesses["H_order"] == 21
+
+    @pytest.fixture
+    def reified(self, monkeypatch):
+        """The member sets Theorem A reifies, by name ("P" and "H")."""
+        members = {}
+        reify = theorems.subgroup_as_group
+
+        def spy(G, sub, name=None):
+            members[name] = sub
+            return reify(G, sub, name)
+
+        monkeypatch.setattr(theorems, "subgroup_as_group", spy)
+        return members
+
+    def test_decomposition_matches_the_lattice_search(self, reified):
+        groups = [e.group for e in iter_catalog()
+                  if _labeling_by_gcd(conjugacy_classes(e.group).cs_set)]
+        assert groups  # q8xF21
+        groups += [make_builtin("q8xfrobenius(11,5)"), make_builtin("extraspecial(5)xfrobenius(7,2)")]
+        for G in groups:
+            reified.clear()
+            a = GroupAnalysis(G)
+            verdict = check_theorem_A(G, a)
+            assert verdict.status() == "pass"
+            expected = lattice_decomposition(a.stripped[0], verdict.witnesses["p1"])
+            assert (reified["P"], reified["H"]) == expected
+
+    def test_decomposition_for_every_prime_matches_the_lattice_search(self, reified):
+        # the search for P x H alone, for p1 each prime of the core, so the
+        # cores without a decomposition are compared too
+        missing = 0
+        for entry in iter_catalog(max_elements=200):
+            a = GroupAnalysis(entry.group)
+            core = a.stripped[0]
+            for p1 in arithmetic_profile(core.order).primes:
+                reified.clear()
+                _check_theorem_A_decomposition(a, {"p1": p1, "p2": 1, "p3": 1},
+                                               TheoremVerdict("A", True, ""))
+                expected = lattice_decomposition(core, p1)
+                assert (reified.get("P"), reified.get("H")) == (expected or (None, None))
+                missing += expected is None
+        assert missing
 
     def test_does_not_apply_without_two_composites(self):
         assert not check_theorem_A(symmetric(3)).hypotheses_apply
