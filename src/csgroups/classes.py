@@ -33,29 +33,26 @@ class ClassProfile:
 
     Classes are in order of their least member, which is their
     representative; class 0 is the identity.  Class data is indexed by
-    class position: ``class_index`` maps an element to its class, as a
-    list for scalar reads; ``sizes`` holds the class sizes.  Two views are
-    built on first read: ``class_of``, ``class_index`` as an array for
-    batched reads, and ``classes``, the (representative, members) pairs,
-    so a caller that needs only the sizes never builds a member set.  A
-    union of classes, such as a normal subgroup, is a *mask*: a k-bit
-    integer over the k classes.  The support ``support[i][j]``, the
-    classes met by ``rep_i * C_j``, takes one multiplication row per
-    class and is built on first use.  Conjugation maps ``rep_i * C_j``
+    class position: ``class_of`` maps an element to its class, as the
+    intp array of ``orbit_partition`` for batched reads, and
+    ``class_index`` as a list for scalar reads; ``sizes`` holds the class
+    sizes.  ``classes``, the (representative, members) pairs, is built on
+    first read, so a caller that needs only the sizes never builds a
+    member set.  A union of classes, such as a normal subgroup, is a
+    *mask*: a k-bit integer over the k classes.  The support
+    ``support[i][j]``, the classes met by ``rep_i * C_j``, takes one
+    multiplication row per class and is built on first use.  Conjugation maps ``rep_i * C_j``
     onto ``rep_i^g * C_j``, so it is also the classes met by C_i C_j: a
     product of unions of classes is an OR over it.  Normal subgroups M
     and N have the join MN, of order |M||N|/|M n N| (``M & N``).
     """
 
     group: FiniteGroup
-    class_index: list[int]      # element index -> class position
+    class_of: np.ndarray        # element index -> class position (intp)
+    class_index: list[int]      # the same, as Python ints
     representatives: list[int]  # class position -> least member
     sizes: list[int]            # class position -> class size
     cs_set: tuple[int, ...]     # sorted distinct class sizes
-
-    @cached_property
-    def class_of(self) -> np.ndarray:
-        return np.array(self.class_index, dtype=np.int64)
 
     @cached_property
     def classes(self) -> list[tuple[int, frozenset[int]]]:
@@ -233,7 +230,7 @@ def conjugacy_classes(G: FiniteGroup) -> ClassProfile:
     maps = [G.conjugate_many(points, g) for g in G.generator_indices]
     index, reps, sizes = orbit_partition(maps, G.order)
     # a list of Python ints: 1 << class_index[x] must not overflow
-    return ClassProfile(G, index.tolist(), reps, sizes, tuple(sorted(set(sizes))))
+    return ClassProfile(G, index, index.tolist(), reps, sizes, tuple(sorted(set(sizes))))
 
 
 def pi_part_exponent(o: int, pi: set[int] | frozenset[int]) -> int:

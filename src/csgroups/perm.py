@@ -1,4 +1,4 @@
-"""Permutation arithmetic and breadth-first group closure.
+"""Permutation arithmetic and group closure by cosets (Dimino's algorithm).
 
 Everything downstream computes on an ``ElementTable``, the fully
 enumerated closure of a generating set, whose elements are the rows of
@@ -375,12 +375,12 @@ class ElementTable:
 
 
 def close(generators: Sequence[Permutation], cap: int = DEFAULT_CLOSURE_CAP) -> ElementTable:
-    """Breadth-first closure of ``generators`` under composition.
+    """The closure of ``generators`` under composition, a whole coset at a
+    time (``close_with_degree``).
 
     Raises ``OrderCapExceededError``, with ``partial_count == cap + 1``,
-    once a generator's block of a level takes the count past ``cap``.  An
-    empty generator list needs an explicit degree; use
-    ``close_with_degree``.
+    once the next coset would take the count past ``cap``.  An empty
+    generator list needs an explicit degree; use ``close_with_degree``.
     """
     if not generators:
         raise ValueError("empty generator list; use close_with_degree")
@@ -390,17 +390,24 @@ def close(generators: Sequence[Permutation], cap: int = DEFAULT_CLOSURE_CAP) -> 
 
 def close_with_degree(generators: Sequence[Permutation], deg: int,
                       cap: int = DEFAULT_CLOSURE_CAP) -> ElementTable:
-    """``close`` on ``deg`` points, a level at a time: the next level is
-    each element of the last one times the first generator, then each
-    times the second, and so on, keeping the first of each new element.
+    """``close`` on ``deg`` points, by Dimino's algorithm (G. Butler,
+    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991).
 
-    Works in ``point_dtype(deg)`` throughout.  Each generator's block of
-    products is deduplicated on the rows' bytes, and its new rows are
-    written straight into one store, which grows by at least a quarter
-    when full and is trimmed to the order before the table takes it.  So
-    the table holds no spare rows, and the closure holds no more than the
-    store, the bytes of its rows and one block with the bytes of its
-    rows."""
+    Let H = <g1, ..., g(i-1)> be closed, in ``store[:|H|]``.  A generator
+    gi already in H adds nothing.  Otherwise <H, gi> is the union of the
+    right cosets H*t found from t = gi by multiplying each new coset's
+    representative by every generator so far: a product t outside the
+    elements found is the representative of a new coset, written as one
+    gather of H's rows, and only t is tested for membership.  So the rows
+    of each <g1, ..., gi> come first, coset by coset, and row 0 is the
+    identity.  While H is trivial a coset is its representative alone.
+
+    Works in ``point_dtype(deg)`` throughout.  Membership is read off a
+    set of the rows' bytes.  Cosets are written straight into one store,
+    which grows by at least a quarter when full and is trimmed to the
+    order before the table takes it.  So the table holds no spare rows,
+    and the closure holds no more than the store, the bytes of its rows,
+    and one round's products and one coset, each with its rows' bytes."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     for g in generators:
@@ -412,26 +419,32 @@ def close_with_degree(generators: Sequence[Permutation], deg: int,
     store = np.empty((min(cap, 1 + len(gens)), deg), dtype=dtype)
     store[0] = np.arange(deg)
     seen = {store[0].tobytes()}
-    start, count = 0, 1
-    while start < count:
-        end = count  # the last level is store[start:end]
-        for g in gens:
-            # row-wise composition: (e * g)(i) = e[g[i]]
-            block = store[start:end].take(g, axis=1)
-            fresh = []
-            for i, key in enumerate(block.view(row_bytes).ravel().tolist()):
-                if key not in seen:
+    count = 1
+    for i in range(len(gens)):
+        order = count  # H = store[:order] is closed
+        products = gens[i:i + 1]  # the identity times gi: the first coset is H*gi
+        while len(products):
+            reps = []  # the store rows of this round's new representatives
+            for j, key in enumerate(products.view(row_bytes).ravel().tolist()):
+                if key in seen:
+                    continue
+                grown = count + order
+                if grown > cap:
+                    raise OrderCapExceededError(cap, cap + 1)
+                if grown > len(store):  # no view of the store is alive here
+                    store.resize((min(cap, max(grown, len(store) * 5 // 4)), deg), refcheck=False)
+                if order == 1:
+                    store[count] = products[j]
                     seen.add(key)
-                    fresh.append(i)
-            grown = count + len(fresh)
-            if grown > cap:
-                raise OrderCapExceededError(cap, cap + 1)
-            if grown > len(store):  # no view of the store is alive here
-                store.resize((min(cap, max(grown, len(store) * 5 // 4)), deg), refcheck=False)
-            # "clip" writes straight into the store ("raise" would buffer); no index is out of range
-            block.take(fresh, axis=0, out=store[count:grown], mode="clip")
-            count = grown
-        start = end
+                else:
+                    # row-wise composition: (h * t)(x) = h[t[x]], for every h in H;
+                    # "clip" writes straight into the store ("raise" would buffer)
+                    store[:order].take(products[j], axis=1, out=store[count:grown], mode="clip")
+                    seen.update(store[count:grown].view(row_bytes).ravel().tolist())
+                reps.append(count)
+                count = grown
+            # each representative times each generator so far: (t * g)(x) = t[g[x]]
+            products = store.take(reps, axis=0).take(gens[:i + 1], axis=1).reshape(-1, deg)
     del seen
     store.resize((count, deg), refcheck=False)
     return ElementTable(store)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import arithmetic_profile
-from .classes import ClassProfile, conjugacy_classes, orbit_partition, pi_part_of_element
+from .classes import ClassProfile, conjugacy_classes, orbit_partition
 from .construct import FiniteGroup
 from .perm import ElementTable, point_dtype
 
@@ -149,27 +149,21 @@ def derived_series(G: FiniteGroup) -> tuple[list[frozenset[int]], bool]:
 def sylow(G: FiniteGroup, p: int) -> frozenset[int]:
     """A Sylow p-subgroup, grown by normalizer ascent.
 
-    While |P| is short of the full p-part, some element of N_G(P) has a
-    p-part outside P, and adjoining it keeps the join a p-group since P
-    is normal in its normalizer.
+    While |P| is short of the full p-part, P lies properly in a Sylow
+    subgroup S, and N_S(P) is larger than P (normalizers grow in
+    p-groups); so N_G(P) \\ P holds a p-element, an element whose order
+    divides the p-part.  Adjoining the least one keeps the join a
+    p-group, since P is normal in its normalizer.
     """
     target = arithmetic_profile(G.order).part(p)
     members: frozenset[int] = frozenset([0])
-    if target == 1:
-        return members
     while len(members) < target:
         candidates = normalizer(G, members) if len(members) > 1 else frozenset(range(G.order))
-        extended = False
-        for x in sorted(candidates - members):
-            if int(G.element_orders[x]) % p != 0:
-                continue
-            y = pi_part_of_element(G, x, {p})
-            if y not in members:
-                members = G.subgroup_closure(generating_set(G, members) + [y])
-                extended = True
-                break
-        if not extended:  # pragma: no cover - Sylow theory guarantees progress
+        outside = np.array(sorted(candidates - members), dtype=np.intp)
+        p_elements = outside[target % G.element_orders[outside] == 0]
+        if not len(p_elements):  # pragma: no cover - Sylow theory guarantees progress
             raise RuntimeError(f"sylow ascent stalled at order {len(members)}")
+        members = G.subgroup_closure(generating_set(G, members) + [int(p_elements[0])])
     return members
 
 

@@ -177,13 +177,18 @@ class TestVerify:
         assert data["verdict"]["instances"]["2.6"] >= 1
 
     def test_verify_lemmas_honours_normal_subgroup_limit(self, capsys):
-        # sym(4) has four normal subgroups
+        # sym(4) has four normal subgroups; only 2.1a and 2.1e read them,
+        # so only they skip, and the other lemmas keep their instances
+        assert main(["verify", "lemmas", "builtin:sym(4)"]) == EXIT_OK
+        unlimited = json.loads(capsys.readouterr().out)["verdict"]
         assert main(["verify", "lemmas", "builtin:sym(4)",
                      "--max-normal-subgroups", "1"]) == EXIT_OK
-        skipped = json.loads(capsys.readouterr().out)["verdict"]["skipped"]
-        assert skipped == [{"lemma": "*", "group": "symmetric(4)",
-                            "reason": "structural limit: more than 1 normal "
-                                      "subgroups in symmetric(4)"}]
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        reason = "structural limit: more than 1 normal subgroups in symmetric(4)"
+        assert verdict["skipped"] == [{"lemma": lemma, "group": "symmetric(4)", "reason": reason}
+                                      for lemma in ("2.1a", "2.1e")]
+        assert verdict["instances"] == {**unlimited["instances"], "2.1a": 0, "2.1e": 0}
+        assert [verdict["instances"][lemma] for lemma in ("2.1b", "2.1d", "2.5", "2.6")] == [1, 2, 1, 3]
 
 
 class TestNestedLimits:

@@ -128,15 +128,25 @@ class TestClosure:
         assert close_with_degree([], 3).elements == [identity(3)]
         assert close_with_degree([], 0).elements == [identity(0)]
 
-    def test_cap_crossed_in_a_later_block_of_a_level(self):
+    def test_cap_crossed_at_a_later_coset(self):
         a, b = from_cycles(4, [(0, 1)]), from_cycles(4, [tuple(range(4))])
-        # level 1 is [a, b]; level 2 is the block [b*a] (a*a is the identity)
-        # and then the block [a*b, b*b]: a cap of 4 fits the first and not the second
-        assert reference_closure([a, b], 4)[:6] == [
-            identity(4), a, b, compose(b, a), compose(a, b), compose(b, b)]
+        # <a> = {1, a} and its coset <a>*b make 4 elements; the next coset,
+        # <a>*(b*a), would make 6: a cap of 4 fits the first and not the second
+        table = close([a, b], cap=24)
+        assert set(table.elements[:4]) == {identity(4), a, b, compose(a, b)}
+        assert table.elements[4] == compose(b, a)
         with pytest.raises(OrderCapExceededError) as info:
             close([a, b], cap=4)
         assert (info.value.cap, info.value.partial_count) == (4, 5)
+
+    def test_cap_crossed_inside_the_first_coset(self):
+        a, b = from_cycles(4, [(0, 1)]), from_cycles(4, [tuple(range(4))])
+        assert len(close([b], cap=4)) == 4
+        # <b> has order 4, so its first coset <b>*a takes the count from 4 to 8
+        for cap in (4, 5, 6, 7):
+            with pytest.raises(OrderCapExceededError) as info:
+                close([b, a], cap=cap)
+            assert (info.value.cap, info.value.partial_count) == (cap, cap + 1)
 
     def test_matrix_holds_exactly_the_order(self):
         table = close([from_cycles(6, [(0, 1)]), from_cycles(6, [tuple(range(6))])])
@@ -163,7 +173,13 @@ class TestClosure:
         n = data.draw(st.integers(2, 7))
         gens = [Permutation(g) for g in
                 data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))]
-        assert close_with_degree(gens, n, cap=5040).elements == reference_closure(gens, n)
+        elements = close_with_degree(gens, n, cap=5040).elements
+        assert len(elements) == len(set(elements)) == len(reference_closure(gens, n))
+        assert elements[0] == identity(n)
+        # the closure order: each <g1, ..., gi> is a prefix of the rows
+        for i in range(1, len(gens) + 1):
+            subgroup = set(reference_closure(gens[:i], n))
+            assert set(elements[:len(subgroup)]) == subgroup
 
 
 class TestElementTable:

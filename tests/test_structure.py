@@ -22,11 +22,14 @@ from csgroups.construct import (
     symmetric,
 )
 from csgroups.perm import (
+    ElementTable,
     OrderCapExceededError,
     Permutation,
     close_with_degree,
+    compose,
     element_order,
     from_cycles,
+    identity,
 )
 from csgroups.structure import (
     EnumerationLimitError,
@@ -521,15 +524,22 @@ class TestStripAbelianFactors:
         # sym(3) x C4 x C2, numbered so that the central z = (2,1) is tried
         # first and (0,1) comes before (1,0).  <z> splits off, with the
         # complement sym(3) x <(1,0)>; grown from 1 (or from G'), the
-        # complement takes (0,1) first and then stops at index 4
+        # complement takes (0,1) first, which lies in no complement of <z>.
+        # The table is built from an explicit matrix, so its numbering
+        # does not depend on the closure: the abelian part in the order
+        # 1, z, (0,1), (1,0), ..., then its products with each other
+        # element of sym(3)
         deg = 9
-        gens = [from_cycles(deg, [(3, 5), (4, 6), (7, 8)]),  # (2,1)
-                from_cycles(deg, [(7, 8)]),                  # (0,1)
-                from_cycles(deg, [(3, 4, 5, 6)]),            # (1,0)
-                from_cycles(deg, [(0, 1, 2)]), from_cycles(deg, [(0, 1)])]
-        table = close_with_degree(gens, deg)
+        u, v = from_cycles(deg, [(7, 8)]), from_cycles(deg, [(3, 4, 5, 6)])  # (0,1), (1,0)
+        v2 = compose(v, v)
+        v3 = compose(v2, v)
+        abelian = [identity(deg), compose(v2, u), u, v, v2, v3, compose(v, u), compose(v3, u)]
+        sym3 = [Permutation(list(s) + list(range(3, deg)))
+                for s in itertools.permutations(range(3))]
+        rows = [compose(a, s).images for s in sym3 for a in abelian]
+        table = ElementTable(np.array(rows))
+        gens = abelian[1:4] + [from_cycles(deg, [(0, 1, 2)]), from_cycles(deg, [(0, 1)])]
         G = FiniteGroup(table, [table.index_of(g) for g in gens], "sym(3)xC4xC2")
-        assert [table.index_of(g) for g in gens[:3]] == [1, 2, 3]
         core, factor = strip_abelian_factors(G)
         assert (core.order, len(factor)) == (6, 8)
         assert conjugacy_classes(core).cs_set == (1, 2, 3)
