@@ -37,6 +37,7 @@ DEFAULT_CLOSURE_CAP = 5000
 KEY_SEED = 0x6373  # seeds the fixed weights of the base-image hash
 _KEY_MASK = (1 << 64) - 1
 _MARK_CHUNK = 1 << 16  # matrix entries per chunk of the bijection check
+_COSET_ENTRIES = 1 << 16  # matrix entries per batch of cosets in a closure
 
 
 class DegreeMismatchError(ValueError):
@@ -293,11 +294,6 @@ class ElementTable:
     def element(self, i: int) -> Permutation:
         return Permutation(self.matrix[i].tolist())
 
-    @property
-    def elements(self) -> list[Permutation]:
-        """Every element as a ``Permutation``, built anew on each access."""
-        return [Permutation(row) for row in self.matrix.tolist()]
-
     def _keys_of(self, images: np.ndarray) -> np.ndarray:
         """Hash of each row of base images (wrapping uint64 arithmetic)."""
         return images.astype(np.uint64) @ self._weight_vector
@@ -390,61 +386,177 @@ def close(generators: Sequence[Permutation], cap: int = DEFAULT_CLOSURE_CAP) -> 
 
 def close_with_degree(generators: Sequence[Permutation], deg: int,
                       cap: int = DEFAULT_CLOSURE_CAP) -> ElementTable:
-    """``close`` on ``deg`` points, by Dimino's algorithm (G. Butler,
-    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991).
-
-    Let H = <g1, ..., g(i-1)> be closed, in ``store[:|H|]``.  A generator
-    gi already in H adds nothing.  Otherwise <H, gi> is the union of the
-    right cosets H*t found from t = gi by multiplying each new coset's
-    representative by every generator so far: a product t outside the
-    elements found is the representative of a new coset, written as one
-    gather of H's rows, and only t is tested for membership.  So the rows
-    of each <g1, ..., gi> come first, coset by coset, and row 0 is the
-    identity.  While H is trivial a coset is its representative alone.
-
-    Works in ``point_dtype(deg)`` throughout.  Membership is read off a
-    set of the rows' bytes.  Cosets are written straight into one store,
-    which grows by at least a quarter when full and is trimmed to the
-    order before the table takes it.  So the table holds no spare rows,
-    and the closure holds no more than the store, the bytes of its rows,
-    and one round's products and one coset, each with its rows' bytes."""
+    """``close`` on ``deg`` points: each generator in turn is adjoined to
+    the subgroup of those before it by one ``Closure`` step, so the rows
+    of each <g1, ..., gi> come first and row 0 is the identity.  The store
+    is trimmed to the order before the table takes it, so the table holds
+    no spare rows."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     for g in generators:
         if g.deg != deg:
             raise DegreeMismatchError(f"generator degree {g.deg} != {deg}")
-    dtype = point_dtype(deg)
-    gens = np.array([g.images for g in generators], dtype=dtype).reshape(len(generators), deg)
-    row_bytes = np.dtype((np.void, dtype.itemsize * deg))
-    store = np.empty((min(cap, 1 + len(gens)), deg), dtype=dtype)
-    store[0] = np.arange(deg)
-    seen = {store[0].tobytes()}
-    count = 1
-    for i in range(len(gens)):
-        order = count  # H = store[:order] is closed
-        products = gens[i:i + 1]  # the identity times gi: the first coset is H*gi
+    closure = Closure(deg, cap, len(generators), rows=1 + len(generators))
+    for g in generators:
+        closure.adjoin(np.array(g.images, dtype=closure.store.dtype))
+    return ElementTable(closure.rows())
+
+
+class Closure:
+    """A subgroup grown one generator at a time by Dimino's algorithm (G.
+    Butler, *Fundamental Algorithms for Permutation Groups*, LNCS 559,
+    1991): the one coset step of ``close_with_degree`` and of the normal
+    closures in ``structure``.
+
+    The subgroup H closed so far is ``store[:count]``, rows of images in
+    ``point_dtype(deg)`` with row 0 the identity, and ``gens[:ngens]`` are
+    the rows adjoined so far.  Membership is read off ``seen``, the set of
+    the rows' bytes, so a row given to ``adjoin`` or ``extend`` must be in
+    that dtype too.  ``adjoin(g)`` makes H = <H, g>:
+
+    - g already in H adds nothing (but still counts as a generator).
+    - When g normalizes H, as it does a trivial H, <H, g> is the union of
+      the cosets H g^k, written by doubling: with H g^0, ..., H g^(m-1)
+      in the store, H g^m, ..., H g^(2m-1) are that block taken by g^m,
+      until a power of g comes back into H.  So <g> takes about log2 of
+      its order in rounds, not one round per power.
+    - Otherwise <H, g> is the union of the right cosets H*t found from
+      t = g by multiplying each new coset's representative by every
+      generator so far: a product t outside the elements found is the
+      representative of a new coset, gathered from H's rows, and only t
+      is tested for membership.
+
+    The store grows by at least a quarter when full; ``rows`` trims it to
+    the order.  Growing past ``cap`` rows raises
+    ``OrderCapExceededError(cap, cap + 1)``.  So a closure holds no more
+    than the store, the bytes of its rows, one round's products, and one
+    batch of cosets (at most ``_COSET_ENTRIES`` entries) with their rows'
+    bytes.
+    """
+
+    def __init__(self, deg: int, cap: int, max_gens: int, rows: int = 1):
+        dtype = point_dtype(deg)
+        self.deg, self.cap = deg, cap
+        self._row_bytes = np.dtype((np.void, dtype.itemsize * deg))
+        self.store = np.empty((max(1, min(cap, rows)), deg), dtype=dtype)
+        self.store[0] = np.arange(deg)
+        self.seen = {self.store[0].tobytes()}
+        self.count = 1
+        self.gens = np.empty((max_gens, deg), dtype=dtype)
+        self.ngens = 0
+
+    def rows(self) -> np.ndarray:
+        """The store, trimmed to the order; the closure is done with."""
+        del self.seen
+        self.store.resize((self.count, self.deg), refcheck=False)
+        return self.store
+
+    def _grow(self, rows: int) -> None:
+        """Room for ``rows <= cap`` rows; no view of the store may be alive."""
+        if rows > len(self.store):
+            self.store.resize((min(self.cap, max(rows, len(self.store) * 5 // 4)), self.deg),
+                              refcheck=False)
+
+    def adjoin(self, g: np.ndarray) -> None:
+        self.gens[self.ngens] = g
+        g = self.gens[self.ngens]
+        self.ngens += 1
+        if g.tobytes() in self.seen:
+            return
+        if self._normalizes(g):
+            self._powers(g)
+        else:
+            self._cosets(g)
+
+    def extend(self, rows: np.ndarray) -> None:
+        """Adjoin each of ``rows`` in turn that is not yet an element."""
+        for j, key in enumerate(rows.view(self._row_bytes).ravel().tolist()):
+            if key not in self.seen:
+                self.adjoin(rows[j])
+
+    def _normalizes(self, g: np.ndarray) -> bool:
+        """Whether g normalizes H: g s g^-1, which maps g[p] to g[s[p]],
+        lies in H for each generator s of H.  A trivial H always is."""
+        if self.count == 1:
+            return True
+        gens = self.gens[:self.ngens - 1]
+        conjugates = np.empty_like(gens)
+        conjugates[:, g] = g[gens]
+        return all(key in self.seen for key in conjugates.view(self._row_bytes).ravel().tolist())
+
+    def _powers(self, g: np.ndarray) -> None:
+        """<H, g> = H<g>, by doubling, for a g that normalizes H.  The first
+        row of coset H g^k is g^k; while g, ..., g^(k-1) lie outside H, g^k
+        lies among the rows so far only if it lies in H.  So a round finds
+        how many of its cosets are new from their first rows and writes
+        only those; when H is trivial a coset is its first row."""
+        order, cap, seen, row_bytes = self.count, self.cap, self.seen, self._row_bytes
+        m = 1
+        while (power := self.store[(m - 1) * order].take(g)).tobytes() not in seen:  # g^m
+            step = min(m, (cap - m * order) // order)  # the cosets that fit
+            if not step:
+                raise OrderCapExceededError(cap, cap + 1)
+            # row-wise composition: (h g^j)(g^m)(x) = (h g^j)[g^m[x]], first for h = 1
+            if order == 1:
+                self._grow(m + step)
+                firsts = self.store[m:m + step]
+                self.store[:step].take(power, axis=1, out=firsts, mode="clip")
+            else:
+                firsts = self.store[:step * order:order].take(power, axis=1)
+            keys = firsts.view(row_bytes).ravel().tolist()  # g^m, ..., g^(m+step-1)
+            new = next((j for j, key in enumerate(keys) if key in seen), step)
+            del firsts  # the store may be resized next
+            if order > 1:
+                self._grow((m + new) * order)
+                block = self.store[m * order:(m + new) * order]
+                self.store[:new * order].take(power, axis=1, out=block, mode="clip")
+                keys = block.view(row_bytes).ravel().tolist()
+                del block
+            seen.update(keys[:new * order])
+            m += new
+            if new < step:
+                break
+        self.count = m * order
+
+    def _cosets(self, g: np.ndarray) -> None:
+        """<H, g> as right cosets of H, found a round at a time.
+
+        The cosets of a round's products outside the elements found are
+        gathered straight into the store, at most ``_COSET_ENTRIES``
+        entries at once; a product that lies in a coset found since the
+        round began is dropped, and the cosets after it close up."""
+        order, deg, cap = self.count, self.deg, self.cap
+        seen, row_bytes = self.seen, self._row_bytes
+        gens = self.gens[:self.ngens]
+        batch = max(1, _COSET_ENTRIES // max(order * deg, 1))
+        count = order
+        products = g[None]  # the identity times g: the first coset is H*g
         while len(products):
-            reps = []  # the store rows of this round's new representatives
-            for j, key in enumerate(products.view(row_bytes).ravel().tolist()):
-                if key in seen:
-                    continue
-                grown = count + order
-                if grown > cap:
+            keys = products.view(row_bytes).ravel().tolist()
+            fresh = [j for j, key in enumerate(keys) if key not in seen]
+            first = count  # this round's cosets start here
+            while fresh:
+                size = min(len(fresh), batch, (cap - count) // order)
+                if not size:  # a new coset that does not fit
                     raise OrderCapExceededError(cap, cap + 1)
-                if grown > len(store):  # no view of the store is alive here
-                    store.resize((min(cap, max(grown, len(store) * 5 // 4)), deg), refcheck=False)
-                if order == 1:
-                    store[count] = products[j]
-                    seen.add(key)
-                else:
-                    # row-wise composition: (h * t)(x) = h[t[x]], for every h in H;
-                    # "clip" writes straight into the store ("raise" would buffer)
-                    store[:order].take(products[j], axis=1, out=store[count:grown], mode="clip")
-                    seen.update(store[count:grown].view(row_bytes).ravel().tolist())
-                reps.append(count)
-                count = grown
-            # each representative times each generator so far: (t * g)(x) = t[g[x]]
-            products = store.take(reps, axis=0).take(gens[:i + 1], axis=1).reshape(-1, deg)
-    del seen
-    store.resize((count, deg), refcheck=False)
-    return ElementTable(store)
+                part, fresh = fresh[:size], fresh[size:]
+                self._grow(count + size * order)
+                cosets = self.store[count:count + size * order].reshape(size, order, deg)
+                # row-wise composition: (h * t)(x) = h[t[x]], for every h in H; one
+                # coset is written straight into the store ("raise" would buffer it)
+                self.store[:order].take(products[part], axis=1, out=cosets.swapaxes(0, 1),
+                                        mode="clip")
+                coset_keys = cosets.view(row_bytes).reshape(size, order).tolist()
+                new = []
+                for i, j in enumerate(part):
+                    if keys[j] not in seen:
+                        seen.update(coset_keys[i])
+                        new.append(i)
+                if len(new) < size:
+                    cosets[:len(new)] = cosets[new]
+                del cosets  # the store may be resized next
+                count += len(new) * order
+                fresh = [j for j in fresh if keys[j] not in seen]
+            # each new representative times each generator so far: (t * g)(x) = t[g[x]]
+            products = self.store[first:count:order].take(gens, axis=1).reshape(-1, deg)
+        self.count = count

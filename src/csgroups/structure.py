@@ -19,7 +19,7 @@ import numpy as np
 from .arith import arithmetic_profile
 from .classes import ClassProfile, conjugacy_classes, orbit_partition
 from .construct import FiniteGroup
-from .perm import ElementTable, point_dtype
+from .perm import Closure, ElementTable, point_dtype
 
 DEFAULT_NORMAL_SUBGROUP_LIMIT = 10000
 QUOTIENT_BATCH = 1 << 16  # products looked up at once for a quotient's action
@@ -92,57 +92,106 @@ def normalizer(G: FiniteGroup, members: frozenset[int]) -> frozenset[int]:
     return frozenset(np.nonzero(mask)[0].tolist())
 
 
-def normal_closure(G: FiniteGroup, seed: list[int],
-                   conjugators: list[int]) -> tuple[frozenset[int], list[int]]:
-    """The smallest subgroup containing ``seed`` that conjugation by each
-    of ``conjugators`` keeps, with a generating set of it.
+def _members(G: FiniteGroup, closure: Closure) -> frozenset[int]:
+    """The subgroup of G that ``closure`` holds, as element indices: one
+    batched lookup of its rows' base images, and none for 1 and G."""
+    if closure.count == 1:
+        return frozenset([0])
+    if closure.count == G.order:
+        return frozenset(range(G.order))
+    rows = closure.store[:closure.count]
+    return frozenset(G.table.indices_of_base(rows[:, G.table.base]).tolist())
 
-    A seed element or conjugate joins the generating set only when it lies
-    outside the subgroup found so far, so the set stays small; the
-    closures share their multiplication rows.
+
+def _row_starts(rows: np.ndarray) -> np.ndarray:
+    """The start of each row of ``rows`` in ``rows.ravel()``, as a column."""
+    return np.arange(len(rows))[:, None] * rows.shape[1]
+
+
+def _commutators(xy: np.ndarray, yx: np.ndarray) -> np.ndarray:
+    """The rows of x y x^-1 y^-1 = (xy)(yx)^-1, given the rows of the
+    products xy and yx of each pair; (xy)(p) = x[y[p]].  It maps (yx)(p)
+    to (xy)(p), so it is written by one scatter, with no inverse.  It is
+    the commutator [x^-1, y^-1], and it lies in a normal subgroup N
+    exactly when x and y commute modulo N: so these rows and the
+    commutators [x, y] have the same normal closure."""
+    comms = np.empty_like(xy)
+    comms.ravel()[yx + _row_starts(yx)] = xy
+    return comms
+
+
+def _normal_closure(G: FiniteGroup, seed: np.ndarray, conjugators: np.ndarray,
+                    within: int) -> Closure:
+    """The smallest subgroup of G containing the rows ``seed`` that
+    conjugation by each row of ``conjugators`` keeps, grown on image rows;
+    its ``gens`` generate it.
+
+    A seed row, then each conjugate h x h^-1 of a generator x so far by a
+    conjugator h, is adjoined by one Dimino step when it lies outside the
+    subgroup found so far.  In a finite group, a subgroup that each h^-1
+    (.) h keeps each h (.) h^-1 keeps too, and h x h^-1 maps h[p] to
+    h[x[p]], so it is written by one scatter, with no inverse.  Membership
+    only grows, so each generator is conjugated once: the generators not
+    yet conjugated are conjugated together, a wave at a time.  ``within``
+    is the order of a subgroup known to hold the closure: the store is
+    sized to it, and reaching it ends the search.
     """
-    rows: dict[int, list[int]] = {}
-    gens: list[int] = []
-    sub = frozenset([0])
-    for c in seed:
-        if c not in sub:
-            gens.append(c)
-            sub = G.subgroup_closure(gens, rows)
-    changed = bool(gens)
-    while changed:
-        changed = False
-        for x in list(gens):
-            for h in conjugators:
-                y = G.conjugate(x, h)
-                if y not in sub:
-                    gens.append(y)
-                    sub = G.subgroup_closure(gens, rows)
-                    changed = True
-    return sub, gens
+    closure = Closure(G.deg, within, within.bit_length(), rows=within)
+    closure.extend(seed)
+    if not closure.ngens or closure.count == within:
+        return closure
+    done, (k, deg) = 0, conjugators.shape
+    starts = _row_starts(conjugators)
+    targets = (conjugators + starts).ravel()  # where h x h^-1 puts h[x[p]], in the raveled rows
+    while done < closure.ngens and closure.count < within:
+        xs = closure.gens[done:closure.ngens]
+        conjugates = np.empty((len(xs), k * deg), dtype=conjugators.dtype)
+        images = conjugators.ravel().take(xs[:, None, :] + starts)  # h[x[p]], each x, each h
+        conjugates[:, targets] = images.reshape(len(xs), -1)
+        done = closure.ngens
+        closure.extend(conjugates.reshape(-1, deg))
+    return closure
 
 
-def _derived_with_generators(G: FiniteGroup, gens: list[int]) -> tuple[frozenset[int], list[int]]:
-    """[H, H] for H generated by ``gens``, with a generating set of it:
-    the normal closure in H of the commutators of the generators."""
-    comms = sorted({G.commutator(x, y) for i, x in enumerate(gens) for y in gens[:i]})
-    return normal_closure(G, comms, gens)
+def _derived_subgroup(G: FiniteGroup, gens: np.ndarray, order: int) -> Closure:
+    """[H, H] for the subgroup H of ``order`` elements generated by the
+    rows ``gens``: the normal closure in H of the commutators of the
+    generators, from their products two at a time."""
+    products = gens.take(gens, axis=1)  # products[i, j] = gens[i] gens[j]
+    pairs = list(itertools.combinations(range(len(gens)), 2))
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T  # no pairs for one generator
+    return _normal_closure(G, _commutators(products[i, j], products[j, i]), gens, order)
+
+
+def _generators_commute(G: FiniteGroup) -> bool:
+    """Whether G's generators commute pairwise, so that G is abelian; a
+    few scalar products, read by index."""
+    gens = G.generator_indices
+    return all(G.mul(x, y) == G.mul(y, x) for i, x in enumerate(gens) for y in gens[:i])
 
 
 def derived_series(G: FiniteGroup) -> tuple[list[frozenset[int]], bool]:
     """G >= G' >= G'' >= ... until stabilization; soluble iff it hits 1.
 
-    Each term is generated by the commutators of the previous term's
-    generators and their conjugates, starting from G's generators.
+    An abelian G, and a cyclic term, has derived subgroup 1 with no
+    closure.  Otherwise each term is the normal closure, in the term
+    before, of the commutators of that term's generators, starting from
+    G's generators; its generator rows come from the closure, and its
+    members are looked up once, when the term is known to be new.
     """
     series = [frozenset(range(G.order))]
-    gens = G.generator_indices
-    while True:
-        nxt, gens = _derived_with_generators(G, gens)
-        if nxt == series[-1]:
+    if _generators_commute(G):
+        return (series + [frozenset([0])] if G.order > 1 else series), True
+    gens, order = G.table.matrix[G.generator_indices], G.order
+    while order > 1:
+        if len(gens) == 1:  # a cyclic term, whose derived subgroup is 1
+            series.append(frozenset([0]))
             break
-        series.append(nxt)
-        if nxt == {0}:
+        term = _derived_subgroup(G, gens, order)
+        if term.count == order:
             break
+        series.append(_members(G, term))
+        gens, order = term.gens[:term.ngens], term.count
     return series, series[-1] == {0}
 
 
@@ -467,7 +516,8 @@ def strip_abelian_factors(G: FiniteGroup, commutators: Optional[frozenset[int]] 
     split: list[int] = []
     if len(Z) > 1:
         if commutators is None:
-            commutators = _derived_with_generators(G, G.generator_indices)[0]
+            gens = G.table.matrix[G.generator_indices]
+            commutators = _members(G, _derived_subgroup(G, gens, G.order))
         derived = np.zeros(G.order, dtype=bool)
         derived[list(commutators)] = True
         K, kgens = np.ones(G.order, dtype=bool), G.generator_indices  # K = <kgens, G'>
@@ -484,16 +534,22 @@ def strip_abelian_factors(G: FiniteGroup, commutators: Optional[frozenset[int]] 
 
 def nilpotency_class(G: FiniteGroup) -> int:
     """Length of the lower central series down to the trivial subgroup;
-    a series that stops short of it raises ``NotNilpotentError``."""
-    ggens = G.generator_indices
-    current = frozenset(range(G.order))
-    k = 0
-    while current != {0}:
-        gens = generating_set(G, current)
-        comms = sorted({G.commutator(x, g) for x in gens for g in ggens})
-        nxt = normal_closure(G, comms, ggens)[0]
-        if nxt == current:
+    a series that stops short of it raises ``NotNilpotentError``.
+
+    An abelian G has class 1 (0 when trivial).  Otherwise the term after
+    N is [N, G], the normal closure in G of the commutators [x, g] of N's
+    generators x and G's generators g; its generator rows come from the
+    closure, and only its order is read.
+    """
+    if _generators_commute(G):
+        return int(G.order > 1)
+    ggens = G.table.matrix[G.generator_indices]
+    gens, order, k = ggens, G.order, 0
+    while order > 1:
+        xg = gens.take(ggens, axis=1).reshape(-1, G.deg)  # x g, for each x, then each g
+        gx = ggens.take(gens, axis=1).swapaxes(0, 1).reshape(-1, G.deg)
+        term = _normal_closure(G, _commutators(xg, gx), ggens, order)
+        if term.count == order:
             raise NotNilpotentError(f"{G.name} is not nilpotent")
-        current = nxt
-        k += 1
+        gens, order, k = term.gens[:term.ngens], term.count, k + 1
     return k

@@ -108,7 +108,8 @@ class GroupAnalysis:
     @cached_property
     def stripped(self):
         # G' from the derived series when it is known (a perfect group's
-        # series is [G]); else the strip finds G' alone, by one normal closure
+        # series is [G]); else the strip finds G' alone, by one normal
+        # closure on image rows, as the derived series would
         commutators = None
         if "derived" in self.__dict__:
             series = self.derived[0]

@@ -142,7 +142,7 @@ class TestFixtures:
 def check_against_elements(G: FiniteGroup, picks: list[int]) -> None:
     """Index-level algebra equals element-level compose/inverse followed
     by a lookup among the elements, on rows of the picked elements."""
-    els = G.table.elements
+    els = [G.element(i) for i in range(G.order)]
     find = {p: i for i, p in enumerate(els)}.__getitem__
     all_idx = list(range(G.order))
     assert G.inv.tolist() == [find(inverse(p)) for p in els]
@@ -173,7 +173,7 @@ class TestPointDtypeBoundary:
         assert G.table.matrix.dtype == dtype
         picks = [1, n, 2 * n - 1]  # the first generator, a middle row and the last
         check_against_elements(G, picks)
-        els = G.table.elements
+        els = [G.element(i) for i in range(G.order)]
         assert G.element_orders.tolist() == [element_order(p) for p in els]
         find = {p: i for i, p in enumerate(els)}.__getitem__
         for x, row in zip(picks, G.power_table(picks)):
@@ -193,7 +193,7 @@ class TestIndexAlgebra:
         G = FiniteGroup(close_with_degree([Permutation(g) for g in gens], n), [], "random")
         picks = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3))
         check_against_elements(G, picks)
-        els = G.table.elements
+        els = [G.element(i) for i in range(G.order)]
         table = [[els.index(compose(els[x], els[y])) for y in picks] for x in picks]
         assert G.products(picks, picks).tolist() == table
 

@@ -33,6 +33,11 @@ def perm_strategy(deg: int):
     return st.permutations(range(deg)).map(lambda im: Permutation(tuple(im)))
 
 
+def elements_of(table) -> list[Permutation]:
+    """Every element of ``table`` as a ``Permutation``, in index order."""
+    return [table.element(i) for i in range(len(table))]
+
+
 def reference_closure(gens: list[Permutation], deg: int) -> list[Permutation]:
     """Row-by-row breadth-first closure: each element of a level times each
     generator, the products by the first generator first."""
@@ -49,6 +54,28 @@ def reference_closure(gens: list[Permutation], deg: int) -> list[Permutation]:
                     nxt.append(p)
         elements = elements + nxt
         frontier = nxt
+    return elements
+
+
+def reference_dimino(gens: list[Permutation], deg: int) -> list[Permutation]:
+    """Dimino's algorithm one coset at a time: each generator adjoined to
+    the closure of those before it by right cosets H*t, each new
+    representative times every generator so far giving the next round's
+    products.  This is the element order ``close_with_degree`` keeps."""
+    elements = [identity(deg)]
+    seen = set(elements)
+    for i, g in enumerate(gens):
+        order = len(elements)
+        products = [] if g in seen else [g]
+        while products:
+            reps = []
+            for t in products:
+                if t not in seen:
+                    coset = [compose(h, t) for h in elements[:order]]
+                    elements += coset
+                    seen.update(coset)
+                    reps.append(t)
+            products = [compose(t, s) for t in reps for s in gens[:i + 1]]
     return elements
 
 
@@ -97,14 +124,14 @@ class TestClosure:
 
     def test_identity_is_index_zero(self):
         table = close([from_cycles(4, [(0, 1, 2, 3)])])
-        assert table.elements[0] == identity(4)
+        assert table.element(0) == identity(4)
 
     def test_generator_order_does_not_matter(self):
         a = from_cycles(4, [(0, 1)])
         b = from_cycles(4, [(0, 1, 2, 3)])
         t1 = close([a, b])
         t2 = close([b, a])
-        assert set(t1.elements) == set(t2.elements)
+        assert set(elements_of(t1)) == set(elements_of(t2))
         assert len(t1) == 24
 
     def test_closure_cap(self):
@@ -125,16 +152,16 @@ class TestClosure:
             assert (info.value.cap, info.value.partial_count) == (cap, cap + 1)
 
     def test_no_generators(self):
-        assert close_with_degree([], 3).elements == [identity(3)]
-        assert close_with_degree([], 0).elements == [identity(0)]
+        assert elements_of(close_with_degree([], 3)) == [identity(3)]
+        assert elements_of(close_with_degree([], 0)) == [identity(0)]
 
     def test_cap_crossed_at_a_later_coset(self):
         a, b = from_cycles(4, [(0, 1)]), from_cycles(4, [tuple(range(4))])
         # <a> = {1, a} and its coset <a>*b make 4 elements; the next coset,
         # <a>*(b*a), would make 6: a cap of 4 fits the first and not the second
         table = close([a, b], cap=24)
-        assert set(table.elements[:4]) == {identity(4), a, b, compose(a, b)}
-        assert table.elements[4] == compose(b, a)
+        assert set(elements_of(table)[:4]) == {identity(4), a, b, compose(a, b)}
+        assert table.element(4) == compose(b, a)
         with pytest.raises(OrderCapExceededError) as info:
             close([a, b], cap=4)
         assert (info.value.cap, info.value.partial_count) == (4, 5)
@@ -147,6 +174,55 @@ class TestClosure:
             with pytest.raises(OrderCapExceededError) as info:
                 close([b, a], cap=cap)
             assert (info.value.cap, info.value.partial_count) == (cap, cap + 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100])
+    def test_cyclic_group_by_doubling_keeps_the_powers_in_order(self, n):
+        # an n-cycle, and one with two more cycles, of lengths 2 and 3
+        for g in (from_cycles(n, [tuple(range(n))]),
+                  from_cycles(n + 5, [tuple(range(n)), (n, n + 1), (n + 2, n + 3, n + 4)])):
+            order = element_order(g)
+            powers = [identity(g.deg)]
+            while len(powers) < order:
+                powers.append(compose(powers[-1], g))
+            assert elements_of(close([g], cap=order)) == powers
+            for cap in {1, order // 2, order - 1} - {0}:
+                with pytest.raises(OrderCapExceededError) as info:
+                    close([g], cap=cap)
+                assert (info.value.cap, info.value.partial_count) == (cap, cap + 1)
+
+    @pytest.mark.parametrize("spec", ["dihedral(15)", "dihedral(6)xcyclic(4)", "alt(4)xsym(3)",
+                                      "q8xcyclic(3)", "frobenius(13,3)"])
+    def test_element_order_on_catalog_generators(self, spec):
+        # the generators of a product commute across factors, so each one
+        # of a later factor normalizes the closure so far; a dihedral
+        # reflection normalizes the rotations
+        G = make_builtin(spec)
+        gens = [G.element(i) for i in G.generator_indices]
+        table = close_with_degree(gens, G.deg)
+        assert elements_of(table) == reference_dimino(gens, G.deg)
+
+    def test_cap_crossed_while_doubling_a_normalizing_generator(self):
+        a = from_cycles(12, [tuple(range(7))])
+        b = from_cycles(12, [tuple(range(7, 12))])  # commutes with a: <a, b> is <a> times <b>
+        assert len(close([a, b], cap=35)) == 35
+        for cap in (7, 14, 21, 28, 34):
+            with pytest.raises(OrderCapExceededError) as info:
+                close([a, b], cap=cap)
+            assert (info.value.cap, info.value.partial_count) == (cap, cap + 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_element_order_is_dimino_one_coset_at_a_time(self, data):
+        n = data.draw(st.integers(2, 7))
+        gens = [Permutation(g) for g in
+                data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))]
+        expected = reference_dimino(gens, n)
+        assert elements_of(close_with_degree(gens, n, cap=5040)) == expected
+        # batches of one coset, and of a few, close up the same way
+        entries = data.draw(st.sampled_from([1, 3 * n, 7 * n]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(perm, "_COSET_ENTRIES", entries)
+            assert elements_of(close_with_degree(gens, n, cap=5040)) == expected
 
     def test_matrix_holds_exactly_the_order(self):
         table = close([from_cycles(6, [(0, 1)]), from_cycles(6, [tuple(range(6))])])
@@ -173,7 +249,7 @@ class TestClosure:
         n = data.draw(st.integers(2, 7))
         gens = [Permutation(g) for g in
                 data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))]
-        elements = close_with_degree(gens, n, cap=5040).elements
+        elements = elements_of(close_with_degree(gens, n, cap=5040))
         assert len(elements) == len(set(elements)) == len(reference_closure(gens, n))
         assert elements[0] == identity(n)
         # the closure order: each <g1, ..., gi> is a prefix of the rows
@@ -187,7 +263,7 @@ class TestElementTable:
         table = close([from_cycles(4, [(0, 1, 2)])])
         outsider = from_cycles(4, [(0, 1), (2, 3)])
         # (0 1)(2 3) maps the base point as (0 1 2) does
-        member = table.elements[table.index_of_base([outsider(b) for b in table.base])]
+        member = table.element(table.index_of_base([outsider(b) for b in table.base]))
         assert member == from_cycles(4, [(0, 1, 2)])
         with pytest.raises(KeyError):
             table.index_of(outsider)
@@ -205,7 +281,7 @@ class TestElementTable:
 
     def test_only_the_identity_fixes_the_base(self):
         table = close([from_cycles(6, [(0, 1)]), from_cycles(6, [tuple(range(6))])])
-        fixers = [p for p in table.elements if all(p(b) == b for b in table.base)]
+        fixers = [p for p in elements_of(table) if all(p(b) == b for b in table.base)]
         assert fixers == [identity(6)]
 
     def test_lookups_stay_exact_when_every_key_collides(self, monkeypatch):
@@ -214,7 +290,7 @@ class TestElementTable:
         table = close([from_cycles(5, [tuple(range(5))]), from_cycles(5, [(1, 4), (2, 3)])])
         assert len(table) == 10 and not table.exact
         assert len(set(table._keys.tolist())) == 1
-        for i, p in enumerate(table.elements):
+        for i, p in enumerate(elements_of(table)):
             assert table.index_of(p) == i
             assert table.index_of_base([p(b) for b in table.base]) == i
         images = table.matrix[::-1][:, table.base]
@@ -281,7 +357,7 @@ class TestElementTable:
         table = close([from_cycles(deg, [(i, i + 1)]) for i in range(0, 10, 2)])
         assert len(table) == 32 and len(table.base) == 5
         assert deg ** 5 > 2 ** 64 and not table.exact
-        els = table.elements
+        els = elements_of(table)
         for i, p in enumerate(els):
             assert p in table
             assert table.index_of(p) == i
@@ -347,5 +423,4 @@ class TestElementTable:
 
     def test_elements_are_built_from_the_matrix(self):
         table = close([from_cycles(4, [(0, 1)]), from_cycles(4, [(1, 2, 3)])])
-        assert table.elements == [table.element(i) for i in range(len(table))]
-        assert [list(p.images) for p in table.elements] == table.matrix.tolist()
+        assert [list(p.images) for p in elements_of(table)] == table.matrix.tolist()

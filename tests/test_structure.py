@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -192,6 +193,167 @@ class TestSeries:
         assert nilpotency_class(cyclic(9)) == 1
         with pytest.raises(NotNilpotentError):
             nilpotency_class(symmetric(3))
+
+
+def _normal_closure_by_index(G: FiniteGroup, seed: list[int],
+                             conjugators: list[int]) -> tuple[frozenset[int], list[int]]:
+    """Reference normal closure on element indices: the index-level BFS
+    closure is run again after each seed element or conjugate that lies
+    outside the subgroup so far, until conjugation by each conjugator
+    keeps it."""
+    rows: dict[int, list[int]] = {}
+    gens: list[int] = []
+    sub = frozenset([0])
+    for c in seed:
+        if c not in sub:
+            gens.append(c)
+            sub = G.subgroup_closure(gens, rows)
+    changed = bool(gens)
+    while changed:
+        changed = False
+        for x in list(gens):
+            for h in conjugators:
+                y = G.conjugate(x, h)
+                if y not in sub:
+                    gens.append(y)
+                    sub = G.subgroup_closure(gens, rows)
+                    changed = True
+    return sub, gens
+
+
+def _derived_series_by_index(G: FiniteGroup) -> tuple[list[frozenset[int]], bool]:
+    """Reference derived series: each term the normal closure in the term
+    before of the commutators [x, y] of that term's generators."""
+    series, gens = [frozenset(range(G.order))], G.generator_indices
+    while True:
+        comms = sorted({G.commutator(x, y) for i, x in enumerate(gens) for y in gens[:i]})
+        nxt, gens = _normal_closure_by_index(G, comms, gens)
+        if nxt == series[-1]:
+            break
+        series.append(nxt)
+        if nxt == {0}:
+            break
+    return series, series[-1] == {0}
+
+
+def _nilpotency_class_by_index(G: FiniteGroup) -> Optional[int]:
+    """Reference nilpotency class, None for a group that is not nilpotent:
+    [N, G] is the normal closure in G of the [x, g] for generators x of N
+    and g of G."""
+    current, k = frozenset(range(G.order)), 0
+    while current != {0}:
+        comms = sorted({G.commutator(x, g) for x in generating_set(G, current)
+                        for g in G.generator_indices})
+        nxt = _normal_closure_by_index(G, comms, G.generator_indices)[0]
+        if nxt == current:
+            return None
+        current, k = nxt, k + 1
+    return k
+
+
+def _assert_series_match_reference(G: FiniteGroup) -> None:
+    assert derived_series(G) == _derived_series_by_index(G), G.name
+    expected = _nilpotency_class_by_index(G)
+    if expected is None:
+        with pytest.raises(NotNilpotentError):
+            nilpotency_class(G)
+    else:
+        assert nilpotency_class(G) == expected, G.name
+
+
+def _assert_series_invariants(G: FiniteGroup) -> None:
+    """Checks that read no reference series: the terms are normal and
+    strictly decreasing, the commutators of each term's generators lie
+    in the next term (a perfect last term is its own next), and the strip
+    is the same whether it is given G' or finds it."""
+    series, soluble = derived_series(G)
+    assert series[0] == frozenset(range(G.order)) and soluble == (series[-1] == {0})
+    for term in series:
+        members = np.array(sorted(term))
+        assert all(set(G.conjugate_many(members, g).tolist()) <= term
+                   for g in G.generator_indices)
+    for i, term in enumerate(series):
+        last = i + 1 == len(series)
+        nxt = term if last else series[i + 1]
+        assert nxt <= term and (last or len(nxt) < len(term))
+        gens = generating_set(G, term)
+        assert {G.commutator(x, y) for x in gens for y in gens} <= nxt
+    derived = series[1] if len(series) > 1 else series[0]
+    given, found = strip_abelian_factors(G, derived, center(G)), strip_abelian_factors(G)
+    assert given[1] == found[1]
+    assert np.array_equal(given[0].table.matrix, found[0].table.matrix)
+
+
+SERIES_ATOMS = {"sym(3)": 6, "sym(4)": 24, "alt(4)": 12, "dihedral(4)": 8, "dihedral(5)": 10,
+                "q8": 8, "frobenius(7,3)": 21, "extraspecial(3)": 27, "cyclic(2)": 2,
+                "cyclic(3)": 3, "cyclic(4)": 4}
+
+
+@st.composite
+def small_direct_products(draw):
+    """A direct product of two or three atoms, of at most 1,000 elements."""
+    atoms = draw(st.lists(st.sampled_from(sorted(SERIES_ATOMS)), min_size=2, max_size=3))
+    assume(math.prod(SERIES_ATOMS[a] for a in atoms) <= 1000)
+    return make_builtin("x".join(atoms))
+
+
+class TestSeriesOnImageRows:
+    """The derived and lower central series are normal closures grown on
+    image rows; they match the index-level closures they replaced."""
+
+    def test_catalog_and_fixtures_match_the_index_reference(self):
+        groups = [e.group for e in iter_catalog()]
+        assert {"g160_234", "g162_5", "g480_166", "g486_176", "psl_2_8"} <= {G.name for G in groups}
+        for G in groups:
+            _assert_series_match_reference(G)
+            _assert_series_invariants(G)
+
+    @pytest.mark.parametrize("spec", ["alt(5)", "sym(5)xfrobenius(13,3)", "cyclic(1)",
+                                      "cyclic(12)", "cyclic(4)xcyclic(6)xcyclic(2)"])
+    def test_named_groups_match_the_index_reference(self, spec):
+        G = make_builtin(spec)
+        _assert_series_match_reference(G)
+        _assert_series_invariants(G)
+
+    def test_trivial_and_abelian_groups(self):
+        assert derived_series(make_builtin("cyclic(1)")) == ([frozenset([0])], True)
+        assert nilpotency_class(make_builtin("cyclic(1)")) == 0
+        G = make_builtin("cyclic(4)xcyclic(6)")
+        assert derived_series(G) == ([frozenset(range(24)), frozenset([0])], True)
+        assert nilpotency_class(G) == 1
+
+    def test_perfect_group_is_its_own_derived_subgroup(self):
+        series, soluble = derived_series(alternating(5))
+        assert series == [frozenset(range(60))] and not soluble
+        series, soluble = derived_series(make_builtin("sym(5)xfrobenius(13,3)"))
+        assert [len(t) for t in series] == [4680, 780, 60] and not soluble
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(small_direct_products())
+    def test_random_direct_products_match_the_index_reference(self, G):
+        _assert_series_match_reference(G)
+        _assert_series_invariants(G)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(small_permutation_groups())
+    def test_random_groups_match_the_index_reference(self, G):
+        _assert_series_match_reference(G)
+        _assert_series_invariants(G)
+
+    def test_no_multiplication_rows_or_index_closures(self, monkeypatch):
+        groups = [e.group for e in iter_catalog()] + [make_builtin("sym(5)xfrobenius(13,3)")]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a series went through the index-level closure")
+
+        monkeypatch.setattr(FiniteGroup, "mul_row", refuse)
+        monkeypatch.setattr(FiniteGroup, "subgroup_closure", refuse)
+        for G in groups:
+            derived_series(G)
+            try:
+                nilpotency_class(G)
+            except NotNilpotentError:
+                pass
 
 
 class TestCenterAndSylow:
