@@ -37,7 +37,6 @@ DEFAULT_CLOSURE_CAP = 5000
 KEY_SEED = 0x6373  # seeds the fixed weights of the base-image hash
 _KEY_MASK = (1 << 64) - 1
 _MARK_CHUNK = 1 << 16  # matrix entries per chunk of the bijection check
-_COSET_ENTRIES = 1 << 16  # matrix entries per batch of cosets in a closure
 
 
 class DegreeMismatchError(ValueError):
@@ -415,28 +414,31 @@ class Closure:
     that dtype too.  ``adjoin(g)`` makes H = <H, g>:
 
     - g already in H adds nothing (but still counts as a generator).
-    - When g normalizes H, as it does a trivial H, <H, g> is the union of
-      the cosets H g^k, written by doubling: with H g^0, ..., H g^(m-1)
-      in the store, H g^m, ..., H g^(2m-1) are that block taken by g^m,
-      until a power of g comes back into H.  So <g> takes about log2 of
-      its order in rounds, not one round per power.
+    - When H is trivial, <g> is written by doubling: with g^0, ..., g^(m-1)
+      in the store, g^m, ..., g^(2m-1) are those rows taken by g^m, up to
+      the first that is the identity.  So <g> takes about log2 of its
+      order in rounds, not one round per power.
     - Otherwise <H, g> is the union of the right cosets H*t found from
       t = g by multiplying each new coset's representative by every
       generator so far: a product t outside the elements found is the
-      representative of a new coset, gathered from H's rows, and only t
-      is tested for membership.
+      representative of a new coset, written as one gather of H's rows,
+      and only t is tested for membership.
 
     The store grows by at least a quarter when full; ``rows`` trims it to
     the order.  Growing past ``cap`` rows raises
     ``OrderCapExceededError(cap, cap + 1)``.  So a closure holds no more
-    than the store, the bytes of its rows, one round's products, and one
-    batch of cosets (at most ``_COSET_ENTRIES`` entries) with their rows'
-    bytes.
+    than the store, the bytes of its rows, and one round's products and
+    one coset, each with its rows' bytes.
+
+    ``within``, when not 0, is the order of a group known to hold every
+    row adjoined.  By Lagrange, a subgroup of it with more than half its
+    elements is all of it, so the coset search stops there with ``count =
+    within``; the store then holds only some of the elements.
     """
 
-    def __init__(self, deg: int, cap: int, max_gens: int, rows: int = 1):
+    def __init__(self, deg: int, cap: int, max_gens: int, rows: int = 1, within: int = 0):
         dtype = point_dtype(deg)
-        self.deg, self.cap = deg, cap
+        self.deg, self.cap, self.within = deg, cap, within
         self._row_bytes = np.dtype((np.void, dtype.itemsize * deg))
         self.store = np.empty((max(1, min(cap, rows)), deg), dtype=dtype)
         self.store[0] = np.arange(deg)
@@ -457,106 +459,80 @@ class Closure:
             self.store.resize((min(self.cap, max(rows, len(self.store) * 5 // 4)), self.deg),
                               refcheck=False)
 
+    def _keys(self, rows: np.ndarray) -> list[bytes]:
+        """The membership key of each of the C-contiguous ``rows``."""
+        return rows.view(self._row_bytes).ravel().tolist()
+
     def adjoin(self, g: np.ndarray) -> None:
         self.gens[self.ngens] = g
         g = self.gens[self.ngens]
         self.ngens += 1
         if g.tobytes() in self.seen:
             return
-        if self._normalizes(g):
+        if self.count == 1:
             self._powers(g)
         else:
             self._cosets(g)
 
     def extend(self, rows: np.ndarray) -> None:
-        """Adjoin each of ``rows`` in turn that is not yet an element."""
-        for j, key in enumerate(rows.view(self._row_bytes).ravel().tolist()):
+        """Adjoin each of ``rows`` in turn that is not yet an element, until
+        the closure is all of ``within``."""
+        for j, key in enumerate(self._keys(rows)):
+            if self.count == self.within:
+                break
             if key not in self.seen:
                 self.adjoin(rows[j])
 
-    def _normalizes(self, g: np.ndarray) -> bool:
-        """Whether g normalizes H: g s g^-1, which maps g[p] to g[s[p]],
-        lies in H for each generator s of H.  A trivial H always is."""
-        if self.count == 1:
-            return True
-        gens = self.gens[:self.ngens - 1]
-        conjugates = np.empty_like(gens)
-        conjugates[:, g] = g[gens]
-        return all(key in self.seen for key in conjugates.view(self._row_bytes).ravel().tolist())
-
     def _powers(self, g: np.ndarray) -> None:
-        """<H, g> = H<g>, by doubling, for a g that normalizes H.  The first
-        row of coset H g^k is g^k; while g, ..., g^(k-1) lie outside H, g^k
-        lies among the rows so far only if it lies in H.  So a round finds
-        how many of its cosets are new from their first rows and writes
-        only those; when H is trivial a coset is its first row."""
-        order, cap, seen, row_bytes = self.count, self.cap, self.seen, self._row_bytes
+        """<g>, by doubling, for a trivial H: while g, ..., g^(m-1) are not
+        the identity, g^m, ..., g^(2m-1) are new up to the first that is."""
+        cap, seen = self.cap, self.seen
         m = 1
-        while (power := self.store[(m - 1) * order].take(g)).tobytes() not in seen:  # g^m
-            step = min(m, (cap - m * order) // order)  # the cosets that fit
+        while True:
+            power = self.store[m - 1].take(g)  # g^m
+            if power.tobytes() in seen:
+                break
+            step = min(m, cap - m)  # the powers that fit
             if not step:
                 raise OrderCapExceededError(cap, cap + 1)
-            # row-wise composition: (h g^j)(g^m)(x) = (h g^j)[g^m[x]], first for h = 1
-            if order == 1:
-                self._grow(m + step)
-                firsts = self.store[m:m + step]
-                self.store[:step].take(power, axis=1, out=firsts, mode="clip")
-            else:
-                firsts = self.store[:step * order:order].take(power, axis=1)
-            keys = firsts.view(row_bytes).ravel().tolist()  # g^m, ..., g^(m+step-1)
+            self._grow(m + step)
+            block = self.store[m:m + step]
+            # row-wise composition: (g^j g^m)(x) = g^j[g^m[x]], for j < step
+            self.store[:step].take(power, axis=1, out=block, mode="clip")
+            keys = self._keys(block)
+            del block  # the store may be resized next
             new = next((j for j, key in enumerate(keys) if key in seen), step)
-            del firsts  # the store may be resized next
-            if order > 1:
-                self._grow((m + new) * order)
-                block = self.store[m * order:(m + new) * order]
-                self.store[:new * order].take(power, axis=1, out=block, mode="clip")
-                keys = block.view(row_bytes).ravel().tolist()
-                del block
-            seen.update(keys[:new * order])
+            seen.update(keys[:new])
             m += new
             if new < step:
                 break
-        self.count = m * order
+        self.count = m
 
     def _cosets(self, g: np.ndarray) -> None:
-        """<H, g> as right cosets of H, found a round at a time.
-
-        The cosets of a round's products outside the elements found are
-        gathered straight into the store, at most ``_COSET_ENTRIES``
-        entries at once; a product that lies in a coset found since the
-        round began is dropped, and the cosets after it close up."""
-        order, deg, cap = self.count, self.deg, self.cap
-        seen, row_bytes = self.seen, self._row_bytes
+        """<H, g> as right cosets of H, one at a time: each is written as
+        one gather of H's rows straight into the store."""
+        order, deg, cap, seen = self.count, self.deg, self.cap, self.seen
         gens = self.gens[:self.ngens]
-        batch = max(1, _COSET_ENTRIES // max(order * deg, 1))
         count = order
         products = g[None]  # the identity times g: the first coset is H*g
         while len(products):
-            keys = products.view(row_bytes).ravel().tolist()
-            fresh = [j for j, key in enumerate(keys) if key not in seen]
             first = count  # this round's cosets start here
-            while fresh:
-                size = min(len(fresh), batch, (cap - count) // order)
-                if not size:  # a new coset that does not fit
+            for j, key in enumerate(self._keys(products)):
+                if key in seen:
+                    continue
+                grown = count + order
+                if grown > cap:
                     raise OrderCapExceededError(cap, cap + 1)
-                part, fresh = fresh[:size], fresh[size:]
-                self._grow(count + size * order)
-                cosets = self.store[count:count + size * order].reshape(size, order, deg)
-                # row-wise composition: (h * t)(x) = h[t[x]], for every h in H; one
-                # coset is written straight into the store ("raise" would buffer it)
-                self.store[:order].take(products[part], axis=1, out=cosets.swapaxes(0, 1),
+                self._grow(grown)  # no view of the store is alive here
+                # row-wise composition: (h * t)(x) = h[t[x]], for every h in H;
+                # "clip" writes straight into the store ("raise" would buffer)
+                self.store[:order].take(products[j], axis=1, out=self.store[count:grown],
                                         mode="clip")
-                coset_keys = cosets.view(row_bytes).reshape(size, order).tolist()
-                new = []
-                for i, j in enumerate(part):
-                    if keys[j] not in seen:
-                        seen.update(coset_keys[i])
-                        new.append(i)
-                if len(new) < size:
-                    cosets[:len(new)] = cosets[new]
-                del cosets  # the store may be resized next
-                count += len(new) * order
-                fresh = [j for j in fresh if keys[j] not in seen]
-            # each new representative times each generator so far: (t * g)(x) = t[g[x]]
+                seen.update(self._keys(self.store[count:grown]))
+                count = grown
+                if count * 2 > self.within > 0:
+                    self.count = self.within
+                    return
+            # each representative times each generator so far: (t * g)(x) = t[g[x]]
             products = self.store[first:count:order].take(gens, axis=1).reshape(-1, deg)
         self.count = count

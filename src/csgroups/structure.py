@@ -103,21 +103,14 @@ def _members(G: FiniteGroup, closure: Closure) -> frozenset[int]:
     return frozenset(G.table.indices_of_base(rows[:, G.table.base]).tolist())
 
 
-def _row_starts(rows: np.ndarray) -> np.ndarray:
-    """The start of each row of ``rows`` in ``rows.ravel()``, as a column."""
-    return np.arange(len(rows))[:, None] * rows.shape[1]
-
-
-def _commutators(xy: np.ndarray, yx: np.ndarray) -> np.ndarray:
-    """The rows of x y x^-1 y^-1 = (xy)(yx)^-1, given the rows of the
-    products xy and yx of each pair; (xy)(p) = x[y[p]].  It maps (yx)(p)
-    to (xy)(p), so it is written by one scatter, with no inverse.  It is
-    the commutator [x^-1, y^-1], and it lies in a normal subgroup N
-    exactly when x and y commute modulo N: so these rows and the
-    commutators [x, y] have the same normal closure."""
-    comms = np.empty_like(xy)
-    comms.ravel()[yx + _row_starts(yx)] = xy
-    return comms
+def _right_quotients(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The rows of a b^-1, for rows a and rows b that broadcast to a's
+    shape: a b^-1 maps b[p] to a[p], so it is written by one scatter, with
+    no inverse."""
+    quotients = np.empty_like(a)
+    starts = np.arange(0, a.size, a.shape[-1]).reshape(a.shape[:-1] + (1,))  # of each row
+    quotients.reshape(-1)[b + starts] = a
+    return quotients
 
 
 def _normal_closure(G: FiniteGroup, seed: np.ndarray, conjugators: np.ndarray,
@@ -129,43 +122,48 @@ def _normal_closure(G: FiniteGroup, seed: np.ndarray, conjugators: np.ndarray,
     A seed row, then each conjugate h x h^-1 of a generator x so far by a
     conjugator h, is adjoined by one Dimino step when it lies outside the
     subgroup found so far.  In a finite group, a subgroup that each h^-1
-    (.) h keeps each h (.) h^-1 keeps too, and h x h^-1 maps h[p] to
-    h[x[p]], so it is written by one scatter, with no inverse.  Membership
-    only grows, so each generator is conjugated once: the generators not
-    yet conjugated are conjugated together, a wave at a time.  ``within``
-    is the order of a subgroup known to hold the closure: the store is
-    sized to it, and reaching it ends the search.
+    (.) h keeps each h (.) h^-1 keeps too, and h x h^-1 is the quotient of
+    the rows hx and h.  Membership only grows, so each generator is
+    conjugated once: the generators not yet conjugated are conjugated
+    together, a wave at a time.  ``within`` is the order of a subgroup
+    known to hold the closure: the store is sized to it, and the search
+    ends once the closure is all of it, as it is past half of it.
     """
-    closure = Closure(G.deg, within, within.bit_length(), rows=within)
+    closure = Closure(G.deg, within, within.bit_length(), rows=within, within=within)
     closure.extend(seed)
-    if not closure.ngens or closure.count == within:
-        return closure
     done, (k, deg) = 0, conjugators.shape
-    starts = _row_starts(conjugators)
-    targets = (conjugators + starts).ravel()  # where h x h^-1 puts h[x[p]], in the raveled rows
+    starts = np.arange(k)[:, None] * deg
     while done < closure.ngens and closure.count < within:
         xs = closure.gens[done:closure.ngens]
-        conjugates = np.empty((len(xs), k * deg), dtype=conjugators.dtype)
-        images = conjugators.ravel().take(xs[:, None, :] + starts)  # h[x[p]], each x, each h
-        conjugates[:, targets] = images.reshape(len(xs), -1)
+        hx = conjugators.reshape(-1).take(xs[:, None, :] + starts)  # h[x[p]], each x, each h
         done = closure.ngens
-        closure.extend(conjugates.reshape(-1, deg))
+        closure.extend(_right_quotients(hx, conjugators).reshape(-1, deg))
     return closure
 
 
 def _derived_subgroup(G: FiniteGroup, gens: np.ndarray, order: int) -> Closure:
     """[H, H] for the subgroup H of ``order`` elements generated by the
-    rows ``gens``: the normal closure in H of the commutators of the
-    generators, from their products two at a time."""
+    rows ``gens``: the normal closure in H of the quotients (xy)(yx)^-1 of
+    the products of two generators.  Each is the commutator [x^-1, y^-1],
+    which lies in a normal subgroup N exactly when x and y commute modulo
+    N, so these seeds and the commutators [x, y] have one normal closure."""
     products = gens.take(gens, axis=1)  # products[i, j] = gens[i] gens[j]
     pairs = list(itertools.combinations(range(len(gens)), 2))
     i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T  # no pairs for one generator
-    return _normal_closure(G, _commutators(products[i, j], products[j, i]), gens, order)
+    return _normal_closure(G, _right_quotients(products[i, j], products[j, i]), gens, order)
 
 
 def _generators_commute(G: FiniteGroup) -> bool:
     """Whether G's generators commute pairwise, so that G is abelian; a
-    few scalar products, read by index."""
+    few scalar products, read by index.
+
+    The closures find the same answer for an abelian G (every seed is the
+    identity), so this only saves their set-up there: about 13 us of 21
+    per small abelian group, and within the noise of interleaved timings
+    on the benchmark's workloads, whose groups are not abelian.  It is
+    held because ``perfbench/test_perfbench.py`` asserts that a
+    report calls ``FiniteGroup.mul``, and on that path it is the last
+    caller (ROADMAP item 1)."""
     gens = G.generator_indices
     return all(G.mul(x, y) == G.mul(y, x) for i, x in enumerate(gens) for y in gens[:i])
 
@@ -537,9 +535,10 @@ def nilpotency_class(G: FiniteGroup) -> int:
     a series that stops short of it raises ``NotNilpotentError``.
 
     An abelian G has class 1 (0 when trivial).  Otherwise the term after
-    N is [N, G], the normal closure in G of the commutators [x, g] of N's
-    generators x and G's generators g; its generator rows come from the
-    closure, and only its order is read.
+    N is [N, G], the normal closure in G of the commutators of N's
+    generators x and G's generators g, seeded as the quotients (xg)(gx)^-1
+    (see ``_derived_subgroup``); its generator rows come from the closure,
+    and only its order is read.
     """
     if _generators_commute(G):
         return int(G.order > 1)
@@ -548,7 +547,7 @@ def nilpotency_class(G: FiniteGroup) -> int:
     while order > 1:
         xg = gens.take(ggens, axis=1).reshape(-1, G.deg)  # x g, for each x, then each g
         gx = ggens.take(gens, axis=1).swapaxes(0, 1).reshape(-1, G.deg)
-        term = _normal_closure(G, _commutators(xg, gx), ggens, order)
+        term = _normal_closure(G, _right_quotients(xg, gx), ggens, order)
         if term.count == order:
             raise NotNilpotentError(f"{G.name} is not nilpotent")
         gens, order, k = term.gens[:term.ngens], term.count, k + 1

@@ -193,15 +193,12 @@ class TestClosure:
     @pytest.mark.parametrize("spec", ["dihedral(15)", "dihedral(6)xcyclic(4)", "alt(4)xsym(3)",
                                       "q8xcyclic(3)", "frobenius(13,3)"])
     def test_element_order_on_catalog_generators(self, spec):
-        # the generators of a product commute across factors, so each one
-        # of a later factor normalizes the closure so far; a dihedral
-        # reflection normalizes the rotations
         G = make_builtin(spec)
         gens = [G.element(i) for i in G.generator_indices]
         table = close_with_degree(gens, G.deg)
         assert elements_of(table) == reference_dimino(gens, G.deg)
 
-    def test_cap_crossed_while_doubling_a_normalizing_generator(self):
+    def test_cap_crossed_at_each_coset_of_a_commuting_generator(self):
         a = from_cycles(12, [tuple(range(7))])
         b = from_cycles(12, [tuple(range(7, 12))])  # commutes with a: <a, b> is <a> times <b>
         assert len(close([a, b], cap=35)) == 35
@@ -210,19 +207,23 @@ class TestClosure:
                 close([a, b], cap=cap)
             assert (info.value.cap, info.value.partial_count) == (cap, cap + 1)
 
+    def test_search_stops_past_half_of_a_known_group(self):
+        # sym(4) holds <(0 1 2 3), (0 1)>; past 12 of its 24 elements it is all of it
+        closure = perm.Closure(4, 24, 2, within=24)
+        for g in (from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(0, 1)])):
+            closure.adjoin(np.array(g.images, dtype=np.uint8))
+        assert closure.count == 24 and 12 < len(closure.seen) < 24
+        # later rows add nothing and are not generators
+        closure.extend(np.array([from_cycles(4, [(1, 2)]).images], dtype=np.uint8))
+        assert (closure.count, closure.ngens) == (24, 2)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_element_order_is_dimino_one_coset_at_a_time(self, data):
         n = data.draw(st.integers(2, 7))
         gens = [Permutation(g) for g in
                 data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))]
-        expected = reference_dimino(gens, n)
-        assert elements_of(close_with_degree(gens, n, cap=5040)) == expected
-        # batches of one coset, and of a few, close up the same way
-        entries = data.draw(st.sampled_from([1, 3 * n, 7 * n]))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(perm, "_COSET_ENTRIES", entries)
-            assert elements_of(close_with_degree(gens, n, cap=5040)) == expected
+        assert elements_of(close_with_degree(gens, n, cap=5040)) == reference_dimino(gens, n)
 
     def test_matrix_holds_exactly_the_order(self):
         table = close([from_cycles(6, [(0, 1)]), from_cycles(6, [tuple(range(6))])])
