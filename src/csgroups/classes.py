@@ -223,11 +223,13 @@ def conjugacy_classes(G: FiniteGroup) -> ClassProfile:
     Conjugating by the generators suffices, since conjugation by a product
     factors through them; each generator's conjugation map is computed
     once, for all elements, and ``orbit_partition`` splits the elements
-    into their orbits, the classes in order of their least member.  No member set is built here:
-    ``ClassProfile.classes`` builds them on first read.
+    into their orbits, the classes in order of their least member.  The
+    maps read the whole matrix in place (``slice(None)``) and invert only
+    the generators' rows, so no inverse table (``FiniteGroup.inv``) is
+    built.  No member set is built here: ``ClassProfile.classes`` builds
+    them on first read.
     """
-    points = np.arange(G.order)
-    maps = [G.conjugate_many(points, g) for g in G.generator_indices]
+    maps = [G.conjugate_many(slice(None), g) for g in G.generator_indices]
     index, reps, sizes = orbit_partition(maps, G.order)
     # a list of Python ints: 1 << class_index[x] must not overflow
     return ClassProfile(G, index, index.tolist(), reps, sizes, tuple(sorted(set(sizes))))

@@ -42,11 +42,14 @@ class FiniteGroup:
     their images of the table's base, gathered for a whole row or batch at
     once and looked up in one go; a gather that picks one image from each
     of many rows reads ``table.matrix.ravel()`` at row start plus point,
-    which is faster than two-dimensional fancy indexing.  Immutable after
-    construction.  Inverses and element orders are memoized, and so are
-    multiplication rows while the memo holds at most ``ROW_MEMO_ENTRIES``
-    indices in all: small groups reuse their rows, and large ones do not
-    grow by n indices per row.
+    which is faster than two-dimensional fancy indexing, and one that
+    reads the same points of every row takes those columns.  Immutable
+    after construction.  The inverse table ``inv`` and element orders are
+    memoized, and so are multiplication rows while the memo holds at most
+    ``ROW_MEMO_ENTRIES`` indices in all: small groups reuse their rows,
+    and large ones do not grow by n indices per row.  ``conjugate``,
+    ``conjugate_by_all`` and ``commutator`` read the inverse table;
+    ``conjugate_many``, and so the conjugacy classes, does not.
     """
 
     def __init__(self, table: ElementTable, generator_indices: Sequence[int],
@@ -107,6 +110,10 @@ class FiniteGroup:
 
     @property
     def inv(self) -> np.ndarray:
+        """Index of each element's inverse, built on first read by one
+        scan of the matrix per base point.  Its readers are ``conjugate``,
+        ``conjugate_by_all`` and ``commutator``; ``conjugate_many`` inverts
+        only the row of the element it conjugates by."""
         if self._inv is None:
             mat = self.table.matrix
             images = np.empty((self.order, len(self.table.base)), dtype=mat.dtype)
@@ -138,12 +145,23 @@ class FiniteGroup:
         im, h = self.table.images, int(self.inv[g])
         return self.table.index_of_base([im[h, im[x, im[g, b]]] for b in self.table.base])
 
-    def conjugate_many(self, xs: np.ndarray, g: int) -> np.ndarray:
-        """Indices of ``g^-1 x g`` for each x in ``xs`` (vectorized)."""
+    def conjugate_many(self, xs: np.ndarray | slice | Sequence[int], g: int) -> np.ndarray:
+        """Indices of ``g^-1 x g`` for each x in ``xs`` (vectorized).
+
+        ``xs`` picks rows of the matrix: an index array or list, in any
+        order, or a slice, so ``slice(None)`` conjugates the whole group
+        in place.  g^-1's row is g's row inverted by one scatter, and x*g
+        on the base is the columns that g maps the base to, read at
+        ``xs``; neither reads the inverse table.
+        """
         mat = self.table.matrix
-        starts = np.asarray(xs, dtype=np.intp)[:, None] * self.deg  # x's row in mat.ravel()
-        xg = mat.ravel()[starts + mat[g][self.table.base]]          # x*g on the base
-        return self.table.indices_of_base(mat[int(self.inv[g])].take(xg))
+        row = mat[g].astype(np.intp)  # an intp scatter index is about twice as fast
+        inverse = np.empty(self.deg, dtype=mat.dtype)
+        inverse[row] = np.arange(self.deg, dtype=mat.dtype)
+        # x*g on the base, one column per base point; the take reads the
+        # columns in memory order (mat[:, cols] is column-major)
+        xg = mat[:, row[self.table.base]][xs].T
+        return self.table.indices_of_base(inverse.take(xg).T)
 
     def conjugate_by_all(self, x: int) -> np.ndarray:
         """Indices of ``g^-1 x g`` for every g in the group (vectorized)."""

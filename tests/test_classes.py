@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from csgroups import classes, cli
 from csgroups.arith import arithmetic_profile, is_prime
-from csgroups.catalog import make_builtin
+from csgroups.catalog import fixture_group, make_builtin
 from csgroups.classes import (
     composite_split,
     conjugacy_classes,
@@ -244,6 +244,17 @@ class TestLazyMembers:
         profile = conjugacy_classes(G)
         assert "classes" not in profile.__dict__
         assert profile.classes == orbit_oracle(G)  # built on first read
+
+    @pytest.mark.parametrize("load", [lambda: fixture_group("g486_176"), lambda: symmetric(4),
+                                      lambda: make_builtin("dihedral(11)xdihedral(8)xsym(3)")],
+                             ids=["g486_176", "sym(4)", "class-sizes-style"])
+    def test_classes_build_no_inverse_table(self, load):
+        # the conjugation maps invert only the generators' rows
+        G = load()
+        assert G._inv is None
+        profile = conjugacy_classes(G)
+        assert G._inv is None
+        assert sum(profile.sizes) == G.order
 
 
 class TestPrimaryDecomposition:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csgroups import perm
+from csgroups.catalog import iter_catalog
 from csgroups.classes import conjugacy_classes
 from csgroups.construct import (
     FiniteGroup,
@@ -234,3 +235,51 @@ class TestIndexAlgebra:
         assert 1 < len(set(keys)) < len(keys)
         check_against_elements(G, [0, 5, 17, G.order - 1])
         assert conjugacy_classes(G).cs_set == (1, 2, 3, 4, 6)
+
+
+def _row_picks(n: int) -> dict:
+    """Each kind of ``xs`` that ``conjugate_many`` takes, as row picks of a
+    group of order n, with the element indices that each one picks."""
+    rng = np.random.default_rng(n)
+    unsorted = rng.permutation(n)
+    sample = np.sort(unsorted[:max(1, n // 3)])
+    return {
+        "slice": (slice(None), range(n)),
+        "sorted array": (sample, sample.tolist()),
+        "unsorted array": (unsorted, unsorted.tolist()),
+        "unsorted subset": (unsorted[:max(1, n // 2)], unsorted[:max(1, n // 2)].tolist()),
+        "list": (list(range(n - 1, -1, -2)), list(range(n - 1, -1, -2))),
+        "empty array": (np.array([], dtype=np.intp), []),
+    }
+
+
+class TestConjugateMany:
+    """``conjugate_many`` inverts g's row itself and gathers x*g by base
+    columns; scalar ``conjugate`` (through the inverse table) is its oracle."""
+
+    def test_every_kind_of_xs_matches_scalar_conjugate(self):
+        groups = [e.group for e in iter_catalog()]
+        assert {"g160_234", "g162_5", "g480_166", "g486_176", "psl_2_8"} <= {G.name for G in groups}
+        # the regular representations of degree 480 and 486 have a one-point base
+        assert all(len(G.table.base) == 1 for G in groups if G.name in ("g480_166", "g486_176"))
+        for G in groups:
+            picks = _row_picks(G.order)
+            for g in sorted({*G.generator_indices, 0, G.order - 1}):
+                scalar = [G.conjugate(x, g) for x in range(G.order)]
+                for kind, (xs, chosen) in picks.items():
+                    got = G.conjugate_many(xs, g)
+                    assert got.tolist() == [scalar[x] for x in chosen], (G.name, g, kind)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_maps_are_permutations_undone_by_the_inverse(self, data):
+        n = data.draw(st.integers(1, 7))
+        gens = data.draw(st.lists(st.permutations(range(n)), max_size=3))
+        table = close_with_degree([Permutation(g) for g in gens], n, cap=5040)
+        G = FiniteGroup(table, sorted({table.index_of(Permutation(g)) for g in gens}), "random")
+        for g in [*G.generator_indices, data.draw(st.integers(0, G.order - 1))]:
+            conj = G.conjugate_many(slice(None), g)
+            assert sorted(conj.tolist()) == list(range(G.order))
+            assert conj[0] == 0
+            undo = G.conjugate_many(slice(None), int(G.inv[g]))  # G.inv: an independent oracle
+            assert undo[conj].tolist() == list(range(G.order))
