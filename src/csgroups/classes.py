@@ -246,12 +246,6 @@ def pi_part_exponent(o: int, pi: set[int] | frozenset[int]) -> int:
     return b * pow(b, -1, a)
 
 
-def pi_part_of_element(G: FiniteGroup, x: int, pi: set[int] | frozenset[int]) -> int:
-    """The pi-part of x.  It has order the pi-part of o(x), and x's
-    pi'-part times it is x."""
-    return G.power(x, pi_part_exponent(int(G.element_orders[x]), pi))
-
-
 def composite_split(profile: ClassProfile) -> tuple[frozenset[int], frozenset[int]]:
     """Partition cs(G) \\ {1} into prime sizes and composite sizes."""
     primes = frozenset(s for s in profile.cs_set if s > 1 and is_prime(s))

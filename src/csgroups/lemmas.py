@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .arith import arithmetic_profile
-from .classes import conjugacy_classes, pi_part_exponent
+from .classes import pi_part_exponent
 from .construct import FiniteGroup
 from .structure import (
     EnumerationLimitError,
@@ -29,7 +29,6 @@ from .structure import (
     is_frobenius,
     is_normal,
     o_pi,
-    quotient,
     sylow,
 )
 from .theorems import GroupAnalysis
@@ -266,12 +265,12 @@ def check_disconnected_class_sizes(G, analysis, report: LemmaReport):
         _record(report, "2.3", G.name, False, lambda: "trivial core despite split class sizes")
         return
     pi_all = set(arithmetic_profile(core.order).primes)
-    ok = _disconnected_conclusion(core, pi & pi_all) or \
-        _disconnected_conclusion(core, pi_all - pi)
+    ok = _disconnected_conclusion(core, pi & pi_all, analysis) or \
+        _disconnected_conclusion(core, pi_all - pi, analysis)
     _record(report, "2.3", G.name, ok, lambda: f"pi={sorted(pi)}")
 
 
-def _disconnected_conclusion(core: FiniteGroup, pi: set[int]) -> bool:
+def _disconnected_conclusion(core: FiniteGroup, pi: set[int], analysis) -> bool:
     pi_prime = set(arithmetic_profile(core.order).primes) - pi
     H = hall(core, pi)
     L = hall(core, pi_prime)
@@ -284,11 +283,10 @@ def _disconnected_conclusion(core: FiniteGroup, pi: set[int]) -> bool:
     if len(H) * len(L) != core.order:
         return False
     Z = center(core)
-    q = quotient(core, Z)
-    if not is_frobenius(q.group).is_frobenius:
+    if not is_frobenius(core, Z).is_frobenius:
         return False
     expected = tuple(sorted({1, len(L), len(H) // len(Z)}))
-    return conjugacy_classes(core).cs_set == expected
+    return analysis.core_profile.cs_set == expected
 
 
 def check_mixed_prime_power_products(G, analysis, report: LemmaReport,

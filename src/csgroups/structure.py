@@ -1,7 +1,7 @@
 """Structural subgroup machinery: center, derived series, Sylow, O_p and
 O_pi, Fitting subgroups, quotients, normal-subgroup enumeration, Hall
-subgroups, Frobenius detection, nilpotency class, and stripping of
-abelian direct factors.
+subgroups, Frobenius detection of G/N from its class sizes, nilpotency
+class, and stripping of abelian direct factors.
 
 A subgroup of G is the frozenset of its element indices in G; a subgroup
 that needs its own multiplication table is reified by
@@ -330,21 +330,25 @@ def o_pi(profile: ClassProfile, pi: set[int] | frozenset[int]) -> frozenset[int]
 
 @dataclass(frozen=True)
 class FrobeniusVerdict:
+    """Whether a group is Frobenius, and its Frobenius kernel if so."""
+
     is_frobenius: bool
     kernel: Optional[frozenset[int]] = None
-    complement: Optional[frozenset[int]] = None
 
 
-def is_frobenius(Q: FiniteGroup) -> FrobeniusVerdict:
-    """Search for a Frobenius kernel/complement pair.
+def is_frobenius(G: FiniteGroup, N: frozenset[int] = frozenset([0])) -> FrobeniusVerdict:
+    """Whether G/N is a Frobenius group, read from the class sizes of
+    Q = G/N; Q is G itself when N is trivial, and no quotient is built.
 
-    A proper nontrivial normal K qualifies iff centralizers of its
-    nonidentity elements stay inside K; the complement is then a Hall
-    subgroup for the complementary primes (kernel and complement have
-    coprime orders).  A kernel is a normal Hall pi-subgroup, which is
-    O_pi(Q), so the candidates are the O_pi(Q) of full pi-part, one for
-    each proper nonempty set pi of primes of |Q|.
+    A Frobenius kernel K is a normal Hall pi-subgroup, so it is O_pi(Q):
+    the candidates are the O_pi(Q) of full pi-part, one for each proper
+    nonempty set pi of primes of |Q|.  K is a kernel iff C_Q(k) <= K for
+    each k != 1 in K: as C_Q(k) n K is Hall in C_Q(k), iff |Q|/|k^Q| is a
+    pi-number, that is iff |Q:K| divides |k^Q|.  No complement is searched
+    for: K has one by Schur-Zassenhaus, and it acts fixed-point-freely on
+    K as C_Q(k) <= K (Isaacs, *Finite Group Theory*, ch. 6).
     """
+    Q = G if len(N) == 1 else quotient(G, N).group
     n, prof = Q.order, arithmetic_profile(Q.order)
     profile = conjugacy_classes(Q)
     for r in range(1, len(prof.primes)):
@@ -352,11 +356,9 @@ def is_frobenius(Q: FiniteGroup) -> FrobeniusVerdict:
             K = o_pi(profile, pi)
             if len(K) != math.prod(map(prof.part, pi)):
                 continue
-            if not all(centralizer_of_set(Q, [k]) <= K for k in K if k != 0):
-                continue
-            H = hall(Q, set(prof.primes) - set(pi))
-            if H is not None and len(H) == n // len(K) and (H & K) == {0}:
-                return FrobeniusVerdict(True, K, H)
+            in_K = set(profile.class_of[list(K)].tolist()) - {0}
+            if all(profile.sizes[c] % (n // len(K)) == 0 for c in in_K):
+                return FrobeniusVerdict(True, K)
     return FrobeniusVerdict(False)
 
 

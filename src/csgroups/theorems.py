@@ -117,6 +117,12 @@ class GroupAnalysis:
         return strip_abelian_factors(self.group, commutators, self.center)
 
     @cached_property
+    def core_profile(self):
+        """The stripped core's class profile: ``profile`` when it is G."""
+        core, _ = self.stripped
+        return self.profile if core is self.group else conjugacy_classes(core)
+
+    @cached_property
     def normals(self):
         return normal_subgroups(self.group, self.normal_limit, self.profile)
 
@@ -185,13 +191,12 @@ def _check_theorem_A_decomposition(a: GroupAnalysis, lab: dict,
     |core|_p1' are normal Hall subgroups, so these two if any."""
     core, factor = a.stripped
     p1, p2, p3 = lab["p1"], lab["p2"], lab["p3"]
-    profile = a.profile if core is a.group else conjugacy_classes(core)
-    if profile.cs_set != a.profile.cs_set:
+    if a.core_profile.cs_set != a.profile.cs_set:
         verdict.conclusions.append(Conclusion(
-            "strip-preserves-class-sizes", False, f"cs(core)={profile.cs_set}"))
+            "strip-preserves-class-sizes", False, f"cs(core)={a.core_profile.cs_set}"))
         return
-    P_sub = o_pi(profile, {p1})
-    H_sub = o_pi(profile, set(arithmetic_profile(core.order).primes) - {p1})
+    P_sub = o_pi(a.core_profile, {p1})
+    H_sub = o_pi(a.core_profile, set(arithmetic_profile(core.order).primes) - {p1})
     if len(P_sub) * len(H_sub) != core.order:
         verdict.conclusions.append(Conclusion(
             "P-x-H-decomposition", False, "no internal direct decomposition found"))
@@ -210,13 +215,13 @@ def _check_theorem_A_decomposition(a: GroupAnalysis, lab: dict,
         is_p1_group and cs_P == (1, p1) and nclass is not None and nclass <= 2,
         f"|P|={P_grp.order}, cs(P)={cs_P}, class={nclass}"))
     ZH = center(H_grp)
-    qH = quotient(H_grp, ZH)
-    frob = is_frobenius(qH.group)
+    frob = is_frobenius(H_grp, ZH)
+    central_quotient_order = H_grp.order // len(ZH)
     verdict.conclusions.append(Conclusion(
         "H-cs-1-p2-p3-and-H/Z-frobenius-p2p3",
         cs_H == tuple(sorted([1, p2, p3])) and frob.is_frobenius
-        and qH.group.order == p2 * p3,
-        f"cs(H)={cs_H}, |H/Z(H)|={qH.group.order}, frobenius={frob.is_frobenius}"))
+        and central_quotient_order == p2 * p3,
+        f"cs(H)={cs_H}, |H/Z(H)|={central_quotient_order}, frobenius={frob.is_frobenius}"))
     verdict.witnesses["P_order"] = P_grp.order
     verdict.witnesses["H_order"] = H_grp.order
     verdict.witnesses["abelian_factor_order"] = len(factor)
@@ -345,7 +350,7 @@ def check_chillag_herzog(G: FiniteGroup, analysis: Optional[GroupAnalysis] = Non
         verdict.conclusions.append(Conclusion("abelian", True, "trivial after stripping"))
         verdict.witnesses["branch"] = "abelian"
         return verdict
-    cs_core = conjugacy_classes(core).cs_set
+    cs_core = a.core_profile.cs_set
     prof = arithmetic_profile(core.order)
     if len(prof.prime_factors) == 1:
         p = prof.primes[0]
@@ -360,16 +365,16 @@ def check_chillag_herzog(G: FiniteGroup, analysis: Optional[GroupAnalysis] = Non
         verdict.witnesses.update({"branch": "p-group", "p": p, "class": nclass})
         return verdict
     Z = center(core)
-    q = quotient(core, Z)
-    frob = is_frobenius(q.group)
+    frob = is_frobenius(core, Z)
+    central_quotient_order = core.order // len(Z)
     sizes = sorted(cs_core)
     ok = (len(sizes) == 3 and sizes[0] == 1 and is_prime(sizes[1]) and is_prime(sizes[2])
-          and frob.is_frobenius and q.group.order == sizes[1] * sizes[2])
+          and frob.is_frobenius and central_quotient_order == sizes[1] * sizes[2])
     verdict.conclusions.append(Conclusion(
         "central-quotient-frobenius-pq-cs-1-p-q", ok,
-        f"cs={cs_core}, |G/Z|={q.group.order}, frobenius={frob.is_frobenius}"))
+        f"cs={cs_core}, |G/Z|={central_quotient_order}, frobenius={frob.is_frobenius}"))
     verdict.witnesses.update({"branch": "frobenius", "cs": list(cs_core),
-                              "central_quotient_order": q.group.order})
+                              "central_quotient_order": central_quotient_order})
     return verdict
 
 

@@ -13,7 +13,7 @@ from csgroups.classes import (
     composite_split,
     conjugacy_classes,
     orbit_labels,
-    pi_part_of_element,
+    pi_part_exponent,
 )
 from csgroups.construct import (
     alternating,
@@ -257,12 +257,17 @@ class TestLazyMembers:
         assert sum(profile.sizes) == G.order
 
 
+def _pi_part(G, x: int, pi: set[int]) -> int:
+    """x's pi-part as lemma 2.1e computes it: x^e, e = pi_part_exponent(o(x), pi)."""
+    return G.power(x, pi_part_exponent(int(G.element_orders[x]), pi))
+
+
 class TestPrimaryDecomposition:
     def test_order_six_element_splits(self):
         G = cyclic(6)
         x = G.generator_indices[0]
-        y = pi_part_of_element(G, x, {2})
-        z = pi_part_of_element(G, x, {3})
+        y = _pi_part(G, x, {2})
+        z = _pi_part(G, x, {3})
         assert int(G.element_orders[y]) == 2
         assert int(G.element_orders[z]) == 3
         assert G.mul(y, z) == x == G.mul(z, y)
@@ -271,8 +276,8 @@ class TestPrimaryDecomposition:
     @given(st.sampled_from(range(1, 24)), st.sampled_from([{2}, {3}]))
     def test_parts_commute_and_multiply(self, x, pi):
         G = symmetric(4)
-        y = pi_part_of_element(G, x, pi)
-        z = pi_part_of_element(G, x, {2, 3} - pi)
+        y = _pi_part(G, x, pi)
+        z = _pi_part(G, x, {2, 3} - pi)
         assert G.mul(y, z) == x == G.mul(z, y)
         assert arithmetic_profile(int(G.element_orders[y])).is_pi_number(pi)
         assert arithmetic_profile(int(G.element_orders[z])).is_pi_number({2, 3} - pi)
@@ -280,10 +285,10 @@ class TestPrimaryDecomposition:
     def test_pi_part(self):
         G = cyclic(12)
         x = G.generator_indices[0]  # order 12
-        y = pi_part_of_element(G, x, {2})
+        y = _pi_part(G, x, {2})
         assert int(G.element_orders[y]) == 4
         assert arithmetic_profile(int(G.element_orders[y])).primes == (2,)
 
     def test_pi_part_of_coprime_element_is_identity(self):
         G = cyclic(5)
-        assert pi_part_of_element(G, 1, {2, 3}) == 0
+        assert _pi_part(G, 1, {2, 3}) == 0

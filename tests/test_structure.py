@@ -34,7 +34,6 @@ from csgroups.perm import (
 )
 from csgroups.structure import (
     EnumerationLimitError,
-    FrobeniusVerdict,
     NotNilpotentError,
     center,
     centralizer_of_set,
@@ -564,7 +563,6 @@ class TestFrobeniusAndHall:
         verdict = is_frobenius(frobenius_pq(7, 3))
         assert verdict.is_frobenius
         assert verdict.kernel is not None and len(verdict.kernel) == 7
-        assert verdict.complement is not None and len(verdict.complement) == 3
 
     def test_symmetric_3_is_frobenius(self):
         assert is_frobenius(symmetric(3)).is_frobenius
@@ -598,17 +596,17 @@ class TestFrobeniusAndHall:
         verdict = is_frobenius(G)
         assert verdict.is_frobenius
         assert verdict.kernel is not None and len(verdict.kernel) == 7
-        assert verdict.complement is not None and len(verdict.complement) == 6
 
     def test_hall_subgroups_of_non_soluble_groups(self):
         assert len(hall(alternating(5), {2, 3})) == 12
         assert len(hall(fixture_group("psl_2_8"), {2, 7})) == 56
 
 
-def _frobenius_by_lattice(Q: FiniteGroup) -> FrobeniusVerdict:
+def _frobenius_by_lattice(Q: FiniteGroup) -> tuple[bool, Optional[frozenset[int]]]:
     """The Frobenius test as a walk over the normal-subgroup lattice: the
     first normal K of coprime index whose nonidentity elements have their
-    centralizers inside K, with a Hall complement."""
+    centralizers inside K, with a Hall complement.  Whether Q is
+    Frobenius, and K."""
     n = Q.order
     for K in normal_subgroups(Q):
         if len(K) in (1, n) or math.gcd(len(K), n // len(K)) != 1:
@@ -617,30 +615,40 @@ def _frobenius_by_lattice(Q: FiniteGroup) -> FrobeniusVerdict:
             continue
         H = hall(Q, set(arithmetic_profile(n // len(K)).primes))
         if H is not None and len(H) == n // len(K) and (H & K) == {0}:
-            return FrobeniusVerdict(True, K, H)
-    return FrobeniusVerdict(False)
+            return True, K
+    return False, None
 
 
 class TestFrobeniusOracle:
-    """``is_frobenius`` tries the O_pi of full pi-part; the lattice walk
-    tries every normal subgroup.  Verdict, kernel and complement agree."""
+    """``is_frobenius(G, N)`` reads O_pi of full pi-part and the class
+    sizes of G/N; the lattice walk tries every normal subgroup of the
+    quotient's own group and searches a complement.  Verdict and kernel
+    agree."""
 
     @staticmethod
-    def _assert_matches_lattice(G: FiniteGroup) -> None:
-        for Q in (G, quotient(G, center(G)).group):
-            assert is_frobenius(Q) == _frobenius_by_lattice(Q), Q.name
+    def _assert_matches_lattice(G: FiniteGroup, N: frozenset[int]) -> None:
+        verdict = is_frobenius(G, N)
+        Q = quotient(G, N).group
+        assert (verdict.is_frobenius, verdict.kernel) == _frobenius_by_lattice(Q), (G.name, len(N))
 
-    def test_catalog_groups_and_central_quotients(self):
+    def test_every_proper_quotient_of_catalog_groups(self):
         # dihedral(15) has a kernel of order 15, which no catalog group has
         groups = [e.group for e in iter_catalog()] + [make_builtin("dihedral(15)")]
+        quotients = frobenius = 0
         for G in groups:
-            self._assert_matches_lattice(G)
+            for N in normal_subgroups(G):
+                if len(N) < G.order:
+                    self._assert_matches_lattice(G, N)
+                    quotients += 1
+                    frobenius += is_frobenius(G, N).is_frobenius
         assert len(is_frobenius(groups[-1]).kernel) == 15
+        assert quotients > 300 and frobenius > 30
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(small_permutation_groups())
     def test_random_groups_and_central_quotients(self, G):
-        self._assert_matches_lattice(G)
+        for N in (frozenset([0]), center(G)):
+            self._assert_matches_lattice(G, N)
 
 
 def _lattice_strip(G: FiniteGroup) -> tuple[frozenset[int], frozenset[int]]:

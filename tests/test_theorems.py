@@ -2,16 +2,18 @@
 solubility sweep, and the projective-line class-size formula."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csgroups import structure, theorems
+from csgroups import lemmas, structure, theorems
 from csgroups.catalog import fixture_group, iter_catalog, make_builtin
 from csgroups.cli import entry_for_group
 from csgroups.arith import arithmetic_profile, is_prime
 from csgroups.classes import conjugacy_classes
 from csgroups.construct import (
+    FiniteGroup,
     alternating,
     cyclic,
     direct_product,
@@ -19,6 +21,8 @@ from csgroups.construct import (
     quaternion8,
     symmetric,
 )
+from csgroups.lemmas import LemmaReport
+from csgroups.perm import Permutation, close_with_degree
 from csgroups.structure import centralizer_of_set, normal_subgroups
 from csgroups.theorems import (
     GroupAnalysis,
@@ -278,6 +282,52 @@ class TestChillagHerzog:
             verdict = check_chillag_herzog(entry.group)
             if verdict.hypotheses_apply:
                 assert verdict.status() == "pass", entry.name
+
+
+class TestFrobeniusOfCentralQuotients:
+    """``is_frobenius(G, N)`` builds G/N only for a nontrivial N, and reads
+    the quotient's own class profile, not G's class algebra."""
+
+    @pytest.fixture
+    def quotients(self, monkeypatch):
+        """The orders of the subgroups N that ``structure.quotient`` divides by."""
+        orders = []
+        build = structure.quotient
+
+        def spy(G, N):
+            orders.append(len(N))
+            return build(G, N)
+
+        monkeypatch.setattr(structure, "quotient", spy)
+        return orders
+
+    def test_trivial_centre_builds_no_quotient(self, quotients):
+        G = make_builtin("frobenius(13,3)")
+        analysis = GroupAnalysis(G)
+        report = LemmaReport()
+        lemmas.check_disconnected_class_sizes(G, analysis, report)
+        verdict = check_chillag_herzog(G, analysis)
+        assert report.instances["2.3"] == 1 and not report.failures
+        assert verdict.status() == "pass" and verdict.witnesses["branch"] == "frobenius"
+        assert verdict.witnesses["central_quotient_order"] == 39
+        assert quotients == []
+
+    def test_large_centre_reads_the_quotients_profile(self, quotients):
+        # C3 x| C1024, b inverting a: centre <b^2> of order 512, 1,536 classes
+        a = Permutation([1, 2, 0] + list(range(3, 1027)))
+        b = Permutation([0, 2, 1] + [3 + (i + 1) % 1024 for i in range(1024)])
+        table = close_with_degree([a, b], 1027)
+        G = FiniteGroup(table, [table.index_of(g) for g in (a, b)], "C3:C1024")
+        start = time.perf_counter()
+        analysis = GroupAnalysis(G)
+        verdict = check_chillag_herzog(G, analysis)
+        elapsed = time.perf_counter() - start
+        assert G.order == 3072 and len(analysis.profile.sizes) == 1536
+        assert verdict.status() == "pass" and verdict.witnesses["branch"] == "frobenius"
+        assert verdict.witnesses["central_quotient_order"] == 6
+        assert quotients == [512]
+        assert "support" not in analysis.profile.__dict__  # G's class algebra is never built
+        assert elapsed < 5, elapsed  # about 0.15 s; G's class algebra took minutes
 
 
 class TestConjectureB:
