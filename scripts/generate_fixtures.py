@@ -57,6 +57,11 @@ def class_members(prof: ClassProfile, x: int) -> frozenset[int]:
     return prof.classes[prof.class_index[x]][1]
 
 
+def commutator(G: FiniteGroup, x: int, y: int) -> int:
+    """Index of x^-1 y^-1 x y."""
+    return G.mul(G.mul(int(G.inv[x]), int(G.inv[y])), G.mul(x, y))
+
+
 def rename(G: FiniteGroup, name: str) -> FiniteGroup:
     G.name = name
     return G
@@ -200,7 +205,7 @@ def automorphisms_of_order(G: FiniteGroup, k: int, *, fix_first_up_to_conjugacy=
     for i in range(len(gens)):
         for j in range(i):
             p = G.mul(gens[j], gens[i])
-            c = G.commutator(gens[j], gens[i])
+            c = commutator(G, gens[j], gens[i])
             pair_sig[(j, i)] = (sig[p], sig[c])
 
     def dfs(depth: int, images: list[int]):
@@ -220,7 +225,7 @@ def automorphisms_of_order(G: FiniteGroup, k: int, *, fix_first_up_to_conjugacy=
             good = True
             for j in range(depth):
                 p = G.mul(images[j], y)
-                c = G.commutator(images[j], y)
+                c = commutator(G, images[j], y)
                 if (sig[p], sig[c]) != pair_sig[(j, depth)]:
                     good = False
                     break

@@ -47,9 +47,9 @@ class FiniteGroup:
     after construction.  The inverse table ``inv`` and element orders are
     memoized, and so are multiplication rows while the memo holds at most
     ``ROW_MEMO_ENTRIES`` indices in all: small groups reuse their rows,
-    and large ones do not grow by n indices per row.  ``conjugate``,
-    ``conjugate_by_all`` and ``commutator`` read the inverse table;
-    ``conjugate_many``, and so the conjugacy classes, does not.
+    and large ones do not grow by n indices per row.  ``conjugate`` and
+    ``conjugate_by_all`` read the inverse table; ``conjugate_many``, and
+    so the conjugacy classes, does not.
     """
 
     def __init__(self, table: ElementTable, generator_indices: Sequence[int],
@@ -111,9 +111,9 @@ class FiniteGroup:
     @property
     def inv(self) -> np.ndarray:
         """Index of each element's inverse, built on first read by one
-        scan of the matrix per base point.  Its readers are ``conjugate``,
-        ``conjugate_by_all`` and ``commutator``; ``conjugate_many`` inverts
-        only the row of the element it conjugates by."""
+        scan of the matrix per base point.  Its readers are ``conjugate`` and
+        ``conjugate_by_all``; ``conjugate_many`` inverts only the row of
+        the element it conjugates by."""
         if self._inv is None:
             mat = self.table.matrix
             images = np.empty((self.order, len(self.table.base)), dtype=mat.dtype)
@@ -169,12 +169,6 @@ class FiniteGroup:
         xg = mat[x].take(mat[:, self.table.base])     # row g -> x*g on the base
         starts = self.inv.astype(np.intp)[:, None] * self.deg  # g^-1's row in mat.ravel()
         return self.table.indices_of_base(mat.ravel()[starts + xg])
-
-    def commutator(self, x: int, y: int) -> int:
-        """Index of ``x^-1 y^-1 x y``."""
-        xy = self.mul(x, y)
-        yx = self.mul(y, x)
-        return self.mul(int(self.inv[yx]), xy)
 
     def power(self, x: int, k: int) -> int:
         k %= int(self.element_orders[x])

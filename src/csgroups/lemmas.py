@@ -23,11 +23,11 @@ from .construct import FiniteGroup
 from .structure import (
     EnumerationLimitError,
     center,
-    core_p,
     generating_set,
     hall,
     is_frobenius,
     is_normal,
+    normal_core,
     o_pi,
     sylow,
 )
@@ -283,7 +283,7 @@ def _disconnected_conclusion(core: FiniteGroup, pi: set[int], analysis) -> bool:
     if len(H) * len(L) != core.order:
         return False
     Z = center(core)
-    if not is_frobenius(core, Z).is_frobenius:
+    if not is_frobenius(analysis.core_profile, Z).is_frobenius:
         return False
     expected = tuple(sorted({1, len(L), len(H) // len(Z)}))
     return analysis.core_profile.cs_set == expected
@@ -316,8 +316,8 @@ def check_mixed_prime_power_products(G, analysis, report: LemmaReport,
             if not arithmetic_profile(sxy).is_prime_power() or sxy == 1:
                 continue
             if core is None:  # once per t, and only for a t with an instance
-                core = core_p(G, t)
                 syl = sylow(G, t)
+                core = normal_core(G, syl)
                 nonabelian = not _commute(G, syl, syl)
             sx, sy = profile.class_size_of(x), profile.class_size_of(y)
             inside = G.subgroup_closure([x, y]) <= core

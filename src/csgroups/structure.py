@@ -1,7 +1,8 @@
-"""Structural subgroup machinery: center, derived series, Sylow, O_p and
-O_pi, Fitting subgroups, quotients, normal-subgroup enumeration, Hall
-subgroups, Frobenius detection of G/N from its class sizes, nilpotency
-class, and stripping of abelian direct factors.
+"""Structural subgroup machinery: center, derived series, Sylow, normal
+cores, O_p and O_pi, Fitting subgroups (found in G), quotients (of the
+verdicts, only the Frobenius test of G/N builds one), normal-subgroup
+enumeration, Hall subgroups, Frobenius detection from class sizes,
+nilpotency class, and stripping of abelian direct factors.
 
 A subgroup of G is the frozenset of its element indices in G; a subgroup
 that needs its own multiplication table is reified by
@@ -214,14 +215,11 @@ def sylow(G: FiniteGroup, p: int) -> frozenset[int]:
     return members
 
 
-def core_p(G: FiniteGroup, p: int) -> frozenset[int]:
-    """O_p(G): the intersection of all conjugates of one Sylow p-subgroup.
-
-    That is the union of the classes inside P, found as the largest
-    subset of P that conjugation by each generator keeps inside itself:
-    drop the elements that a generator moves out, until none is moved.
-    """
-    core = np.array(sorted(sylow(G, p)), dtype=np.int64)
+def normal_core(G: FiniteGroup, members: frozenset[int]) -> frozenset[int]:
+    """The largest normal subgroup of G inside the subgroup ``members``: the
+    union of the classes inside it, the largest subset that conjugation by
+    each generator keeps, found by dropping what a generator moves out."""
+    core = np.array(sorted(members), dtype=np.int64)
     member_mask = np.zeros(G.order, dtype=bool)
     member_mask[core] = True
     while True:
@@ -235,12 +233,37 @@ def core_p(G: FiniteGroup, p: int) -> frozenset[int]:
     return frozenset(core.tolist())
 
 
+def core_p(G: FiniteGroup, p: int) -> frozenset[int]:
+    """O_p(G): the normal core of a Sylow p-subgroup."""
+    return normal_core(G, sylow(G, p))
+
+
 def fitting(G: FiniteGroup) -> frozenset[int]:
     """F(G): the join of the O_p(G) over the primes dividing |G|."""
     gens: list[int] = []
     for p in arithmetic_profile(G.order).primes:
         gens += generating_set(G, core_p(G, p))
     return G.subgroup_closure(gens)
+
+
+def fitting2(G: FiniteGroup) -> frozenset[int]:
+    """F2(G), the preimage of F(G/F(G)), found in G: for P Sylow in G, PF/F
+    is Sylow in G/F, so the preimage of O_p(G/F) is the normal core of
+    <P, F>.  F2 is the join of these cores, and F of the cores of the P."""
+    sylows = [sylow(G, p) for p in arithmetic_profile(G.order).primes]
+    cores = [normal_core(G, P) for P in sylows]
+    fgens = [g for O in cores for g in generating_set(G, O)]
+    order_F = math.prod(map(len, cores))  # F is the direct product of the O_p
+    gens, rows = list(fgens), {}
+    for P, O in zip(sylows, cores):
+        if len(P) // len(O) * order_F == G.order:  # |PF| = |P||F|/|O_p|: G/F is a p-group
+            return frozenset(range(G.order))
+        pgens = generating_set(G, P)
+        PF = G.subgroup_closure(pgens + fgens, rows)
+        core = normal_core(G, PF)
+        if len(core) > order_F:  # else the core is F, as for a normal P
+            gens += pgens if core == PF else generating_set(G, core)
+    return G.subgroup_closure(gens, rows)
 
 
 @dataclass
@@ -250,13 +273,9 @@ class Quotient:
     group: FiniteGroup
     projection: np.ndarray   # element index of G -> element index of G/N
 
-    def preimage(self, members: frozenset[int]) -> frozenset[int]:
-        mask = np.isin(self.projection, list(members))
-        return frozenset(np.nonzero(mask)[0].tolist())
-
 
 def quotient(G: FiniteGroup, N: frozenset[int]) -> Quotient:
-    """G/N realized on the left cosets of N by translation."""
+    """G/N realized on the left cosets of N by translation; built only by the Frobenius test."""
     gens = generating_set(G, N)
     if not is_normal(G, N, gens):
         raise ValueError("quotient by a non-normal subgroup")
@@ -272,15 +291,6 @@ def quotient(G: FiniteGroup, N: frozenset[int]) -> Quotient:
     gen_idx = sorted({int(projection[g]) for g in G.generator_indices} - {0})
     Q = FiniteGroup(table, gen_idx, f"{G.name}/N{len(N)}")
     return Quotient(Q, projection)
-
-
-def fitting2(G: FiniteGroup) -> frozenset[int]:
-    """F2(G): the preimage in G of F(G/F(G))."""
-    F = fitting(G)
-    if len(F) == G.order:
-        return F
-    q = quotient(G, F)
-    return q.preimage(fitting(q.group))
 
 
 def normal_subgroups(G: FiniteGroup, limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT,
@@ -336,9 +346,10 @@ class FrobeniusVerdict:
     kernel: Optional[frozenset[int]] = None
 
 
-def is_frobenius(G: FiniteGroup, N: frozenset[int] = frozenset([0])) -> FrobeniusVerdict:
-    """Whether G/N is a Frobenius group, read from the class sizes of
-    Q = G/N; Q is G itself when N is trivial, and no quotient is built.
+def is_frobenius(profile: ClassProfile, N: frozenset[int] = frozenset([0])) -> FrobeniusVerdict:
+    """Whether G/N is a Frobenius group, for G the group of ``profile``,
+    read from the class sizes of Q = G/N; Q is G itself when N is
+    trivial, and then ``profile`` is Q's and no quotient is built.
 
     A Frobenius kernel K is a normal Hall pi-subgroup, so it is O_pi(Q):
     the candidates are the O_pi(Q) of full pi-part, one for each proper
@@ -348,9 +359,8 @@ def is_frobenius(G: FiniteGroup, N: frozenset[int] = frozenset([0])) -> Frobeniu
     for: K has one by Schur-Zassenhaus, and it acts fixed-point-freely on
     K as C_Q(k) <= K (Isaacs, *Finite Group Theory*, ch. 6).
     """
-    Q = G if len(N) == 1 else quotient(G, N).group
-    n, prof = Q.order, arithmetic_profile(Q.order)
-    profile = conjugacy_classes(Q)
+    profile = profile if len(N) == 1 else conjugacy_classes(quotient(profile.group, N).group)
+    n, prof = profile.group.order, arithmetic_profile(profile.group.order)
     for r in range(1, len(prof.primes)):
         for pi in itertools.combinations(prof.primes, r):
             K = o_pi(profile, pi)

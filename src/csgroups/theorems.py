@@ -27,7 +27,6 @@ from .structure import (
     nilpotency_class,
     normal_subgroups,
     o_pi,
-    quotient,
     strip_abelian_factors,
     subgroup_as_group,
 )
@@ -204,7 +203,8 @@ def _check_theorem_A_decomposition(a: GroupAnalysis, lab: dict,
     P_grp, _ = subgroup_as_group(core, P_sub, name="P")
     H_grp, _ = subgroup_as_group(core, H_sub, name="H")
     cs_P = conjugacy_classes(P_grp).cs_set
-    cs_H = conjugacy_classes(H_grp).cs_set
+    H_profile = conjugacy_classes(H_grp)
+    cs_H = H_profile.cs_set
     is_p1_group = arithmetic_profile(P_grp.order).primes == (p1,)
     try:
         nclass = nilpotency_class(P_grp)
@@ -215,7 +215,7 @@ def _check_theorem_A_decomposition(a: GroupAnalysis, lab: dict,
         is_p1_group and cs_P == (1, p1) and nclass is not None and nclass <= 2,
         f"|P|={P_grp.order}, cs(P)={cs_P}, class={nclass}"))
     ZH = center(H_grp)
-    frob = is_frobenius(H_grp, ZH)
+    frob = is_frobenius(H_profile, ZH)
     central_quotient_order = H_grp.order // len(ZH)
     verdict.conclusions.append(Conclusion(
         "H-cs-1-p2-p3-and-H/Z-frobenius-p2p3",
@@ -294,15 +294,14 @@ def _theorem_C_for_labeling(a: GroupAnalysis, reason: str, pa: int, n: int) -> T
     verdict.conclusions.append(Conclusion("soluble", a.soluble))
 
     F2 = fitting2(G)
-    if len(F2) == G.order:
-        cond = True
-        note = "G equals its second Fitting subgroup"
-    else:
-        q = quotient(G, F2)
-        orders = [int(q.group.element_orders[i]) for i in range(1, q.group.order)]
-        cond = all(is_prime(o) for o in orders)
-        note = f"|G/F2|={q.group.order}, nonidentity orders {sorted(set(orders))}"
-    verdict.witnesses["F2_index"] = G.order // len(F2)
+    index, orders = G.order // len(F2), set()
+    for x in set(a.profile.representatives) - F2:  # orders are class functions of G/F2
+        k = math.gcd(int(G.element_orders[x]), index)  # o(xF2) divides k, and x^k is in F2
+        orders.add(next((d for d in range(2, k) if k % d == 0 and G.power(x, d) in F2), k))
+    cond = all(is_prime(o) for o in orders)
+    note = (f"|G/F2|={index}, nonidentity orders {sorted(orders)}" if orders
+            else "G equals its second Fitting subgroup")
+    verdict.witnesses["F2_index"] = index
     verdict.conclusions.append(Conclusion("F2-covers-or-prime-order-quotient", cond, note))
 
     verdict.conclusions.append(Conclusion("p-divides-n", n % p == 0, f"p={p}, n={n}"))
@@ -365,7 +364,7 @@ def check_chillag_herzog(G: FiniteGroup, analysis: Optional[GroupAnalysis] = Non
         verdict.witnesses.update({"branch": "p-group", "p": p, "class": nclass})
         return verdict
     Z = center(core)
-    frob = is_frobenius(core, Z)
+    frob = is_frobenius(a.core_profile, Z)
     central_quotient_order = core.order // len(Z)
     sizes = sorted(cs_core)
     ok = (len(sizes) == 3 and sizes[0] == 1 and is_prime(sizes[1]) and is_prime(sizes[2])

@@ -46,6 +46,7 @@ from csgroups.structure import (
     is_frobenius,
     is_normal,
     nilpotency_class,
+    normal_core,
     normal_subgroups,
     o_pi,
     quotient,
@@ -220,12 +221,17 @@ def _normal_closure_by_index(G: FiniteGroup, seed: list[int],
     return sub, gens
 
 
+def _commutator(G: FiniteGroup, x: int, y: int) -> int:
+    """Index of x^-1 y^-1 x y."""
+    return G.mul(G.mul(int(G.inv[x]), int(G.inv[y])), G.mul(x, y))
+
+
 def _derived_series_by_index(G: FiniteGroup) -> tuple[list[frozenset[int]], bool]:
     """Reference derived series: each term the normal closure in the term
     before of the commutators [x, y] of that term's generators."""
     series, gens = [frozenset(range(G.order))], G.generator_indices
     while True:
-        comms = sorted({G.commutator(x, y) for i, x in enumerate(gens) for y in gens[:i]})
+        comms = sorted({_commutator(G, x, y) for i, x in enumerate(gens) for y in gens[:i]})
         nxt, gens = _normal_closure_by_index(G, comms, gens)
         if nxt == series[-1]:
             break
@@ -241,7 +247,7 @@ def _nilpotency_class_by_index(G: FiniteGroup) -> Optional[int]:
     and g of G."""
     current, k = frozenset(range(G.order)), 0
     while current != {0}:
-        comms = sorted({G.commutator(x, g) for x in generating_set(G, current)
+        comms = sorted({_commutator(G, x, g) for x in generating_set(G, current)
                         for g in G.generator_indices})
         nxt = _normal_closure_by_index(G, comms, G.generator_indices)[0]
         if nxt == current:
@@ -276,7 +282,7 @@ def _assert_series_invariants(G: FiniteGroup) -> None:
         nxt = term if last else series[i + 1]
         assert nxt <= term and (last or len(nxt) < len(term))
         gens = generating_set(G, term)
-        assert {G.commutator(x, y) for x in gens for y in gens} <= nxt
+        assert {_commutator(G, x, y) for x in gens for y in gens} <= nxt
     derived = series[1] if len(series) > 1 else series[0]
     given, found = strip_abelian_factors(G, derived, center(G)), strip_abelian_factors(G)
     assert given[1] == found[1]
@@ -400,6 +406,64 @@ class TestCenterAndSylow:
 
     def test_fitting_of_nilpotent_group_is_itself(self):
         assert len(fitting(quaternion8())) == 8
+
+    def test_fitting2_is_the_preimage_of_the_quotients_fitting_subgroup(self):
+        groups = [e.group for e in iter_catalog()]
+        assert {"g160_234", "g162_5", "g480_166", "g486_176", "psl_2_8"} <= {G.name for G in groups}
+        groups += [make_builtin(spec) for spec in ("sym(4)xcyclic(200)",
+                                                   "sym(4)xcyclic(7)xcyclic(25)",
+                                                   "q8xsym(3)xcyclic(90)")]
+        groups.append(_agl_2_3())
+        proper = 0
+        for G in groups:
+            expected = _fitting2_by_quotient(G)
+            assert fitting2(G) == expected, G.name
+            proper += len(expected) < G.order
+        assert proper >= 5  # G/F2 > 1 on eight of them
+        assert (len(fitting(groups[-1])), len(fitting2(groups[-1]))) == (9, 72)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(small_permutation_groups())
+    def test_fitting2_matches_the_quotient_definition_on_random_groups(self, G):
+        assert fitting2(G) == _fitting2_by_quotient(G)
+
+    @pytest.mark.parametrize("spec", ["sym(4)", "dihedral(6)xsym(3)"])
+    def test_normal_core_is_the_intersection_of_conjugates(self, spec):
+        """For every subgroup generated by one or two elements."""
+        G = make_builtin(spec)
+        conjugates = np.array([G.conjugate_by_all(x) for x in range(G.order)])  # [x, g] = g^-1 x g
+        subgroups = {G.subgroup_closure([x, y]) for x in range(G.order) for y in range(x + 1)}
+        for H in subgroups:
+            members = sorted(H)
+            core = frozenset.intersection(*(frozenset(conjugates[members, g].tolist())
+                                            for g in range(G.order)))
+            assert normal_core(G, H) == core
+        assert len({len(normal_core(G, H)) for H in subgroups}) >= 3
+
+
+def _agl_2_3() -> FiniteGroup:
+    """AGL(2, 3) on the points 3a + b of F3^2: F = F3^2 and G/F = GL(2, 3),
+    whose O_2, Q8, lies strictly inside its Sylow 2-subgroup SD16; so the
+    core of PF for a Sylow 2-subgroup P lies strictly between F and PF."""
+    def affine(m, v=(0, 0)):
+        (a, b), (c, d) = m
+        return Permutation([3 * ((a * (x // 3) + b * (x % 3) + v[0]) % 3)
+                            + (c * (x // 3) + d * (x % 3) + v[1]) % 3 for x in range(9)])
+
+    gens = [affine(((1, 0), (0, 1)), (1, 0)), affine(((1, 1), (0, 1))),
+            affine(((0, 1), (2, 0))), affine(((2, 0), (0, 1)))]
+    table = close_with_degree(gens, 9)
+    return FiniteGroup(table, [table.index_of(g) for g in gens], "AGL(2,3)")
+
+
+def _fitting2_by_quotient(G: FiniteGroup) -> frozenset[int]:
+    """F2(G) by its definition: the preimage of F(G/F(G)) through the
+    quotient's projection."""
+    F = fitting(G)
+    if len(F) == G.order:
+        return F
+    q = quotient(G, F)
+    return frozenset(np.flatnonzero(np.isin(q.projection, list(fitting(q.group)))).tolist())
 
 
 class TestQuotient:
@@ -560,15 +624,15 @@ class TestClassAlgebraOracles:
 
 class TestFrobeniusAndHall:
     def test_frobenius_21(self):
-        verdict = is_frobenius(frobenius_pq(7, 3))
+        verdict = is_frobenius(conjugacy_classes(frobenius_pq(7, 3)))
         assert verdict.is_frobenius
         assert verdict.kernel is not None and len(verdict.kernel) == 7
 
     def test_symmetric_3_is_frobenius(self):
-        assert is_frobenius(symmetric(3)).is_frobenius
+        assert is_frobenius(conjugacy_classes(symmetric(3))).is_frobenius
 
     def test_quaternion8_is_not_frobenius(self):
-        assert not is_frobenius(quaternion8()).is_frobenius
+        assert not is_frobenius(conjugacy_classes(quaternion8())).is_frobenius
 
     def test_hall_subgroups_of_symmetric_4(self):
         G = symmetric(4)
@@ -593,7 +657,7 @@ class TestFrobeniusAndHall:
                 Permutation([3 * x % 7 for x in range(7)])]
         table = close_with_degree(gens, 7)
         G = FiniteGroup(table, [table.index_of(g) for g in gens], "AGL(1,7)")
-        verdict = is_frobenius(G)
+        verdict = is_frobenius(conjugacy_classes(G))
         assert verdict.is_frobenius
         assert verdict.kernel is not None and len(verdict.kernel) == 7
 
@@ -620,14 +684,14 @@ def _frobenius_by_lattice(Q: FiniteGroup) -> tuple[bool, Optional[frozenset[int]
 
 
 class TestFrobeniusOracle:
-    """``is_frobenius(G, N)`` reads O_pi of full pi-part and the class
+    """``is_frobenius(profile, N)`` reads O_pi of full pi-part and the class
     sizes of G/N; the lattice walk tries every normal subgroup of the
     quotient's own group and searches a complement.  Verdict and kernel
     agree."""
 
     @staticmethod
     def _assert_matches_lattice(G: FiniteGroup, N: frozenset[int]) -> None:
-        verdict = is_frobenius(G, N)
+        verdict = is_frobenius(conjugacy_classes(G), N)
         Q = quotient(G, N).group
         assert (verdict.is_frobenius, verdict.kernel) == _frobenius_by_lattice(Q), (G.name, len(N))
 
@@ -640,8 +704,8 @@ class TestFrobeniusOracle:
                 if len(N) < G.order:
                     self._assert_matches_lattice(G, N)
                     quotients += 1
-                    frobenius += is_frobenius(G, N).is_frobenius
-        assert len(is_frobenius(groups[-1]).kernel) == 15
+                    frobenius += is_frobenius(conjugacy_classes(G), N).is_frobenius
+        assert len(is_frobenius(conjugacy_classes(groups[-1])).kernel) == 15
         assert quotients > 300 and frobenius > 30
 
     @settings(max_examples=40, deadline=None, derandomize=True)

@@ -3,6 +3,7 @@ solubility sweep, and the projective-line class-size formula."""
 
 import math
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from csgroups.theorems import (
     TheoremVerdict,
     _check_theorem_A_decomposition,
     _labeling_by_gcd,
+    _theorem_C_for_labeling,
     check_chillag_herzog,
     check_psl_formula,
     check_theorem_A,
@@ -243,6 +245,38 @@ class TestTheoremC:
         G = direct_product(quaternion8(), frobenius_pq(7, 3))
         assert not check_theorem_C(G).hypotheses_apply
 
+    def test_orders_modulo_F2_are_the_quotients_element_orders(self):
+        """Theorem C reads the orders of G/F2 in G; on every catalog group
+        with F2 < G they, and the note that reports them, are those of
+        the quotient group (the labeling 4, 6 only makes the F2 check run)."""
+        checked = 0
+        for e in iter_catalog():
+            G = e.group
+            F2 = structure.fitting2(G)
+            if len(F2) == G.order:
+                continue
+            verdict = _theorem_C_for_labeling(GroupAnalysis(G), "", 4, 6)
+            note, = [c.witness for c in verdict.conclusions
+                     if c.label == "F2-covers-or-prime-order-quotient"]
+            Q = structure.quotient(G, F2).group
+            orders = sorted(set(Q.element_orders[1:].tolist()))
+            assert note == f"|G/F2|={Q.order}, nonidentity orders {orders}", G.name
+            checked += 1
+        assert checked >= 3
+
+    def test_builds_no_quotient_and_climbs_only_in_G(self, monkeypatch):
+        quotients, ascents = [], []
+        build, ascend = structure.quotient, structure.sylow
+        monkeypatch.setattr(structure, "quotient",
+                            lambda G, N: (quotients.append(G), build(G, N))[1])
+        monkeypatch.setattr(structure, "sylow", lambda G, p: (ascents.append(G), ascend(G, p))[1])
+        for G in (symmetric(4), fixture_group("g160_234")):
+            ascents.clear()
+            verdict = check_theorem_C(G)
+            assert verdict.status() == "pass" and verdict.witnesses["F2_index"] == 2
+            assert ascents and all(H is G for H in ascents)
+        assert quotients == []
+
     def test_case_assignment_is_exclusive_across_catalog(self):
         from csgroups.theorems import _match_case_patterns
         for entry in iter_catalog():
@@ -311,6 +345,21 @@ class TestFrobeniusOfCentralQuotients:
         assert verdict.status() == "pass" and verdict.witnesses["branch"] == "frobenius"
         assert verdict.witnesses["central_quotient_order"] == 39
         assert quotients == []
+
+    def test_trivial_centre_computes_the_classes_once(self, monkeypatch):
+        computed = Counter()
+        compute = theorems.conjugacy_classes
+
+        def spy(G):
+            computed[G] += 1
+            return compute(G)
+
+        monkeypatch.setattr(theorems, "conjugacy_classes", spy)
+        monkeypatch.setattr(structure, "conjugacy_classes", spy)
+        G = make_builtin("frobenius(13,3)")
+        verdict = check_chillag_herzog(G)
+        assert verdict.status() == "pass" and verdict.witnesses["branch"] == "frobenius"
+        assert computed == {G: 1}
 
     def test_large_centre_reads_the_quotients_profile(self, quotients):
         # C3 x| C1024, b inverting a: centre <b^2> of order 512, 1,536 classes
