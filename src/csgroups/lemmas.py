@@ -26,9 +26,7 @@ from .structure import (
     generating_set,
     hall,
     is_frobenius,
-    is_normal,
     normal_core,
-    o_pi,
     sylow,
 )
 from .theorems import GroupAnalysis
@@ -75,17 +73,19 @@ def _record(report: LemmaReport, lemma: str, group: str, passed: bool,
         report.failures.append(LemmaFailure(lemma, group, detail()))
 
 
-def _direct_factor_check(G: FiniteGroup, A: frozenset[int], B: frozenset[int]) -> bool:
-    """Is G the internal direct product of subgroups A and B?"""
-    if len(A) * len(B) != G.order or (A & B) != {0}:
-        return False
-    return _commute(G, A, B)
+def _abelian(G: FiniteGroup, A: frozenset[int]) -> bool:
+    gens = generating_set(G, A)
+    return all(G.mul(x, y) == G.mul(y, x) for x in gens for y in gens)
 
 
-def _commute(G: FiniteGroup, A: frozenset[int], B: frozenset[int]) -> bool:
-    ga = generating_set(G, A)
-    gb = generating_set(G, B)
-    return all(G.mul(x, y) == G.mul(y, x) for x in ga for y in gb)
+def _sylow_splits(orders: np.ndarray, p: int) -> bool:
+    """Whether a group with element orders ``orders`` is P x O_p', P Sylow:
+    exactly when it has |G|_p p-elements and |G|_p' p'-elements.  The p-elements
+    are the union of the Sylow p-subgroups, so P is then normal, and so is its
+    complement K (Schur-Zassenhaus), as K's conjugates hold only p'-elements."""
+    part = arithmetic_profile(len(orders)).part(p)
+    return (np.count_nonzero(part % orders == 0) == part
+            and np.count_nonzero(orders % p) * part == len(orders))
 
 
 def _members(mask: int, n: int) -> np.ndarray:
@@ -174,16 +174,17 @@ def check_commuting_coprime_centralizer(G, analysis, report: LemmaReport):
 def check_prime_missing_from_class_sizes(G, analysis, report: LemmaReport):
     """2.1d: p divides no class size iff G = P x O_{p'}(G) with P an
     abelian Sylow p-subgroup (both directions)."""
-    profile = analysis.profile
-    primes = arithmetic_profile(G.order).primes
-    for p in primes:
-        lhs = all(s % p != 0 for s in profile.cs_set)
-        P = sylow(G, p)
-        P_abelian = _commute(G, P, P)
-        O = o_pi(profile, set(primes) - {p})
-        rhs = P_abelian and _direct_factor_check(G, P, O)
+    for p in arithmetic_profile(G.order).primes:
+        lhs = all(s % p != 0 for s in analysis.profile.cs_set)
+        rhs = _abelian_sylow_factor(G, p)
         _record(report, "2.1d", G.name, lhs == rhs,
                 lambda: f"p={p}: lhs={lhs}, rhs={rhs}")
+
+
+def _abelian_sylow_factor(G: FiniteGroup, p: int) -> bool:
+    """The right side of 2.1d by ``_sylow_splits``: P is the p-elements, abelian if they commute."""
+    P = np.flatnonzero(arithmetic_profile(G.order).part(p) % G.element_orders == 0)
+    return _sylow_splits(G.element_orders, p) and _abelian(G, frozenset(P.tolist()))
 
 
 def check_pi_element_lifting(G, analysis, report: LemmaReport):
@@ -276,9 +277,9 @@ def _disconnected_conclusion(core: FiniteGroup, pi: set[int], analysis) -> bool:
     L = hall(core, pi_prime)
     if H is None or L is None:
         return False
-    if not is_normal(core, L):
+    if not _normal_hall(core, L):
         return False
-    if not (_commute(core, H, H) and _commute(core, L, L)):
+    if not (_abelian(core, H) and _abelian(core, L)):
         return False
     if len(H) * len(L) != core.order:
         return False
@@ -287,6 +288,12 @@ def _disconnected_conclusion(core: FiniteGroup, pi: set[int], analysis) -> bool:
         return False
     expected = tuple(sorted({1, len(L), len(H) // len(Z)}))
     return analysis.core_profile.cs_set == expected
+
+
+def _normal_hall(G: FiniteGroup, L: frozenset[int]) -> bool:
+    """Whether the Hall subgroup L of G is normal: exactly when it holds each x of order
+    prime to |G:L|, a union of classes (for L normal, <x>L is a subgroup of such order)."""
+    return np.count_nonzero(np.gcd(G.element_orders, G.order // len(L)) == 1) == len(L)
 
 
 def check_mixed_prime_power_products(G, analysis, report: LemmaReport,
@@ -317,10 +324,10 @@ def check_mixed_prime_power_products(G, analysis, report: LemmaReport,
                 continue
             if core is None:  # once per t, and only for a t with an instance
                 syl = sylow(G, t)
-                core = normal_core(G, syl)
-                nonabelian = not _commute(G, syl, syl)
+                core = normal_core(profile, syl)
+                nonabelian = not _abelian(G, syl)
             sx, sy = profile.class_size_of(x), profile.class_size_of(y)
-            inside = G.subgroup_closure([x, y]) <= core
+            inside = x in core and y in core  # O_t(G) is a subgroup
             max_ok = sxy == max(sx, sy) and arithmetic_profile(sxy).primes == (t,)
             _record(report, "2.4", G.name, inside and max_ok and nonabelian,
                     lambda: f"t={t}, x={x} (size {sx}), y={y} (size {sy}), |(xy)^G|={sxy}")
@@ -404,13 +411,11 @@ def _splits_off_sylow(G, analysis, X: int, r: int) -> tuple[bool, int]:
     r-element of X, and A every r'-element.
     """
     order = X.bit_count()
-    r_part = arithmetic_profile(order).part(r)
     members = _members(X, G.order)
     orders = G.element_orders[members]
     A = members[orders % r != 0].tolist()
     profile = analysis.profile
-    ok = (np.count_nonzero(r_part % orders == 0) == r_part
-          and r_part * len(A) == order
+    ok = (_sylow_splits(orders, r)
           and all(profile.centralizer_order_of(a) >= order
                   and analysis.centralizer(a) & X == X for a in A))
     return ok, len(A)

@@ -1,8 +1,8 @@
 """Structural subgroup machinery: center, derived series, Sylow, normal
-cores, O_p and O_pi, Fitting subgroups (found in G), quotients (of the
-verdicts, only the Frobenius test of G/N builds one), normal-subgroup
-enumeration, Hall subgroups, Frobenius detection from class sizes,
-nilpotency class, and stripping of abelian direct factors.
+cores (unions of classes, counted), O_p and O_pi, Fitting subgroups (found
+in G), quotients (of the verdicts, only the Frobenius test of G/N builds
+one), normal-subgroup enumeration, Hall subgroups, Frobenius detection
+from class sizes, nilpotency class, and stripping of abelian direct factors.
 
 A subgroup of G is the frozenset of its element indices in G; a subgroup
 that needs its own multiplication table is reified by
@@ -51,12 +51,9 @@ def generating_set(G: FiniteGroup, members: frozenset[int]) -> list[int]:
     raise ValueError("member set is not closed")
 
 
-def is_normal(G: FiniteGroup, members: frozenset[int],
-              gens: Optional[list[int]] = None) -> bool:
-    """Whether conjugation by G's generators keeps ``members``; ``gens``
-    is a generating set of it, found when not given."""
-    if gens is None:
-        gens = generating_set(G, members)
+def is_normal(G: FiniteGroup, members: frozenset[int], gens: list[int]) -> bool:
+    """Whether conjugation by G's generators keeps ``members``, generated
+    by ``gens``."""
     return all(G.conjugate(x, g) in members
                for x in gens for g in G.generator_indices)
 
@@ -83,8 +80,8 @@ def centralizer_of_set(G: FiniteGroup, xs: list[int]) -> frozenset[int]:
     return frozenset(np.flatnonzero(centralizer_mask(G, xs)).tolist())
 
 
-def normalizer(G: FiniteGroup, members: frozenset[int]) -> frozenset[int]:
-    gens = generating_set(G, members)
+def normalizer(G: FiniteGroup, members: frozenset[int], gens: list[int]) -> frozenset[int]:
+    """N_G(H) for H = ``members`` generated by ``gens``: the g conjugating each generator into H."""
     mask = np.ones(G.order, dtype=bool)
     member_mask = np.zeros(G.order, dtype=bool)
     member_mask[list(members)] = True
@@ -201,57 +198,53 @@ def sylow(G: FiniteGroup, p: int) -> frozenset[int]:
     subgroup S, and N_S(P) is larger than P (normalizers grow in
     p-groups); so N_G(P) \\ P holds a p-element, an element whose order
     divides the p-part.  Adjoining the least one keeps the join a
-    p-group, since P is normal in its normalizer.
+    p-group, since P is normal in its normalizer.  The adjoined elements
+    generate P: the normalizer and each closure read them.
     """
     target = arithmetic_profile(G.order).part(p)
     members: frozenset[int] = frozenset([0])
+    gens: list[int] = []
+    rows: dict[int, list[int]] = {}
     while len(members) < target:
-        candidates = normalizer(G, members) if len(members) > 1 else frozenset(range(G.order))
+        candidates = normalizer(G, members, gens) if gens else frozenset(range(G.order))
         outside = np.array(sorted(candidates - members), dtype=np.intp)
         p_elements = outside[target % G.element_orders[outside] == 0]
         if not len(p_elements):  # pragma: no cover - Sylow theory guarantees progress
             raise RuntimeError(f"sylow ascent stalled at order {len(members)}")
-        members = G.subgroup_closure(generating_set(G, members) + [int(p_elements[0])])
+        gens.append(int(p_elements[0]))
+        members = G.subgroup_closure(gens, rows)
     return members
 
 
-def normal_core(G: FiniteGroup, members: frozenset[int]) -> frozenset[int]:
-    """The largest normal subgroup of G inside the subgroup ``members``: the
-    union of the classes inside it, the largest subset that conjugation by
-    each generator keeps, found by dropping what a generator moves out."""
-    core = np.array(sorted(members), dtype=np.int64)
-    member_mask = np.zeros(G.order, dtype=bool)
-    member_mask[core] = True
-    while True:
-        keep = np.ones(len(core), dtype=bool)
-        for g in G.generator_indices:
-            keep &= member_mask[G.conjugate_many(core, g)]
-        if keep.all():
-            break
-        member_mask[core[~keep]] = False
-        core = core[keep]
-    return frozenset(core.tolist())
+def normal_core(profile: ClassProfile, members: frozenset[int]) -> frozenset[int]:
+    """The largest normal subgroup of G inside the subgroup ``members``, for
+    G the group of ``profile``: the x with x^G inside it, so the union of
+    the classes it holds whole, found by counting each class's members."""
+    H = np.fromiter(members, dtype=np.intp, count=len(members))
+    classes = profile.class_of[H]
+    whole = np.bincount(classes, minlength=len(profile.sizes)) == profile.sizes
+    return frozenset(H[whole[classes]].tolist())
 
 
 def core_p(G: FiniteGroup, p: int) -> frozenset[int]:
     """O_p(G): the normal core of a Sylow p-subgroup."""
-    return normal_core(G, sylow(G, p))
+    return normal_core(conjugacy_classes(G), sylow(G, p))
 
 
 def fitting(G: FiniteGroup) -> frozenset[int]:
-    """F(G): the join of the O_p(G) over the primes dividing |G|."""
-    gens: list[int] = []
-    for p in arithmetic_profile(G.order).primes:
-        gens += generating_set(G, core_p(G, p))
-    return G.subgroup_closure(gens)
+    """F(G): the join of the O_p(G) over the primes dividing |G|, on one class profile."""
+    profile = conjugacy_classes(G)
+    return G.subgroup_closure([g for p in arithmetic_profile(G.order).primes
+                               for g in generating_set(G, normal_core(profile, sylow(G, p)))])
 
 
-def fitting2(G: FiniteGroup) -> frozenset[int]:
-    """F2(G), the preimage of F(G/F(G)), found in G: for P Sylow in G, PF/F
-    is Sylow in G/F, so the preimage of O_p(G/F) is the normal core of
-    <P, F>.  F2 is the join of these cores, and F of the cores of the P."""
+def fitting2(profile: ClassProfile) -> frozenset[int]:
+    """F2(G), the preimage of F(G/F(G)), found in G, the group of ``profile``:
+    for P Sylow in G, PF/F is Sylow in G/F, so the preimage of O_p(G/F) is
+    the normal core of <P, F>.  F2 is the join of these cores, and F of the cores of the P."""
+    G = profile.group
     sylows = [sylow(G, p) for p in arithmetic_profile(G.order).primes]
-    cores = [normal_core(G, P) for P in sylows]
+    cores = [normal_core(profile, P) for P in sylows]
     fgens = [g for O in cores for g in generating_set(G, O)]
     order_F = math.prod(map(len, cores))  # F is the direct product of the O_p
     gens, rows = list(fgens), {}
@@ -260,7 +253,7 @@ def fitting2(G: FiniteGroup) -> frozenset[int]:
             return frozenset(range(G.order))
         pgens = generating_set(G, P)
         PF = G.subgroup_closure(pgens + fgens, rows)
-        core = normal_core(G, PF)
+        core = normal_core(profile, PF)
         if len(core) > order_F:  # else the core is F, as for a normal P
             gens += pgens if core == PF else generating_set(G, core)
     return G.subgroup_closure(gens, rows)

@@ -293,7 +293,7 @@ def _theorem_C_for_labeling(a: GroupAnalysis, reason: str, pa: int, n: int) -> T
 
     verdict.conclusions.append(Conclusion("soluble", a.soluble))
 
-    F2 = fitting2(G)
+    F2 = fitting2(a.profile)
     index, orders = G.order // len(F2), set()
     for x in set(a.profile.representatives) - F2:  # orders are class functions of G/F2
         k = math.gcd(int(G.element_orders[x]), index)  # o(xF2) divides k, and x^k is in F2

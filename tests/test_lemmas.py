@@ -1,15 +1,19 @@
 """Lemma property suite: hypothesis detection, instance counting, and
 zero-failure runs on known groups."""
 
+import itertools
 import math
 import time
 from collections import Counter
 
-from csgroups import lemmas
+from hypothesis import given, reject, settings, strategies as st
+
+from csgroups import lemmas, structure
 from csgroups.arith import arithmetic_profile
 from csgroups.catalog import fixture_group, iter_catalog, make_builtin
 from csgroups.classes import conjugacy_classes
 from csgroups.construct import (
+    FiniteGroup,
     cyclic,
     dihedral,
     direct_product,
@@ -17,7 +21,16 @@ from csgroups.construct import (
     quaternion8,
     symmetric,
 )
-from csgroups.structure import centralizer_of_set, o_pi, subgroup_as_group, sylow
+from csgroups.perm import OrderCapExceededError, Permutation, close_with_degree
+from csgroups.structure import (
+    centralizer_of_set,
+    generating_set,
+    hall,
+    is_normal,
+    o_pi,
+    subgroup_as_group,
+    sylow,
+)
 from csgroups.lemmas import (
     LEMMA_IDS,
     LemmaReport,
@@ -25,6 +38,18 @@ from csgroups.lemmas import (
     _coprimality_components,
 )
 from csgroups.theorems import GroupAnalysis
+
+
+def commute(G, A: frozenset[int], B: frozenset[int]) -> bool:
+    """Whether the subgroups A and B of G commute elementwise: their
+    generators do."""
+    ga, gb = generating_set(G, A), generating_set(G, B)
+    return all(G.mul(x, y) == G.mul(y, x) for x in ga for y in gb)
+
+
+def direct_factor_check(G, A: frozenset[int], B: frozenset[int]) -> bool:
+    """Is G the internal direct product of its subgroups A and B?"""
+    return len(A) * len(B) == G.order and A & B == {0} and commute(G, A, B)
 
 
 def reified_split(G, X: frozenset[int], r: int) -> tuple[bool, int]:
@@ -35,8 +60,8 @@ def reified_split(G, X: frozenset[int], r: int) -> tuple[bool, int]:
     R = sylow(Xgrp, r)
     A = frozenset(i for i in range(Xgrp.order)
                   if math.gcd(int(Xgrp.element_orders[i]), r) == 1)
-    ok = (Xgrp.subgroup_closure(sorted(A)) == A and lemmas._commute(Xgrp, A, A)
-          and lemmas._direct_factor_check(Xgrp, R, A))
+    ok = (Xgrp.subgroup_closure(sorted(A)) == A and commute(Xgrp, A, A)
+          and direct_factor_check(Xgrp, R, A))
     assert len(R) == arithmetic_profile(len(X)).part(r)
     return ok, len(A)
 
@@ -156,6 +181,81 @@ class TestMinimalCentralizerOracle:
                     seen[split[0]] += 1
                 seen["verdicts"] += verdict is not None
         assert seen[True] and seen[False] and seen["verdicts"]
+
+
+def abelian_sylow_factor_by_search(G, p: int) -> bool:
+    """The right side of lemma 2.1d by its definition: a Sylow p-subgroup P
+    from the normalizer ascent, O_p'(G) from the class algebra, and a
+    direct factor check; the oracle for the count on element orders."""
+    P = sylow(G, p)
+    O = o_pi(conjugacy_classes(G), set(arithmetic_profile(G.order).primes) - {p})
+    return commute(G, P, P) and direct_factor_check(G, P, O)
+
+
+@st.composite
+def random_groups(draw):
+    """The group generated by two or three random permutations of at most
+    7 points that keep the points below a random split apart from those
+    above it, so that direct products come up; at most 1,000 elements."""
+    deg = draw(st.integers(2, 7))
+    split = draw(st.integers(0, deg))
+    halves = st.tuples(st.permutations(range(split)), st.permutations(range(split, deg)))
+    gens = draw(st.lists(halves.map(lambda h: Permutation(h[0] + h[1])),
+                         min_size=2, max_size=3))
+    try:
+        table = close_with_degree(gens, deg, 1000)
+    except OrderCapExceededError:
+        reject()
+    return FiniteGroup(table, [table.index_of(g) for g in gens if not g.is_identity()],
+                       f"<{', '.join(map(repr, gens))}>")
+
+
+class TestCountedNormality:
+    """Lemma 2.1d's direct Sylow factor and lemma 2.3's normal Hall
+    subgroup, read from element orders, against subgroup searches."""
+
+    def test_direct_sylow_factor_matches_the_search_on_catalog(self):
+        groups = [e.group for e in iter_catalog()] + [make_builtin("q8xF21xcyclic(25)")]
+        assert {"g160_234", "g162_5", "g480_166", "g486_176", "psl_2_8"} <= {G.name for G in groups}
+        seen = Counter()
+        for G in groups:
+            for p in arithmetic_profile(G.order).primes:
+                rhs = lemmas._abelian_sylow_factor(G, p)
+                assert rhs == abelian_sylow_factor_by_search(G, p), (G.name, p)
+                seen[rhs] += 1
+        assert seen[True] >= 20 and seen[False] >= 20
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(random_groups())
+    def test_direct_sylow_factor_matches_the_search_on_random_groups(self, G):
+        for p in arithmetic_profile(G.order).primes:
+            assert lemmas._abelian_sylow_factor(G, p) == abelian_sylow_factor_by_search(G, p)
+
+    def test_direct_sylow_factor_searches_no_subgroup(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("2.1d searched for a Sylow subgroup or an O_pi")
+
+        for module in (lemmas, structure):
+            for name in ("sylow", "o_pi"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        for G in (symmetric(4), fixture_group("g162_5"), make_builtin("q8xF21xcyclic(25)")):
+            rep = LemmaReport()
+            lemmas.check_prime_missing_from_class_sizes(G, GroupAnalysis(G), rep)
+            assert rep.ok() and rep.instances["2.1d"] == len(arithmetic_profile(G.order).primes)
+
+    def test_normal_hall_count_matches_conjugation_on_catalog(self):
+        seen = Counter()
+        for entry in iter_catalog():
+            G = entry.group
+            primes = arithmetic_profile(G.order).primes
+            for r in range(1, len(primes)):
+                for pi in itertools.combinations(primes, r):
+                    L = hall(G, set(pi))
+                    if L is not None:
+                        normal = is_normal(G, L, generating_set(G, L))
+                        assert lemmas._normal_hall(G, L) == normal, (G.name, pi)
+                        seen[normal] += 1
+        assert seen[True] >= 20 and seen[False] >= 20
 
 
 class TestNearCap:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
+from csgroups import structure
 from csgroups.catalog import fixture_group, iter_catalog, make_builtin
 from csgroups.arith import arithmetic_profile
 from csgroups.classes import conjugacy_classes
@@ -376,6 +377,28 @@ class TestCenterAndSylow:
         assert len(sylow(G, 2)) == 4
         assert len(sylow(G, 5)) == 5
 
+    def test_sylow_grows_no_generating_set(self, monkeypatch):
+        """The p-elements the ascent adjoins generate P, so they serve the
+        normalizer and the closures."""
+        def refuse(*args):
+            raise AssertionError("sylow grew a generating set")
+
+        monkeypatch.setattr(structure, "generating_set", refuse)
+        for spec in ("sym(4)", "q8xsym(3)", "sym(5)", "dihedral(12)", "sym(4)xF21"):
+            G = make_builtin(spec)
+            for p in arithmetic_profile(G.order).primes:
+                P = sylow(G, p)
+                assert len(P) == arithmetic_profile(G.order).part(p)
+                assert G.subgroup_closure(sorted(P)) == P
+
+    def test_fitting_reads_one_class_profile(self, monkeypatch):
+        calls, classes_of = [], structure.conjugacy_classes
+        monkeypatch.setattr(structure, "conjugacy_classes",
+                            lambda G: (calls.append(G), classes_of(G))[1])
+        G = make_builtin("sym(4)xF21")  # three primes
+        assert len(fitting(G)) == 28  # V4 x C7
+        assert calls == [G]
+
     def test_core_p(self):
         G = symmetric(4)
         assert len(core_p(G, 2)) == 4  # the Klein four-group
@@ -402,7 +425,7 @@ class TestCenterAndSylow:
     def test_fitting_chain(self):
         G = symmetric(4)
         assert len(fitting(G)) == 4
-        assert len(fitting2(G)) == 12
+        assert len(fitting2(conjugacy_classes(G))) == 12
 
     def test_fitting_of_nilpotent_group_is_itself(self):
         assert len(fitting(quaternion8())) == 8
@@ -417,15 +440,16 @@ class TestCenterAndSylow:
         proper = 0
         for G in groups:
             expected = _fitting2_by_quotient(G)
-            assert fitting2(G) == expected, G.name
+            assert fitting2(conjugacy_classes(G)) == expected, G.name
             proper += len(expected) < G.order
         assert proper >= 5  # G/F2 > 1 on eight of them
-        assert (len(fitting(groups[-1])), len(fitting2(groups[-1]))) == (9, 72)
+        AGL = groups[-1]
+        assert (len(fitting(AGL)), len(fitting2(conjugacy_classes(AGL)))) == (9, 72)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(small_permutation_groups())
     def test_fitting2_matches_the_quotient_definition_on_random_groups(self, G):
-        assert fitting2(G) == _fitting2_by_quotient(G)
+        assert fitting2(conjugacy_classes(G)) == _fitting2_by_quotient(G)
 
     @pytest.mark.parametrize("spec", ["sym(4)", "dihedral(6)xsym(3)"])
     def test_normal_core_is_the_intersection_of_conjugates(self, spec):
@@ -433,12 +457,13 @@ class TestCenterAndSylow:
         G = make_builtin(spec)
         conjugates = np.array([G.conjugate_by_all(x) for x in range(G.order)])  # [x, g] = g^-1 x g
         subgroups = {G.subgroup_closure([x, y]) for x in range(G.order) for y in range(x + 1)}
+        profile = conjugacy_classes(G)
         for H in subgroups:
             members = sorted(H)
             core = frozenset.intersection(*(frozenset(conjugates[members, g].tolist())
                                             for g in range(G.order)))
-            assert normal_core(G, H) == core
-        assert len({len(normal_core(G, H)) for H in subgroups}) >= 3
+            assert normal_core(profile, H) == core
+        assert len({len(normal_core(profile, H)) for H in subgroups}) >= 3
 
 
 def _agl_2_3() -> FiniteGroup:
@@ -496,7 +521,7 @@ class TestNormalSubgroups:
     def test_all_reported_subgroups_are_normal(self):
         G = dihedral(6)
         for N in normal_subgroups(G):
-            assert is_normal(G, N)
+            assert is_normal(G, N, generating_set(G, N))
 
     def test_enumeration_limit(self):
         with pytest.raises(EnumerationLimitError):

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csgroups import lemmas, structure, theorems
+from csgroups import classes, lemmas, structure, theorems
 from csgroups.catalog import fixture_group, iter_catalog, make_builtin
 from csgroups.cli import entry_for_group
 from csgroups.arith import arithmetic_profile, is_prime
@@ -252,7 +252,7 @@ class TestTheoremC:
         checked = 0
         for e in iter_catalog():
             G = e.group
-            F2 = structure.fitting2(G)
+            F2 = structure.fitting2(conjugacy_classes(G))
             if len(F2) == G.order:
                 continue
             verdict = _theorem_C_for_labeling(GroupAnalysis(G), "", 4, 6)
@@ -276,6 +276,35 @@ class TestTheoremC:
             assert verdict.status() == "pass" and verdict.witnesses["F2_index"] == 2
             assert ascents and all(H is G for H in ascents)
         assert quotients == []
+
+    def test_conjugates_only_to_find_the_classes(self, monkeypatch):
+        """Normal cores are unions of classes, counted on the profile:
+        fitting2 and Theorem C make no conjugate_many call outside
+        conjugacy_classes."""
+        depth, outside = [0], []
+        classes_of, conjugate_many = classes.conjugacy_classes, FiniteGroup.conjugate_many
+
+        def counted_classes(G):
+            depth[0] += 1
+            try:
+                return classes_of(G)
+            finally:
+                depth[0] -= 1
+
+        def spy(G, xs, g):
+            if not depth[0]:
+                outside.append(G.name)
+            return conjugate_many(G, xs, g)
+
+        for module in (classes, structure, theorems):
+            monkeypatch.setattr(module, "conjugacy_classes", counted_classes)
+        monkeypatch.setattr(FiniteGroup, "conjugate_many", spy)
+        for G in (symmetric(4), fixture_group("g160_234"), fixture_group("g486_176"),
+                  make_builtin("sym(4)xcyclic(7)xcyclic(25)")):  # F2 < G on all but g486_176
+            analysis = GroupAnalysis(G)
+            structure.fitting2(analysis.profile)
+            assert check_theorem_C(G, analysis).hypotheses_apply, G.name
+        assert outside == []
 
     def test_case_assignment_is_exclusive_across_catalog(self):
         from csgroups.theorems import _match_case_patterns
