@@ -38,9 +38,13 @@ class FiniteGroup:
 
     Elements are referred to by their index in ``table``, their row of
     ``table.matrix``; index 0 is the identity, and ``element`` builds a
-    ``Permutation`` for output only.  Products and conjugates are found by
-    their images of the table's base, gathered for a whole row or batch at
-    once and looked up in one go; a gather that picks one image from each
+    ``Permutation`` for output only.  ``generator_indices`` are the indices
+    of the generators that grew the closure, in the order given; a listed
+    generator already in the group of those before it is not among them,
+    so the conjugacy classes take one conjugation map per kept generator.
+    Products and conjugates are found by their images of the table's base,
+    gathered for a whole row or batch at once and looked up in one go; a
+    gather that picks one image from each
     of many rows reads ``table.matrix.ravel()`` at row start plus point,
     which is faster than two-dimensional fancy indexing, and one that
     reads the same points of every row takes those columns.  Immutable
@@ -228,10 +232,12 @@ class FiniteGroup:
 
 
 def _generated(gens: Sequence[Permutation], deg: int, name: str, cap: int) -> FiniteGroup:
-    """The group generated by ``gens`` on ``deg`` points, with the indices
-    of its non-identity generators; no generators give the trivial group."""
-    table = close_with_degree(gens, deg, cap)
-    return FiniteGroup(table, [table.index_of(g) for g in gens if not g.is_identity()], name)
+    """The group generated by ``gens`` on ``deg`` points, keeping as its
+    generators only those that grew the closure, at the rows where the
+    closure wrote them; no generators give the trivial group."""
+    grew: list[int] = []
+    table = close_with_degree(gens, deg, cap, grew)
+    return FiniteGroup(table, grew, name)
 
 
 def cyclic(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:

@@ -29,7 +29,7 @@ from array import array
 from bisect import bisect_left
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -384,12 +384,19 @@ def close(generators: Sequence[Permutation], cap: int = DEFAULT_CLOSURE_CAP) -> 
 
 
 def close_with_degree(generators: Sequence[Permutation], deg: int,
-                      cap: int = DEFAULT_CLOSURE_CAP) -> ElementTable:
+                      cap: int = DEFAULT_CLOSURE_CAP,
+                      grew: Optional[list[int]] = None) -> ElementTable:
     """``close`` on ``deg`` points: each generator in turn is adjoined to
     the subgroup of those before it by one ``Closure`` step, so the rows
     of each <g1, ..., gi> come first and row 0 is the identity.  The store
     is trimmed to the order before the table takes it, so the table holds
-    no spare rows."""
+    no spare rows.
+
+    ``grew``, when given, receives the row of each generator that grew
+    the closure, in the given order: the order just before it was
+    adjoined, where its first coset starts.  A generator already in the
+    subgroup of those before it (the identity, a repeat, a product) is
+    left out."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     for g in generators:
@@ -397,7 +404,9 @@ def close_with_degree(generators: Sequence[Permutation], deg: int,
             raise DegreeMismatchError(f"generator degree {g.deg} != {deg}")
     closure = Closure(deg, cap, len(generators), rows=1 + len(generators))
     for g in generators:
-        closure.adjoin(np.array(g.images, dtype=closure.store.dtype))
+        row = closure.count
+        if closure.adjoin(np.array(g.images, dtype=closure.store.dtype)) and grew is not None:
+            grew.append(row)
     return ElementTable(closure.rows())
 
 
@@ -413,7 +422,10 @@ class Closure:
     the rows' bytes, so a row given to ``adjoin`` or ``extend`` must be in
     that dtype too.  ``adjoin(g)`` makes H = <H, g>:
 
-    - g already in H adds nothing (but still counts as a generator).
+    - g already in H adds nothing, and ``adjoin`` returns False.  g still
+      counts as a generator: later cosets multiply by it too, so the
+      order in which they are found, and the element numbering, do not
+      depend on whether a listed generator was needed.
     - When H is trivial, <g> is written by doubling: with g^0, ..., g^(m-1)
       in the store, g^m, ..., g^(2m-1) are those rows taken by g^m, up to
       the first that is the identity.  So <g> takes about log2 of its
@@ -463,16 +475,19 @@ class Closure:
         """The membership key of each of the C-contiguous ``rows``."""
         return rows.view(self._row_bytes).ravel().tolist()
 
-    def adjoin(self, g: np.ndarray) -> None:
+    def adjoin(self, g: np.ndarray) -> bool:
+        """H = <H, g>; whether g grew H.  A g that grew H is row ``count``
+        of before the call: the first row of <g>, or of the coset H*g."""
         self.gens[self.ngens] = g
         g = self.gens[self.ngens]
         self.ngens += 1
         if g.tobytes() in self.seen:
-            return
+            return False
         if self.count == 1:
             self._powers(g)
         else:
             self._cosets(g)
+        return True
 
     def extend(self, rows: np.ndarray) -> None:
         """Adjoin each of ``rows`` in turn that is not yet an element, until

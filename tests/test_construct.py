@@ -1,15 +1,19 @@
 """Group constructors, products, and the fixture file format."""
 
 import importlib.util
+import json
+import random
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csgroups import perm
-from csgroups.catalog import iter_catalog
+from csgroups import construct, perm
+from csgroups.catalog import BUILTIN_GRID, fixture_group, iter_catalog, make_builtin
 from csgroups.classes import conjugacy_classes
+from csgroups.cli import entry_for_group, lemma_report_to_dict
 from csgroups.construct import (
     FiniteGroup,
     FixtureError,
@@ -25,12 +29,18 @@ from csgroups.construct import (
     quaternion8,
     symmetric,
 )
+from csgroups.lemmas import lemma_suite_for_group
 from csgroups.perm import Permutation, close_with_degree, compose, element_order, identity, inverse
+from csgroups.structure import DEFAULT_NORMAL_SUBGROUP_LIMIT
 
 _spec = importlib.util.spec_from_file_location(
     "generate_fixtures", Path(__file__).resolve().parent.parent / "scripts" / "generate_fixtures.py")
 generate_fixtures = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(generate_fixtures)
+_spec = importlib.util.spec_from_file_location(
+    "bench_specs", Path(__file__).resolve().parent.parent / "perfbench" / "specs.py")
+bench_specs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_specs)
 
 
 class TestConstructors:
@@ -283,3 +293,96 @@ class TestConjugateMany:
             assert conj[0] == 0
             undo = G.conjugate_many(slice(None), int(G.inv[g]))  # G.inv: an independent oracle
             assert undo[conj].tolist() == list(range(G.order))
+
+
+def _cycle_line(p: Permutation) -> str:
+    """``p`` in the fixture grammar (1-based points)."""
+    return "".join("(" + ",".join(str(pt + 1) for pt in c) + ")" for c in p.cycles()) or "()"
+
+
+def _grew(gens: list[Permutation], deg: int) -> list[Permutation]:
+    """The generators outside the group of those before them, found by
+    closing each prefix afresh: the oracle for ``generator_indices``."""
+    return [g for i, g in enumerate(gens) if g not in close_with_degree(gens[:i], deg, cap=5040)]
+
+
+class TestRedundantGenerators:
+    """A generator that the closure finds among the elements generated by
+    those before it (the identity, a repeat, a product) is dropped from
+    ``generator_indices``; the elements and their numbering do not move."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_kept_generators_are_those_that_grew_the_closure(self, data):
+        n = data.draw(st.integers(1, 6))
+        gens = [Permutation(g) for g in data.draw(st.lists(st.permutations(range(n)), max_size=5))]
+        G = construct._generated(gens, n, "random", 5040)
+        assert G.generator_indices == [G.table.index_of(g) for g in _grew(gens, n)]
+
+    @pytest.mark.parametrize("name", ["g160_234", "g162_5"])
+    def test_redundant_fixture_gives_the_same_group_and_reports(self, tmp_path, name):
+        plain = fixture_group(name)
+        gens = [plain.element(i) for i in plain.generator_indices]
+        # the identity first, a repeat right after its original, a product last
+        padded = [identity(plain.deg), gens[0], gens[0], *gens[1:], compose(gens[0], gens[1])]
+        path = tmp_path / f"{name}.txt"
+        path.write_text("\n".join([f"name {name}", f"degree {plain.deg}",
+                                   *map(_cycle_line, padded)]) + "\n")
+        G = load_fixture(path)
+        assert [G.element(i) for i in G.generator_indices] == gens
+        assert G.generator_indices == plain.generator_indices
+        assert G.table.matrix.dtype == plain.table.matrix.dtype
+        assert G.table.matrix.tobytes() == plain.table.matrix.tobytes()
+        config = {"max_normal_subgroups": DEFAULT_NORMAL_SUBGROUP_LIMIT}
+
+        def reports(H: FiniteGroup) -> tuple[str, dict]:
+            entry, findings = entry_for_group(name, "fixture", H, config, with_timing=False)
+            return (json.dumps([entry, findings], sort_keys=True),
+                    lemma_report_to_dict(lemma_suite_for_group(H)))
+        assert reports(G) == reports(plain)
+        # the dump lists only the kept generators, and loads to the same table
+        dumped = tmp_path / "dumped.txt"
+        dump_fixture(G, dumped)
+        again = load_fixture(dumped)
+        assert [again.element(i) for i in again.generator_indices] == gens
+        assert again.table.matrix.tobytes() == plain.table.matrix.tobytes()
+
+    def test_one_conjugation_map_per_kept_generator(self, monkeypatch):
+        source = make_builtin("dihedral(14)xsym(5)")
+        rng = random.Random(14)
+        for _ in range(50):  # a random generating set in which one generator is redundant
+            gens = [source.element(rng.randrange(1, source.order)) for _ in range(4)]
+            kept = _grew(gens, source.deg)
+            G = construct._generated(gens, source.deg, "presentation", 5040)
+            if G.order == source.order and len(kept) < len(gens):
+                break
+        else:
+            pytest.fail("no presentation with a redundant generator was drawn")
+        assert G.generator_indices == [G.table.index_of(g) for g in kept]
+        conjugated = []
+        conjugate_many = FiniteGroup.conjugate_many
+
+        def spy(self, xs, g):
+            conjugated.append(g)
+            return conjugate_many(self, xs, g)
+        monkeypatch.setattr(FiniteGroup, "conjugate_many", spy)
+        profile = conjugacy_classes(G)
+        assert conjugated == [G.table.index_of(g) for g in kept]
+        assert sum(profile.sizes) == G.order
+
+    def test_benchmark_sources_keep_every_listed_generator(self, monkeypatch):
+        # perfbench/gen.py draws as many random elements per presentation as
+        # its source group has generators, so dropping one of them would
+        # change the benchmark's inputs
+        listed = []  # the generators handed to each closure
+
+        def spy(gens, *args):
+            listed.append(list(gens))
+            return close_with_degree(gens, *args)
+        monkeypatch.setattr(construct, "close_with_degree", spy)
+        builds = [partial(make_builtin, spec) for spec in bench_specs.ATOMS + list(BUILTIN_GRID)]
+        builds += [partial(fixture_group, name) for name in bench_specs.FIXTURE_ORDERS]
+        for build in builds:
+            G = build()
+            gens = listed[-1]  # a product's closure comes after its factors'
+            assert len(G.generator_indices) == sum(not g.is_identity() for g in gens), G.name

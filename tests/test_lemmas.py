@@ -13,7 +13,7 @@ from csgroups.arith import arithmetic_profile
 from csgroups.catalog import fixture_group, iter_catalog, make_builtin
 from csgroups.classes import conjugacy_classes
 from csgroups.construct import (
-    FiniteGroup,
+    _generated,
     cyclic,
     dihedral,
     direct_product,
@@ -21,7 +21,7 @@ from csgroups.construct import (
     quaternion8,
     symmetric,
 )
-from csgroups.perm import OrderCapExceededError, Permutation, close_with_degree
+from csgroups.perm import OrderCapExceededError, Permutation
 from csgroups.structure import (
     centralizer_of_set,
     generating_set,
@@ -203,11 +203,9 @@ def random_groups(draw):
     gens = draw(st.lists(halves.map(lambda h: Permutation(h[0] + h[1])),
                          min_size=2, max_size=3))
     try:
-        table = close_with_degree(gens, deg, 1000)
+        return _generated(gens, deg, f"<{', '.join(map(repr, gens))}>", 1000)
     except OrderCapExceededError:
         reject()
-    return FiniteGroup(table, [table.index_of(g) for g in gens if not g.is_identity()],
-                       f"<{', '.join(map(repr, gens))}>")
 
 
 class TestCountedNormality:
