@@ -157,18 +157,26 @@ def serialize_report(report: dict, fmt: str) -> str:
 
 
 def emit_report(report: dict, args) -> None:
+    """Write the report to ``--report``, or print it when none is given."""
     text = serialize_report(report, args.format)
-    if args.report:
-        Path(args.report).write_text(text)
-    else:
+    if not args.report:
         print(text, end="")
+        return
+    try:
+        Path(args.report).write_text(text)
+    except OSError as exc:
+        raise TargetError(f"cannot write report {args.report}: {exc.strerror}") from None
 
 
 def read_config_file(path: str) -> dict:
     """Settings from a file of key=value lines, each value checked and
     converted as its flag would be."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise TargetError(f"cannot read config file {path}: {exc.strerror}") from None
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -242,14 +250,18 @@ def cmd_analyze(args) -> int:
         report = base_report(config)
         report["entries"].append(entry)
         report["findings"].extend(findings)
-        Path(args.report).write_text(serialize_report(report, args.format))
+        emit_report(report, args)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     config = effective_config(args)
     report = base_report(config)
-    jobs = [(entry, config) for entry in catalog_entries(args.fixture_dir or [])]
+    fixture_dirs = args.fixture_dir or []
+    for d in fixture_dirs:
+        if not Path(d).is_dir():
+            raise TargetError(f"--fixture-dir {d} is not a directory")
+    jobs = [(entry, config) for entry in catalog_entries(fixture_dirs)]
     if config["jobs"] > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: a slow import
 
@@ -333,12 +345,7 @@ def _worst_status(statuses) -> int:
 
 
 def _emit_verify(payload: dict, args, config: dict) -> None:
-    report = {"version": __version__, "config": dict(config), "verdict": payload}
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.report:
-        Path(args.report).write_text(text)
-    else:
-        print(text, end="")
+    emit_report({"version": __version__, "config": dict(config), "verdict": payload}, args)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:

@@ -43,17 +43,19 @@ class FiniteGroup:
     generator already in the group of those before it is not among them,
     so the conjugacy classes take one conjugation map per kept generator.
     Products and conjugates are found by their images of the table's base,
-    gathered for a whole row or batch at once and looked up in one go; a
-    gather that picks one image from each
-    of many rows reads ``table.matrix.ravel()`` at row start plus point,
-    which is faster than two-dimensional fancy indexing, and one that
-    reads the same points of every row takes those columns.  Immutable
-    after construction.  The inverse table ``inv`` and element orders are
-    memoized, and so are multiplication rows while the memo holds at most
-    ``ROW_MEMO_ENTRIES`` indices in all: small groups reuse their rows,
-    and large ones do not grow by n indices per row.  ``conjugate`` and
-    ``conjugate_by_all`` read the inverse table; ``conjugate_many``, and
-    so the conjugacy classes, does not.
+    gathered for a whole row or batch at once and looked up by the
+    table's one lookup, ``indices_of_base``; a single product (``mul``)
+    or conjugate (``conjugate``) is a batch of one.  A gather that picks
+    one image from each of many rows reads ``table.matrix.ravel()`` at
+    row start plus point, which is faster than two-dimensional fancy
+    indexing, and one that reads the same points of every row takes those
+    columns.  Immutable after construction.  The inverse table ``inv`` and
+    element orders are memoized, and so are multiplication rows while the
+    memo holds at most ``ROW_MEMO_ENTRIES`` indices in all: small groups
+    reuse their rows, and large ones do not grow by n indices per row.
+    ``conjugate`` and ``conjugate_by_all`` read the inverse table;
+    ``conjugate_many``, and so the conjugacy classes and ``is_normal``,
+    does not.
     """
 
     def __init__(self, table: ElementTable, generator_indices: Sequence[int],
@@ -106,18 +108,22 @@ class FiniteGroup:
         return self.table.indices_of_base(mat[:, mat[j][self.table.base]])
 
     def mul(self, i: int, j: int) -> int:
+        """Index of ``i * j``: read off a memoized row of i, or else looked
+        up as a batch of one, i's images of j's images of the base."""
         row = self._mul_rows.get(i)
         if row is not None:
             return int(row[j])
-        im = self.table.images
-        return self.table.index_of_base([im[i, im[j, b]] for b in self.table.base])
+        mat = self.table.matrix
+        return int(self.table.indices_of_base(mat[i].take(mat[j, self.table.base])[None])[0])
 
     @property
     def inv(self) -> np.ndarray:
         """Index of each element's inverse, built on first read by one
-        scan of the matrix per base point.  Its readers are ``conjugate`` and
-        ``conjugate_by_all``; ``conjugate_many`` inverts only the row of
-        the element it conjugates by."""
+        scan of the matrix per base point.  ``conjugate_by_all`` is its
+        one reader in the package's analyses; ``conjugate``, which none of
+        them calls, reads it too, so that it stays an oracle independent
+        of ``conjugate_many``, which inverts only the row of the element
+        it conjugates by."""
         if self._inv is None:
             mat = self.table.matrix
             images = np.empty((self.order, len(self.table.base)), dtype=mat.dtype)
@@ -145,9 +151,11 @@ class FiniteGroup:
         return self._orders
 
     def conjugate(self, x: int, g: int) -> int:
-        """Index of ``g^-1 x g``."""
-        im, h = self.table.images, int(self.inv[g])
-        return self.table.index_of_base([im[h, im[x, im[g, b]]] for b in self.table.base])
+        """Index of ``g^-1 x g``, looked up as a batch of one: g^-1's (from
+        the inverse table) images of x's images of g's images of the base."""
+        mat = self.table.matrix
+        on_base = mat[int(self.inv[g])].take(mat[x].take(mat[g, self.table.base]))
+        return int(self.table.indices_of_base(on_base[None])[0])
 
     def conjugate_many(self, xs: np.ndarray | slice | Sequence[int], g: int) -> np.ndarray:
         """Indices of ``g^-1 x g`` for each x in ``xs`` (vectorized).

@@ -10,11 +10,13 @@ point, is done in intp, where it cannot wrap.  Within a table an element
 is identified by its images of a base, a few points that only the
 identity fixes (Sims 1970; Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory*, ch. 4), so that finding a product or
-conjugate reads a few columns.  Each image is below ``deg``, so the
-images read as digits in radix ``deg`` make an exact key whenever
-``deg**len(base)`` fits 64 bits, as it does for every group in the
-catalog; only beyond that (say C2^5 moving 10 of 7,133 points) is the
-key a hash whose matches are checked against the images.
+conjugate reads a few columns; one batched search,
+``ElementTable.indices_of_base``, finds every element looked up, from a
+whole multiplication row down to a single product.  Each image is below
+``deg``, so the images read as digits in radix ``deg`` make an exact key
+whenever ``deg**len(base)`` fits 64 bits, as it does for every group in
+the catalog; only beyond that (say C2^5 moving 10 of 7,133 points) is
+the key a hash whose matches are checked against the images.
 
 Composition convention: ``compose(p, q)`` applies the *right* factor
 first, i.e. the result maps ``i -> p(q(i))``.  All fixtures and tests
@@ -25,17 +27,13 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
-from bisect import bisect_left
 from functools import lru_cache
-from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 DEFAULT_CLOSURE_CAP = 5000
 KEY_SEED = 0x6373  # seeds the fixed weights of the base-image hash
-_KEY_MASK = (1 << 64) - 1
 _MARK_CHUNK = 1 << 16  # matrix entries per chunk of the bijection check
 
 
@@ -233,24 +231,23 @@ class ElementTable:
     index is the element's canonical identifier everywhere else in the
     package.  The matrix given is checked before it is narrowed, so an
     image out of range is rejected, not wrapped into range.
-    ``images[i, p]`` reads one image through a memoryview of ``matrix``,
-    which is faster than ``ndarray.item``; ``element(i)`` builds a
-    ``Permutation`` on demand.
+    ``element(i)`` builds a ``Permutation`` on demand.
 
-    Elements are found by a 64-bit key of their images of ``base``, kept
-    sorted with the element each key belongs to (12 bytes per element).
+    Elements are found by one lookup, ``indices_of_base``, which takes a
+    batch of rows of images of ``base`` (a single element is a batch of
+    one).  It reads a 64-bit key of each row against the table's keys,
+    kept sorted with the element each belongs to (12 bytes per element).
     When ``deg**len(base) <= 2**64`` the key is the images read as
     digits in radix ``deg`` and ``exact`` is true: a key names one tuple
     of images, so a key match is the element, with no images read back,
-    and two rows with one key are duplicates.  A batch of lookups sorts
-    its keys; a batch of ``len(self)`` rows whose sorted keys are the
-    table's is a permutation of the whole group (a multiplication row, a
-    conjugation map, the inverses), and its indices are the table's key
-    order scattered back, with no search.  Any other batch is searched in
-    key order.  Only when the radix key would not fit (``exact`` false)
-    is the key a hash with fixed random weights, which narrows a search
-    to the elements of one key; each candidate is then checked against
-    the images, a batch one base column at a time, so a hash collision
+    and two rows with one key are duplicates.  A batch of ``len(self)``
+    rows whose sorted keys are the table's is a permutation of the whole
+    group (a multiplication row, a conjugation map, the inverses), and
+    its indices are the table's key order scattered back, with no search;
+    any other batch is searched in key order.  Only when the radix key
+    would not fit (``exact`` false) is the key a hash with fixed random
+    weights, which narrows a search to the elements of one key; each
+    candidate is then checked against the images, so a hash collision
     never gives a wrong index.  Immutable after construction.
     """
 
@@ -265,25 +262,21 @@ class ElementTable:
         if (matrix[0] != np.arange(deg)).any():
             raise ValueError("row 0 must be the identity")
         _check_bijections(matrix)
-        self.images = memoryview(matrix)
         self.base = _base_of(matrix)
         weights = _radix_weights(deg, len(self.base))
         self.exact = weights is not None
-        self._weights = weights if self.exact else _key_weights(len(self.base))
-        self._weight_vector = np.array(self._weights, dtype=np.uint64)
-        keys = self._keys_of(self.matrix[:, self.base])
+        self._weight_vector = np.array(weights if self.exact else _key_weights(len(self.base)),
+                                       dtype=np.uint64)
+        keys = self._keys_of(matrix[:, self.base])
         order = np.argsort(keys)
-        # arrays for the scalar path, numpy views of them for batches
-        self._key_list = array("Q", keys[order].tobytes())
-        self._order_list = array("i", order.astype(np.int32).tobytes())
-        self._keys = np.frombuffer(self._key_list, dtype=np.uint64)
-        self._key_order = np.frombuffer(self._order_list, dtype=np.int32)
+        self._keys = keys[order]
+        self._key_order = order.astype(np.int32)
         tied = np.flatnonzero(self._keys[1:] == self._keys[:-1]).tolist()
         if self.exact:  # rows with one exact key have the same base images
             duplicated = bool(tied)
         else:  # rows with one hash key may differ
             rows = {int(self._key_order[pos]) for t in tied for pos in (t, t + 1)}
-            duplicated = len({self.matrix[row].tobytes() for row in rows}) < len(rows)
+            duplicated = len({matrix[row].tobytes() for row in rows}) < len(rows)
         if duplicated:
             raise ValueError("duplicate elements in table")
 
@@ -297,43 +290,17 @@ class ElementTable:
         """Hash of each row of base images (wrapping uint64 arithmetic)."""
         return images.astype(np.uint64) @ self._weight_vector
 
-    def _candidates(self, images: list[int]) -> Iterator[int]:
-        """Indices of the elements whose key is that of ``images``."""
-        key = sum(map(mul, self._weights, images)) & _KEY_MASK
-        keys = self._key_list
-        pos = bisect_left(keys, key)
-        while pos < len(keys) and keys[pos] == key:
-            yield self._order_list[pos]
-            pos += 1
-
-    def index_of_base(self, images: list[int]) -> int:
-        """Index of the element with these images of ``base``.
-
-        Only for products and conjugates of table elements, whose base
-        images belong to exactly one element.
-        """
-        if self.exact:  # the key is the images, so a key match is the element
-            key = sum(map(mul, self._weights, images))
-            keys = self._key_list
-            pos = bisect_left(keys, key)
-            if pos < len(keys) and keys[pos] == key:
-                return self._order_list[pos]
-        else:
-            rows = self.images
-            for idx in self._candidates(images):
-                if [rows[idx, b] for b in self.base] == images:
-                    return idx
-        raise KeyError(f"no element has base images {images}")
-
     def indices_of_base(self, images: np.ndarray) -> np.ndarray:
-        """``index_of_base`` of every row of ``images``, in one batch.
+        """Index of the element with each row of ``images`` as its images
+        of ``base``; raises KeyError when no element has some row's.
 
         The keys are sorted, and under exact keys a batch whose sorted
         keys are the table's is a permutation of the whole group, read
         off the table's key order with no search.  Any other batch is
         searched in sorted order, which walks the sorted index once
-        instead of jumping about it; under hash keys each candidate is
-        then checked one base column at a time."""
+        instead of jumping about it.  Under hash keys each row's first
+        candidate is checked one base column at a time, and a row it does
+        not match scans the rest of its key's candidates (``_scan``)."""
         keys = self._keys_of(images)
         order = keys.argsort()
         if self.exact and len(keys) == len(self._keys) and np.array_equal(keys[order], self._keys):
@@ -349,16 +316,27 @@ class ElementTable:
             flat, starts = self.matrix.ravel(), idx.astype(np.intp) * self.deg  # row starts
             for col, b in enumerate(self.base):
                 wrong |= flat.take(starts + b) != images[:, col]
-        for m in np.flatnonzero(wrong).tolist():  # scan a hash collision, or raise KeyError
-            idx[m] = self.index_of_base(images[m].tolist())
+        for m in np.flatnonzero(wrong).tolist():
+            idx[m] = self._scan(int(pos[m]), keys[m], images[m])
         return idx
 
+    def _scan(self, pos: int, key: np.uint64, images: np.ndarray) -> int:
+        """Index of the element with base images ``images``, scanning the
+        elements of key ``key`` from sorted position ``pos`` on; raises
+        KeyError when none has them."""
+        while pos < len(self._keys) and self._keys[pos] == key:
+            idx = int(self._key_order[pos])
+            if (self.matrix[idx, self.base] == images).all():
+                return idx
+            pos += 1
+        raise KeyError(f"no element has base images {images.tolist()}")
+
     def index_of(self, p: Permutation) -> int:
-        if p.deg == self.deg:
-            images = list(p.images)
-            for idx in self._candidates([images[b] for b in self.base]):
-                if self.matrix[idx].tolist() == images:
-                    return idx
+        if p.deg == self.deg:  # the one element with p's base images, if any, must be p
+            on_base = np.array([[p(b) for b in self.base]], dtype=np.intp)
+            idx = int(self.indices_of_base(on_base)[0])
+            if self.matrix[idx].tolist() == list(p.images):
+                return idx
         raise KeyError(f"permutation {format_cycles(p)} not in table")
 
     def __contains__(self, p: Permutation) -> bool:

@@ -53,9 +53,9 @@ def generating_set(G: FiniteGroup, members: frozenset[int]) -> list[int]:
 
 def is_normal(G: FiniteGroup, members: frozenset[int], gens: list[int]) -> bool:
     """Whether conjugation by G's generators keeps ``members``, generated
-    by ``gens``."""
-    return all(G.conjugate(x, g) in members
-               for x in gens for g in G.generator_indices)
+    by ``gens``: one ``conjugate_many`` batch of ``gens`` per generator."""
+    return all(members.issuperset(G.conjugate_many(gens, g).tolist())
+               for g in G.generator_indices)
 
 
 def center(G: FiniteGroup) -> frozenset[int]:

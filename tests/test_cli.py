@@ -357,3 +357,30 @@ class TestConfig:
         cfg.write_text("wibble = 3\n")
         with pytest.raises(Exception):
             read_config_file(str(cfg))
+
+
+class TestUnusablePaths:
+    """A path that cannot be read or written is a one-line usage error."""
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert main(["analyze", "builtin:sym(3)", "--config", str(missing)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"error: cannot read config file {missing}: "
+                                           "No such file or directory\n")
+
+    @pytest.mark.parametrize("command", [["verify", "CH", "builtin:sym(3)"],
+                                         ["analyze", "builtin:sym(3)"],
+                                         ["sweep", "--max-elements", "10"]])
+    def test_report_in_a_missing_directory(self, tmp_path, capsys, command):
+        report = tmp_path / "nodir" / "x.json"
+        assert main([*command, "--report", str(report)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"error: cannot write report {report}: "
+                                           "No such file or directory\n")
+        assert not report.parent.exists()
+
+    def test_missing_fixture_dir(self, tmp_path, capsys):
+        missing = tmp_path / "nodir"
+        assert main(["sweep", "--max-elements", "10", "--fixture-dir", str(missing)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --fixture-dir {missing} is not a directory\n"
+        assert captured.out == ""

@@ -30,7 +30,15 @@ from csgroups.construct import (
     symmetric,
 )
 from csgroups.lemmas import lemma_suite_for_group
-from csgroups.perm import Permutation, close_with_degree, compose, element_order, identity, inverse
+from csgroups.perm import (
+    Permutation,
+    close_with_degree,
+    compose,
+    element_order,
+    from_cycles,
+    identity,
+    inverse,
+)
 from csgroups.structure import DEFAULT_NORMAL_SUBGROUP_LIMIT
 
 _spec = importlib.util.spec_from_file_location(
@@ -159,7 +167,7 @@ def check_against_elements(G: FiniteGroup, picks: list[int]) -> None:
     assert G.inv.tolist() == [find(inverse(p)) for p in els]
     for i in picks:
         row = [find(compose(els[i], q)) for q in els]
-        # the same table without memoized rows, so that mul takes its scalar path
+        # the same table without memoized rows, so that mul looks up each product alone
         scalar = FiniteGroup(G.table, G.generator_indices, G.name)
         assert [scalar.mul(i, j) for j in all_idx] == row
         assert G.mul_row(i).tolist() == row
@@ -245,6 +253,41 @@ class TestIndexAlgebra:
         assert 1 < len(set(keys)) < len(keys)
         check_against_elements(G, [0, 5, 17, G.order - 1])
         assert conjugacy_classes(G).cs_set == (1, 2, 3, 4, 6)
+
+    @pytest.mark.parametrize("tables", ["C2^5 on 7,133 points", "every key collides"])
+    def test_single_lookups_on_hash_keyed_tables(self, tables, monkeypatch):
+        if tables == "every key collides":
+            monkeypatch.setattr(perm, "_radix_weights", lambda deg, count: None)
+            monkeypatch.setattr(perm, "_key_weights", lambda count: [0] * count)
+            gens, deg = [from_cycles(5, [tuple(range(5))]), from_cycles(5, [(1, 4), (2, 3)])], 5
+        else:  # five base points are too many for radix-7,133 keys in 64 bits
+            gens, deg = [from_cycles(7133, [(i, i + 1)]) for i in range(0, 10, 2)], 7133
+        # no memoized rows, so that mul and conjugate look up each element alone
+        G = FiniteGroup(close_with_degree(gens, deg), [], tables)
+        assert not G.table.exact
+        els = [G.element(i) for i in range(G.order)]
+        find = {p: i for i, p in enumerate(els)}.__getitem__
+        assert [G.table.index_of(p) for p in els] == list(range(G.order))
+        inverses = [inverse(y) for y in els]
+        for i, x in enumerate(els):
+            xy = [compose(x, y) for y in els]
+            assert [G.mul(i, j) for j in range(G.order)] == [find(p) for p in xy]
+            assert ([G.conjugate(i, j) for j in range(G.order)]
+                    == [find(compose(y_inv, p)) for y_inv, p in zip(inverses, xy)])
+        assert not G._mul_rows
+
+    def test_single_lookups_are_batches_of_one(self, monkeypatch):
+        G = symmetric(4)
+        G.inv  # built before the spy: conjugate reads it
+        batches = []
+        lookup = G.table.indices_of_base
+        monkeypatch.setattr(G.table, "indices_of_base",
+                            lambda images: batches.append(len(images)) or lookup(images))
+        assert not G._mul_rows  # so mul misses its memo
+        assert G.mul(5, 7) == G.table.index_of(compose(G.element(5), G.element(7)))
+        assert batches == [1, 1]
+        assert G.conjugate(5, 7) == G.conjugate_many([5], 7)[0]
+        assert batches == [1, 1, 1, 1]
 
 
 def _row_picks(n: int) -> dict:

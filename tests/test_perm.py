@@ -1,6 +1,8 @@
 """Permutation primitives and closure enumeration."""
 
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,11 @@ def perm_strategy(deg: int):
 def elements_of(table) -> list[Permutation]:
     """Every element of ``table`` as a ``Permutation``, in index order."""
     return [table.element(i) for i in range(len(table))]
+
+
+def base_images(table, p: Permutation) -> np.ndarray:
+    """``p``'s images of the table's base, as a batch of one row."""
+    return np.array([[p(b) for b in table.base]])
 
 
 def reference_closure(gens: list[Permutation], deg: int) -> list[Permutation]:
@@ -244,6 +251,16 @@ class TestClosure:
         assert len(table) == G.order and table.matrix.dtype == np.uint16
         assert peak < 4 * table.matrix.nbytes
 
+    def test_closure_peak_script_runs(self, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "closure_peak", Path(__file__).resolve().parent.parent / "scripts" / "closure_peak.py")
+        closure_peak = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(closure_peak)
+        closure_peak.main(["sym(3)"])
+        lines = dict(line.split(maxsplit=1) for line in capsys.readouterr().out.splitlines())
+        assert lines["order"] == "6"
+        assert lines["matrix"].endswith("(uint8)")
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_row_by_row_closure(self, data):
@@ -264,7 +281,7 @@ class TestElementTable:
         table = close([from_cycles(4, [(0, 1, 2)])])
         outsider = from_cycles(4, [(0, 1), (2, 3)])
         # (0 1)(2 3) maps the base point as (0 1 2) does
-        member = table.element(table.index_of_base([outsider(b) for b in table.base]))
+        member = table.element(int(table.indices_of_base(base_images(table, outsider))[0]))
         assert member == from_cycles(4, [(0, 1, 2)])
         with pytest.raises(KeyError):
             table.index_of(outsider)
@@ -291,9 +308,13 @@ class TestElementTable:
         table = close([from_cycles(5, [tuple(range(5))]), from_cycles(5, [(1, 4), (2, 3)])])
         assert len(table) == 10 and not table.exact
         assert len(set(table._keys.tolist())) == 1
+        scans = []
+        scan = table._scan
+        monkeypatch.setattr(table, "_scan", lambda *args: scans.append(1) or scan(*args))
         for i, p in enumerate(elements_of(table)):
             assert table.index_of(p) == i
-            assert table.index_of_base([p(b) for b in table.base]) == i
+            assert table.indices_of_base(base_images(table, p)).tolist() == [i]
+        assert scans  # every key is 0, so all but one element are found by a scan
         images = table.matrix[::-1][:, table.base]
         assert table.indices_of_base(images).tolist() == list(range(10))[::-1]
         assert from_cycles(5, [(0, 1, 2)]) not in table
@@ -303,7 +324,7 @@ class TestElementTable:
         assert len(table) == 4800 and len(table.base) == 6
         assert len(set(table._keys.tolist())) == len(table)
         # with distinct keys the batch path finds every row without a scan
-        monkeypatch.setattr(table, "index_of_base", lambda images: pytest.fail("scanned"))
+        monkeypatch.setattr(table, "_scan", lambda *args: pytest.fail("scanned"))
         rng = np.random.default_rng(5)
         rows = rng.permutation(np.concatenate([np.arange(len(table)),
                                                rng.integers(0, len(table), 1200)]))
@@ -362,7 +383,7 @@ class TestElementTable:
         for i, p in enumerate(els):
             assert p in table
             assert table.index_of(p) == i
-            assert table.index_of_base([p(b) for b in table.base]) == i
+            assert table.indices_of_base(base_images(table, p)).tolist() == [i]
         rows = [5, 31, 0, 5, 17, 2]
         images = table.matrix[rows][:, table.base]
         assert table.indices_of_base(images).tolist() == rows
@@ -373,9 +394,9 @@ class TestElementTable:
         with pytest.raises(KeyError):
             table.index_of(outsider)
         with pytest.raises(KeyError):
-            table.index_of_base([outsider(b) for b in table.base])
+            table.indices_of_base(base_images(table, outsider))
         with pytest.raises(KeyError):
-            table.indices_of_base(np.concatenate([images, [[outsider(b) for b in table.base]]]))
+            table.indices_of_base(np.concatenate([images, base_images(table, outsider)]))
 
     def test_duplicate_elements_rejected(self):
         e, t = [0, 1, 2], [1, 0, 2]
