@@ -24,7 +24,6 @@ from .catalog import (
 from .construct import FiniteGroup, FixtureError, load_fixture
 from .lemmas import LEMMA_IDS, lemma_suite_for_group, LemmaReport
 from .perm import DEFAULT_CLOSURE_CAP, OrderCapExceededError
-from .structure import DEFAULT_NORMAL_SUBGROUP_LIMIT
 from .theorems import (
     GroupAnalysis,
     TheoremVerdict,
@@ -40,8 +39,7 @@ EXIT_USAGE = 1
 EXIT_FAIL = 2
 EXIT_INCONCLUSIVE = 3
 
-CONFIG_KEYS = ("max_elements", "max_normal_subgroups", "pair_sample_seed",
-               "jobs", "format", "timings")
+CONFIG_KEYS = ("max_elements", "pair_sample_seed", "jobs", "format", "timings")
 FORMATS = ("json", "csv")
 TIMINGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -90,8 +88,10 @@ def verdict_to_dict(v: TheoremVerdict) -> dict:
 
 def entry_for_group(name: str, source: str, G: FiniteGroup,
                     config: dict, with_timing: bool) -> tuple[dict, list]:
+    """G's report entry and Conjecture B findings.  ``config``, the run's
+    settings, holds no setting that bounds them."""
     t0 = time.monotonic()
-    analysis = GroupAnalysis(G, normal_limit=config["max_normal_subgroups"])
+    analysis = GroupAnalysis(G)
     primes, composites = analysis.split
     entry = {
         "name": name,
@@ -206,7 +206,6 @@ def read_config_file(path: str) -> dict:
 def effective_config(args) -> dict:
     config = {
         "max_elements": DEFAULT_CLOSURE_CAP,
-        "max_normal_subgroups": DEFAULT_NORMAL_SUBGROUP_LIMIT,
         "pair_sample_seed": 0,
         "jobs": 1,
         "format": "json",
@@ -219,9 +218,8 @@ def effective_config(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None and flag is not False:
             config[key] = flag
-    for key in ("jobs", "max_normal_subgroups"):
-        if config[key] < 1:
-            raise TargetError(f"{key} must be at least 1")
+    if config["jobs"] < 1:
+        raise TargetError("jobs must be at least 1")
     args.format = config["format"]
     return config
 
@@ -238,6 +236,11 @@ def cmd_analyze(args) -> int:
     config = effective_config(args)
     name, source, G = resolve_target(args.target, config["max_elements"])
     entry, findings = entry_for_group(name, source, G, config, config["timings"])
+    if args.report:  # written first, so that a failed write prints no summary
+        report = base_report(config)
+        report["entries"].append(entry)
+        report["findings"].extend(findings)
+        emit_report(report, args)
     print(f"{name} ({source}): order {G.order}")
     print(f"  class sizes: {entry['cs']}")
     print(f"  primes {entry['primes']}, composites {entry['composites']}")
@@ -246,11 +249,6 @@ def cmd_analyze(args) -> int:
         print(f"  theorem {tid}: {entry['theorems'][tid]['status']}")
     for f in findings:
         print(f"  finding: {f['kind']}: {f['detail']}")
-    if args.report:
-        report = base_report(config)
-        report["entries"].append(entry)
-        report["findings"].extend(findings)
-        emit_report(report, args)
     return EXIT_OK
 
 
@@ -317,7 +315,7 @@ def cmd_verify(args) -> int:
             groups = [e.group for e in iter_catalog(max_elements=config["max_elements"])]
         total = LemmaReport()
         for G in groups:
-            analysis = GroupAnalysis(G, normal_limit=config["max_normal_subgroups"])
+            analysis = GroupAnalysis(G)
             total.merge(lemma_suite_for_group(G, analysis, seed=config["pair_sample_seed"]))
         _emit_verify(lemma_report_to_dict(total), args, config)
         return EXIT_OK if total.ok() else EXIT_FAIL
@@ -326,7 +324,7 @@ def cmd_verify(args) -> int:
         print("error: verify A|C|CH requires a target group", file=sys.stderr)
         return EXIT_USAGE
     _, _, G = resolve_target(args.target, config["max_elements"])
-    analysis = GroupAnalysis(G, normal_limit=config["max_normal_subgroups"])
+    analysis = GroupAnalysis(G)
     checker = {"A": check_theorem_A, "C": check_theorem_C,
                "CH": check_chillag_herzog}[theorem]
     verdict = checker(G, analysis)
@@ -351,10 +349,6 @@ def _emit_verify(payload: dict, args, config: dict) -> None:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-elements", dest="max_elements", type=int, default=None,
                    help=f"element closure cap (default {DEFAULT_CLOSURE_CAP})")
-    p.add_argument("--max-normal-subgroups", dest="max_normal_subgroups",
-                   type=int, default=None,
-                   help="cap on the normal subgroups the lemma suite enumerates "
-                        f"(default {DEFAULT_NORMAL_SUBGROUP_LIMIT})")
     p.add_argument("--pair-sample-seed", dest="pair_sample_seed", type=int,
                    default=None, help="seed for sampled pair enumeration")
     p.add_argument("--jobs", type=int, default=None,
@@ -368,8 +362,17 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="include wall-clock timings (breaks byte-determinism)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_USAGE on a bad command line: argparse's own code, 2,
+    is the FAIL of ``verify``."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="csgroups",
         description="Analyse conjugacy class sizes of small finite groups and "
                     "verify the structural statements they determine.")

@@ -1,8 +1,10 @@
 """Structural subgroup machinery: center, derived series, Sylow, normal
 cores (unions of classes, counted), O_p and O_pi, Fitting subgroups (found
 in G), quotients (of the verdicts, only the Frobenius test of G/N builds
-one), normal-subgroup enumeration, Hall subgroups, Frobenius detection
-from class sizes, nilpotency class, and stripping of abelian direct factors.
+one), Hall subgroups, Frobenius detection from class sizes, nilpotency
+class, and stripping of abelian direct factors.  ``normal_subgroups``
+enumerates the whole normal-subgroup lattice; no analysis calls it, and
+the tests use it as their oracle.
 
 A subgroup of G is the frozenset of its element indices in G; a subgroup
 that needs its own multiplication table is reified by
@@ -22,13 +24,7 @@ from .classes import ClassProfile, conjugacy_classes, orbit_partition
 from .construct import FiniteGroup
 from .perm import Closure, ElementTable, point_dtype
 
-DEFAULT_NORMAL_SUBGROUP_LIMIT = 10000
 QUOTIENT_BATCH = 1 << 16  # products looked up at once for a quotient's action
-
-
-class EnumerationLimitError(RuntimeError):
-    """Subgroup enumeration outgrew the configured limit; the structural
-    analysis of the group is incomplete rather than silently truncated."""
 
 
 class NotNilpotentError(ValueError):
@@ -286,7 +282,7 @@ def quotient(G: FiniteGroup, N: frozenset[int]) -> Quotient:
     return Quotient(Q, projection)
 
 
-def normal_subgroups(G: FiniteGroup, limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT,
+def normal_subgroups(G: FiniteGroup,
                      profile: Optional[ClassProfile] = None) -> list[frozenset[int]]:
     """All normal subgroups, enumerated on masks of conjugacy classes.
 
@@ -295,8 +291,7 @@ def normal_subgroups(G: FiniteGroup, limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT,
     that profile share one support.  Every normal subgroup is the join of
     the normal closures of its classes, and the join of normal subgroups
     A and B is their product AB, so joining class closures breadth first
-    finds them all.  More than ``limit`` normal subgroups raise
-    ``EnumerationLimitError``.
+    finds them all.
     """
     if profile is None:
         profile = conjugacy_classes(G)
@@ -308,8 +303,6 @@ def normal_subgroups(G: FiniteGroup, limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT,
         for join in joins:  # lazily, so that only new joins are held
             if join not in found:
                 found.add(join)
-                if len(found) > limit:
-                    raise EnumerationLimitError(f"more than {limit} normal subgroups in {G.name}")
                 new.append(join)
         if not new:
             break

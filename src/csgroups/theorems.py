@@ -17,7 +17,6 @@ from .catalog import psl_2_8_fixture
 from .classes import composite_split, conjugacy_classes
 from .construct import FiniteGroup, alternating
 from .structure import (
-    DEFAULT_NORMAL_SUBGROUP_LIMIT,
     NotNilpotentError,
     center,
     centralizer_mask,
@@ -25,7 +24,6 @@ from .structure import (
     fitting2,
     is_frobenius,
     nilpotency_class,
-    normal_subgroups,
     o_pi,
     strip_abelian_factors,
     subgroup_as_group,
@@ -62,7 +60,7 @@ class TheoremVerdict:
 
 class GroupAnalysis:
     """Caches the per-group data the verdicts share; ``profile`` is the
-    group's one class algebra, which the lattice and mask queries read.
+    group's one class algebra, which the mask queries read.
 
     The derived series and the center are computed once: solubility and
     the stripping of abelian factors read G' from the one, and the strip
@@ -74,9 +72,8 @@ class GroupAnalysis:
     on masks.  All n masks take n^2/8 bytes.
     """
 
-    def __init__(self, G: FiniteGroup, normal_limit: int = DEFAULT_NORMAL_SUBGROUP_LIMIT):
+    def __init__(self, G: FiniteGroup):
         self.group = G
-        self.normal_limit = normal_limit
         self._centralizers: dict[int, int] = {}
 
     def centralizer(self, x: int) -> int:
@@ -122,8 +119,12 @@ class GroupAnalysis:
         return self.profile if core is self.group else conjugacy_classes(core)
 
     @cached_property
-    def normals(self):
-        return normal_subgroups(self.group, self.normal_limit, self.profile)
+    def class_closures(self) -> list[frozenset[int]]:
+        """The distinct normal closures of G's classes, by order and then
+        members: the normal subgroups that lemmas 2.1a and 2.1e sample."""
+        profile = self.profile
+        return sorted(map(profile.members, set(profile.class_closures)),
+                      key=lambda N: (len(N), sorted(N)))
 
     @cached_property
     def center(self):

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from csgroups import structure, theorems
 from csgroups.catalog import FIXTURE_DIR
 from csgroups.cli import (
     EXIT_INCONCLUSIVE,
@@ -63,6 +62,10 @@ class TestTargets:
 
 
 class TestAnalyze:
+    """The ``test_limit_does_not_reach_*`` tests refuse every lattice call:
+    no verdict builds the normal-subgroup lattice, so no limit on it is
+    needed for them."""
+
     def test_analyze_prints_class_sizes(self, capsys):
         assert main(["analyze", "builtin:sym(3)"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -79,41 +82,37 @@ class TestAnalyze:
         assert entry["theorems"]["C"]["status"] == "pass"
         assert entry["timings_ms"] is None
 
-    def test_limit_does_not_reach_the_case_c_strip(self, tmp_path, capsys):
+    def test_limit_does_not_reach_the_case_c_strip(self, tmp_path, capsys, refuse_lattice):
         # case (c) strips abelian factors, which reads Z(G) and G' but no
-        # normal subgroups, so a limit of 3 leaves the verdict as it is
-        verdicts = []
-        for limit in ([], ["--max-normal-subgroups", "3"]):
-            report = tmp_path / "out.json"
-            assert main(["analyze", "fixture:g162_5", *limit, "--report", str(report)]) == EXIT_OK
-            verdicts.append(json.loads(report.read_text())["entries"][0]["theorems"]["C"])
+        # normal subgroups
+        report = tmp_path / "out.json"
+        assert main(["analyze", "fixture:g162_5", "--report", str(report)]) == EXIT_OK
+        verdict = json.loads(report.read_text())["entries"][0]["theorems"]["C"]
         assert "theorem C: pass" in capsys.readouterr().out
-        assert verdicts[1] == verdicts[0]
-        assert verdicts[1]["status"] == "pass" and verdicts[1]["witnesses"]["case"] == "c"
-        assert "limit" not in verdicts[1]["witnesses"]
+        assert verdict["status"] == "pass" and verdict["witnesses"]["case"] == "c"
 
-    def test_limit_does_not_reach_theorem_A(self, tmp_path, capsys):
-        # Theorem A reads P = O_2 and H = O_2' of the core from its class
-        # algebra, so a limit of 1 leaves the verdict as it is
-        verdicts = []
-        for limit in ([], ["--max-normal-subgroups", "1"]):
-            report = tmp_path / "out.json"
-            assert main(["analyze", "builtin:q8xF21", *limit, "--report", str(report)]) == EXIT_OK
-            verdicts.append(json.loads(report.read_text())["entries"][0]["theorems"]["A"])
-        assert capsys.readouterr().out.count("theorem A: pass") == 2
-        assert verdicts[1] == verdicts[0]
-        assert verdicts[1]["witnesses"]["P_order"] == 8
+    def test_limit_does_not_reach_theorem_A(self, tmp_path, capsys, refuse_lattice):
+        # Theorem A reads P = O_2 and H = O_2' of the core from its class algebra
+        report = tmp_path / "out.json"
+        assert main(["analyze", "builtin:q8xF21", "--report", str(report)]) == EXIT_OK
+        verdict = json.loads(report.read_text())["entries"][0]["theorems"]["A"]
+        assert "theorem A: pass" in capsys.readouterr().out
+        assert verdict["witnesses"]["P_order"] == 8
 
-    def test_limit_does_not_reach_the_frobenius_test(self, capsys):
+    def test_limit_does_not_reach_the_frobenius_test(self, capsys, refuse_lattice):
         # the Chillag-Herzog Frobenius test on G/Z(G) tries the O_pi of
         # symmetric(3), not its three normal subgroups
-        verdicts = []
-        for limit in ([], ["--max-normal-subgroups", "1"]):
-            assert main(["verify", "CH", "builtin:sym(3)", *limit]) == EXIT_OK
-            verdicts.append(json.loads(capsys.readouterr().out)["verdict"])
-        assert verdicts[1] == verdicts[0]
-        assert verdicts[1]["status"] == "pass"
-        assert verdicts[1]["witnesses"]["branch"] == "frobenius"
+        assert main(["verify", "CH", "builtin:sym(3)"]) == EXIT_OK
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert verdict["status"] == "pass"
+        assert verdict["witnesses"]["branch"] == "frobenius"
+
+    def test_report_is_written_before_the_summary(self, capsys):
+        # an unwritable report path fails before anything reaches stdout
+        assert main(["analyze", "builtin:sym(3)", "--report", "/nonexistent-dir/x.json"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write report /nonexistent-dir/x.json")
 
     def test_max_elements_raises_the_closure_cap(self, capsys):
         assert main(["analyze", "builtin:sym(7)", "--max-elements", "6000"]) == EXIT_OK
@@ -175,41 +174,6 @@ class TestVerify:
         data = json.loads(capsys.readouterr().out)
         assert data["verdict"]["failures"] == []
         assert data["verdict"]["instances"]["2.6"] >= 1
-
-    def test_verify_lemmas_honours_normal_subgroup_limit(self, capsys):
-        # sym(4) has four normal subgroups; only 2.1a and 2.1e read them,
-        # so only they skip, and the other lemmas keep their instances
-        assert main(["verify", "lemmas", "builtin:sym(4)"]) == EXIT_OK
-        unlimited = json.loads(capsys.readouterr().out)["verdict"]
-        assert main(["verify", "lemmas", "builtin:sym(4)",
-                     "--max-normal-subgroups", "1"]) == EXIT_OK
-        verdict = json.loads(capsys.readouterr().out)["verdict"]
-        reason = "structural limit: more than 1 normal subgroups in symmetric(4)"
-        assert verdict["skipped"] == [{"lemma": lemma, "group": "symmetric(4)", "reason": reason}
-                                      for lemma in ("2.1a", "2.1e")]
-        assert verdict["instances"] == {**unlimited["instances"], "2.1a": 0, "2.1e": 0}
-        assert [verdict["instances"][lemma] for lemma in ("2.1b", "2.1d", "2.5", "2.6")] == [1, 2, 1, 3]
-
-
-class TestNestedLimits:
-    def test_every_lattice_call_gets_the_configured_limit(self, monkeypatch, capsys):
-        # only lemmas 2.1a and 2.1e read a lattice, of the group itself,
-        # so analyze enumerates none and a lemma suite one
-        limits = []
-        enumerate_normals = structure.normal_subgroups
-
-        def spy(G, limit=structure.DEFAULT_NORMAL_SUBGROUP_LIMIT, profile=None):
-            limits.append(limit)
-            return enumerate_normals(G, limit, profile)
-
-        monkeypatch.setattr(structure, "normal_subgroups", spy)
-        monkeypatch.setattr(theorems, "normal_subgroups", spy)
-        assert main(["analyze", "builtin:q8xF21", "--max-normal-subgroups", "500"]) == EXIT_OK
-        assert limits == []
-        assert main(["verify", "lemmas", "builtin:dihedral(5)xcyclic(3)",
-                     "--max-normal-subgroups", "500"]) == EXIT_OK
-        assert limits == [500]
-        capsys.readouterr()
 
 
 class TestSweep:
@@ -344,19 +308,44 @@ class TestConfig:
         assert capsys.readouterr().err == "error: jobs must be at least 1\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_max_normal_subgroups_below_one_is_usage_error(self, tmp_path, capsys, value):
+    def test_removed_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"max_normal_subgroups = {value}\n")
-        for options in (["--max-normal-subgroups", value], ["--config", str(cfg)]):
-            assert main(["analyze", "builtin:sym(3)", *options]) == EXIT_USAGE
-            assert capsys.readouterr().err == "error: max_normal_subgroups must be at least 1\n"
+        cfg.write_text("max_normal_subgroups = 3\n")
+        assert main(["analyze", "builtin:sym(3)", "--config", str(cfg)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {cfg}:1: unknown config key 'max_normal_subgroups'\n"
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("wibble = 3\n")
         with pytest.raises(Exception):
             read_config_file(str(cfg))
+
+
+class TestBadCommandLine:
+    """A bad command line exits with EXIT_USAGE, not argparse's 2, which
+    is the FAIL of ``verify``; asking for help or the version exits 0."""
+
+    @pytest.mark.parametrize("options", [
+        ["--bogus", "3"],
+        ["--max-normal-subgroups", "3"],
+        ["--format", "xml"],
+    ], ids=["unknown-flag", "removed-flag", "bad-format"])
+    def test_parse_error_is_usage_error(self, capsys, options):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "builtin:sym(3)", *options])
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error:" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["analyze", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
 
 class TestUnusablePaths:

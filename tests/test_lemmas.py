@@ -27,6 +27,7 @@ from csgroups.structure import (
     generating_set,
     hall,
     is_normal,
+    normal_subgroups,
     o_pi,
     subgroup_as_group,
     sylow,
@@ -256,7 +257,53 @@ class TestCountedNormality:
         assert seen[True] >= 20 and seen[False] >= 20
 
 
+class TestClassClosureSample:
+    """Lemmas 2.1a and 2.1e sample the distinct normal closures of single
+    classes, which come with the class algebra, and build no lattice."""
+
+    def test_no_suite_enumerates_normal_subgroups(self, refuse_lattice):
+        total = LemmaReport()
+        names = set()
+        for e in iter_catalog():
+            total.merge(lemma_suite_for_group(e.group))
+            names.add(e.name)
+        assert {"g160_234", "g162_5", "g480_166", "g486_176", "psl_2_8"} <= names
+        assert total.ok()
+        assert total.instances["2.1a"] > 0 and total.instances["2.1e"] > 0
+
+    def test_sample_is_the_distinct_class_closures_on_catalog(self):
+        for e in iter_catalog():
+            G = e.group
+            analysis = GroupAnalysis(G)
+            profile, sample = analysis.profile, analysis.class_closures
+            lattice = normal_subgroups(G, profile=profile)
+            assert sample == sorted(set(sample), key=lambda N: (len(N), sorted(N))), G.name
+            assert set(sample) <= set(lattice), G.name
+            for N in sample:
+                assert is_normal(G, N, generating_set(G, N)), (G.name, len(N))
+            # each class's closure is the least normal subgroup holding it
+            closures = {min((N for N in lattice if x in N), key=len)
+                        for x in profile.representatives}
+            assert set(sample) == closures, G.name
+
+
 class TestNearCap:
+    def test_suite_on_q8_times_frobenius_39_times_cyclic_15(self):
+        """525 classes: the class-closure sample is truncated for 2.1a
+        and 2.1e, which a lattice of 96 normal subgroups made slow."""
+        G = make_builtin("q8xfrobenius(13,3)xcyclic(15)")
+        assert G.order == 4680
+        start = time.perf_counter()
+        rep = lemma_suite_for_group(G)
+        elapsed = time.perf_counter() - start
+        assert rep.ok()
+        assert rep.instances == Counter({"2.1a": 12600, "2.1b": 36900, "2.1c": 400, "2.1d": 4,
+                                         "2.1e": 2814, "2.2": 1})
+        assert rep.skipped == [(lemma, G.name, reason) for lemma, reason in (
+            ("2.1a", "normal subgroups truncated"), ("2.1c", "pair budget reached"),
+            ("2.1e", "normal subgroups truncated"))]
+        assert elapsed < 10.0
+
     def test_suite_on_sym5_times_frobenius_39(self):
         """The first lemma suite near the order cap; the counts are those
         of the frozenset centralizers that the bit masks replaced."""

@@ -34,7 +34,6 @@ from csgroups.perm import (
     identity,
 )
 from csgroups.structure import (
-    EnumerationLimitError,
     NotNilpotentError,
     center,
     centralizer_of_set,
@@ -522,10 +521,6 @@ class TestNormalSubgroups:
         G = dihedral(6)
         for N in normal_subgroups(G):
             assert is_normal(G, N, generating_set(G, N))
-
-    def test_enumeration_limit(self):
-        with pytest.raises(EnumerationLimitError):
-            normal_subgroups(cyclic(16), limit=2)
 
     @pytest.mark.parametrize("spec", ["sym(4)", "alt(5)", "frobenius(7,3)",
                                       "dihedral(12)", "sym(3)xsym(3)"])
