@@ -16,7 +16,9 @@ in 10 and its median is better by more than the parent's IQR, and
 the metric's ``bound``, a fraction of the parent's median.  A run that exits non-zero or times out is listed under
 ``failures`` (workload, seed, side, exit code, tail of stderr), its pair
 is left out, and the other runs go on.  Progress goes to stderr.  The
-exported copy is removed on exit.
+report is rewritten after every completed pair, so a run stopped early
+(by SIGTERM, say, from an outer ``timeout``) keeps the pairs it finished;
+the exported copy is removed on exit, SIGTERM included.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import argparse
 import io
 import json
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -108,8 +111,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def collect(checkouts: dict[str, Path], workloads: list[str], seeds: list[int],
-            seconds: int) -> tuple[list[dict], list[dict]]:
-    """Run every pair; returns the runs and the failed runs."""
+            seconds: int, on_pair=None) -> tuple[list[dict], list[dict]]:
+    """Run every pair; returns the runs and the failed runs, which
+    ``on_pair``, when given, is also called with after each pair."""
     runs: list[dict] = []
     failures: list[dict] = []
     for i, seed in enumerate(seeds):
@@ -128,6 +132,8 @@ def collect(checkouts: dict[str, Path], workloads: list[str], seeds: list[int],
                 wall = result["metrics"]["wall_s"]["value"]
                 print(f"{workload} seed {seed} {side}: wall_s {wall:.4g}",
                       file=sys.stderr, flush=True)
+            if on_pair is not None:
+                on_pair(runs, failures)
     return runs, failures
 
 
@@ -144,6 +150,10 @@ def export_revision(revision: str) -> None:
         tar.extractall(PARENT_COPY, filter="data")
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)  # unwinds through the clean-up below
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD",
@@ -158,18 +168,26 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     revision = git("rev-parse", args.parent)
+    out = Path(args.out)
+
+    def save(runs: list[dict], failures: list[dict]) -> None:
+        report = {"parent": revision, "change": "working tree", "seconds": seconds,
+                  "command": "perfbench/run.py --trace 0",
+                  "workloads": aggregate(runs, bench["end_to_end"]),
+                  "failures": failures, "runs": runs}
+        partial = out.with_name(out.name + ".part")  # so a stop mid-write loses no pair
+        partial.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+        partial.replace(out)
+
     shutil.rmtree(PARENT_COPY, ignore_errors=True)
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         export_revision(revision)
-        runs, failures = collect({"parent": PARENT_COPY, "change": ROOT}, workloads,
-                                 args.seeds, seconds)
+        save(*collect({"parent": PARENT_COPY, "change": ROOT}, workloads, args.seeds,
+                      seconds, save))
     finally:
+        signal.signal(signal.SIGTERM, previous)
         shutil.rmtree(PARENT_COPY, ignore_errors=True)
-    report = {"parent": revision, "change": "working tree", "seconds": seconds,
-              "command": "perfbench/run.py --trace 0",
-              "workloads": aggregate(runs, bench["end_to_end"]),
-              "failures": failures, "runs": runs}
-    Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

@@ -132,9 +132,9 @@ class ClassProfile:
 # Orbit partitions of fewer points than this are found by a walk over
 # Python lists, larger ones by ``orbit_labels``.  Timed per call on the
 # generators' conjugation maps (2 cores, numpy 2.4), numpy's fixed cost
-# makes the labels slower at sym(5), order 120 (60 against 29 us); at
-# dihedral(150), order 300, they are about even (43 against 52 us); far
-# above it they win by up to 6x (cyclic(4999): 0.21 against 1.26 ms).
+# makes the labels slower at sym(5), order 120 (41 against 24 us), about
+# even at dihedral(125), order 250 (57 against 56 us), and faster from
+# dihedral(150), order 300 (43 against 64 us), 9x at cyclic(4999).
 WALK_BELOW_ORDER = 300
 
 
@@ -142,34 +142,34 @@ def orbit_labels(maps: list[np.ndarray], n: int) -> np.ndarray:
     """The least point of each point's orbit under the permutations ``maps``
     of range(n): the connected components of the edges x -> m[x].
 
-    Hooking and shortcutting (Shiloach and Vishkin, 1982): each round
-    hooks the larger of the two roots on every edge under the smaller,
-    then jumps every label to its root (``_shortcut``); it stops when no
-    edge joins two roots.  A long cycle is so joined in O(log n) jumps,
-    not in one round per step.  An edge whose ends share a root keeps
-    sharing it, so later rounds read only the edges still live.
+    Hooking and shortcutting (Shiloach and Vishkin, 1982) on the label
+    array: each round hooks, map by map and in place, the larger of each
+    point's label and its image's (``head = label[m]``) under the smaller,
+    then jumps every label to its root (``_shortcut``), until no map joins
+    two labels.  A hook on a label that an earlier map moved that round
+    still joins two points of one orbit under the smaller, so labels only
+    fall.  A long cycle is joined in O(log n) jumps.
     """
-    label = np.arange(n)
-    tail = np.tile(label, len(maps))
     # in intp, as ``label`` is: gathers by other index dtypes are slower
-    head = np.concatenate(maps, dtype=np.intp) if maps else tail
-    tail_root, head_root = tail, head  # every point is its own root at first
+    maps = [m.astype(np.intp, copy=False) for m in maps]
+    label = np.arange(n)
     while True:
-        live = np.flatnonzero(tail_root != head_root)  # indices: faster than a mask
-        if not len(live):
+        joined = False
+        for m in maps:
+            head = label[m]
+            if (head != label).any():
+                joined = True
+                np.minimum.at(label, np.maximum(label, head), np.minimum(label, head))
+        if not joined:
             return label
-        tail, head = tail[live], head[live]
-        tail_root, head_root = tail_root[live], head_root[live]
-        np.minimum.at(label, np.maximum(tail_root, head_root), np.minimum(tail_root, head_root))
         label = _shortcut(label)
-        tail_root, head_root = label[tail], label[head]
 
 
 def _shortcut(label: np.ndarray) -> np.ndarray:
     """Jump every label to its root: ``label = label[label]`` until nothing changes."""
     while True:
         jumped = label[label]
-        if np.array_equal(jumped, label):
+        if not (jumped != label).any():
             return label
         label = jumped
 

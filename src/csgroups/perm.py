@@ -114,19 +114,25 @@ def identity(deg: int) -> Permutation:
     return Permutation(range(deg))
 
 
+def _bijection(images: tuple[int, ...]) -> Permutation:
+    """``images``, ints known to form a bijection, as a Permutation, unchecked."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p
+
+
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Product applying ``q`` first: ``i -> p(q(i))``."""
     if p.deg != q.deg:
         raise DegreeMismatchError(f"degree mismatch: {p.deg} != {q.deg}")
-    pi = p.images
-    return Permutation(tuple(pi[j] for j in q.images))
+    return _bijection(tuple(map(p.images.__getitem__, q.images)))
 
 
 def inverse(p: Permutation) -> Permutation:
     inv = [0] * p.deg
     for i, v in enumerate(p.images):
         inv[v] = i
-    return Permutation(inv)
+    return _bijection(tuple(inv))
 
 
 def element_order(p: Permutation) -> int:

@@ -86,7 +86,7 @@ def normalizer(G: FiniteGroup, members: frozenset[int], gens: list[int]) -> froz
     return frozenset(np.nonzero(mask)[0].tolist())
 
 
-def _members(G: FiniteGroup, closure: Closure) -> frozenset[int]:
+def closure_members(G: FiniteGroup, closure: Closure) -> frozenset[int]:
     """The subgroup of G that ``closure`` holds, as element indices: one
     batched lookup of its rows' base images, and none for 1 and G."""
     if closure.count == 1:
@@ -162,29 +162,24 @@ def _generators_commute(G: FiniteGroup) -> bool:
     return all(G.mul(x, y) == G.mul(y, x) for i, x in enumerate(gens) for y in gens[:i])
 
 
-def derived_series(G: FiniteGroup) -> tuple[list[frozenset[int]], bool]:
-    """G >= G' >= G'' >= ... until stabilization; soluble iff it hits 1.
-
-    An abelian G, and a cyclic term, has derived subgroup 1 with no
-    closure.  Otherwise each term is the normal closure, in the term
-    before, of the commutators of that term's generators, starting from
-    G's generators; its generator rows come from the closure, and its
-    members are looked up once, when the term is known to be new.
-    """
-    series = [frozenset(range(G.order))]
-    if _generators_commute(G):
-        return (series + [frozenset([0])] if G.order > 1 else series), True
+def derived_series(G: FiniteGroup) -> tuple[list[Closure], bool]:
+    """The terms G' >= G'' >= ... below G until stabilization, each the
+    ``Closure`` that found it (order ``count``, generator and element
+    rows), and whether the series reaches 1: G is soluble.  No member is
+    looked up (``closure_members`` does that).  An abelian G, and a cyclic
+    term, has derived subgroup 1, the closure of the identity alone;
+    otherwise a term is the normal closure, in the one before, of the
+    commutators of that one's generators."""
+    terms, abelian = [], _generators_commute(G)
     gens, order = G.table.matrix[G.generator_indices], G.order
     while order > 1:
-        if len(gens) == 1:  # a cyclic term, whose derived subgroup is 1
-            series.append(frozenset([0]))
+        if abelian or len(gens) == 1:  # an abelian term, whose derived subgroup is 1
+            term = Closure(G.deg, 1, 0)
+        elif (term := _derived_subgroup(G, gens, order)).count == order:
             break
-        term = _derived_subgroup(G, gens, order)
-        if term.count == order:
-            break
-        series.append(_members(G, term))
+        terms.append(term)
         gens, order = term.gens[:term.ngens], term.count
-    return series, series[-1] == {0}
+    return terms, order == 1
 
 
 def sylow(G: FiniteGroup, p: int) -> frozenset[int]:
@@ -513,7 +508,7 @@ def strip_abelian_factors(G: FiniteGroup, commutators: Optional[frozenset[int]] 
     if len(Z) > 1:
         if commutators is None:
             gens = G.table.matrix[G.generator_indices]
-            commutators = _members(G, _derived_subgroup(G, gens, G.order))
+            commutators = closure_members(G, _derived_subgroup(G, gens, G.order))
         derived = np.zeros(G.order, dtype=bool)
         derived[list(commutators)] = True
         K, kgens = np.ones(G.order, dtype=bool), G.generator_indices  # K = <kgens, G'>

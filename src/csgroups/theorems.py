@@ -20,6 +20,7 @@ from .structure import (
     NotNilpotentError,
     center,
     centralizer_mask,
+    closure_members,
     derived_series,
     fitting2,
     is_frobenius,
@@ -62,14 +63,14 @@ class GroupAnalysis:
     """Caches the per-group data the verdicts share; ``profile`` is the
     group's one class algebra, which the mask queries read.
 
-    The derived series and the center are computed once: solubility and
-    the stripping of abelian factors read G' from the one, and the strip
-    and the lemma checks read the other.  The centralizer of each
-    element is kept too, once asked for, as an n-bit mask: an int whose
-    bit g is set when g commutes with the element.  The lemma checks ask
-    for the same C(x) many times and test products, intersections and
-    inclusions of centralizers, which are popcounts and bit operations
-    on masks.  All n masks take n^2/8 bytes.
+    The derived series (closures of image rows, and a flag) and the center
+    are computed once: ``soluble`` reads the flag, only the strip looks up
+    members, of G', and the strip and the lemma checks read the center.  The
+    centralizer of each element is kept too, once asked for, as an n-bit
+    mask: an int whose bit g is set when g commutes with the element.  The
+    lemma checks ask for the same C(x) many times and test products,
+    intersections and inclusions of centralizers, which are popcounts and
+    bit operations on masks.  All n masks take n^2/8 bytes.
     """
 
     def __init__(self, G: FiniteGroup):
@@ -93,8 +94,8 @@ class GroupAnalysis:
         return composite_split(self.profile)
 
     @cached_property
-    def derived(self) -> tuple[list[frozenset[int]], bool]:
-        """G's derived series, and whether it reaches 1."""
+    def derived(self) -> tuple[list, bool]:
+        """The terms of G's derived series below G, as closures, and whether it reaches 1."""
         return derived_series(self.group)
 
     @cached_property
@@ -103,14 +104,13 @@ class GroupAnalysis:
 
     @cached_property
     def stripped(self):
-        # G' from the derived series when it is known (a perfect group's
-        # series is [G]); else the strip finds G' alone, by one normal
-        # closure on image rows, as the derived series would
-        commutators = None
+        # G' from the derived series when it is known (G for a perfect
+        # group), looked up here once; else the strip finds G' by its own closure
+        G, commutators = self.group, None
         if "derived" in self.__dict__:
-            series = self.derived[0]
-            commutators = series[1] if len(series) > 1 else series[0]
-        return strip_abelian_factors(self.group, commutators, self.center)
+            terms = self.derived[0]
+            commutators = closure_members(G, terms[0]) if terms else frozenset(range(G.order))
+        return strip_abelian_factors(G, commutators, self.center)
 
     @cached_property
     def core_profile(self):

@@ -1,6 +1,9 @@
 """The aggregation of scripts/bench_pairs.py, on made-up run results."""
 
 import importlib.util
+import json
+import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -118,3 +121,33 @@ def test_run_once_raises_with_exit_code_and_stderr_tail(tmp_path):
         bench_pairs.run_once(tmp_path, "w", 1, 1)
     assert info.value.exit_code == 3
     assert info.value.stderr_tail == "worker exited 1: boom"
+
+
+def test_sigterm_keeps_the_finished_pairs_and_removes_the_copy(tmp_path, monkeypatch):
+    copy = tmp_path / "work" / "parent"
+    monkeypatch.setattr(bench_pairs, "PARENT_COPY", copy)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "abc123")
+    monkeypatch.setattr(bench_pairs, "export_revision", lambda revision: copy.mkdir(parents=True))
+    bench = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    result = {"correct": True, "attempted": 1, "failed": 0,
+              "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in bench["end_to_end"]}}
+    calls = []
+
+    def interrupted(checkout, workload, seed, seconds):
+        calls.append((workload, seed))
+        if len(calls) == 3:  # the first run of the second pair
+            os.kill(os.getpid(), signal.SIGTERM)
+        return result
+
+    monkeypatch.setattr(bench_pairs, "run_once", interrupted)
+    handler = signal.getsignal(signal.SIGTERM)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main(["--out", str(out), "--seeds", "41", "42", "--workloads", "w"])
+    assert info.value.code == 128 + signal.SIGTERM
+    assert calls == [("w", 41), ("w", 41), ("w", 42)]
+    assert not copy.exists()
+    assert signal.getsignal(signal.SIGTERM) == handler
+    report = json.loads(out.read_text())
+    assert report["parent"] == "abc123" and report["workloads"]["w"]["pairs"] == 1
+    assert [(r["seed"], r["side"]) for r in report["runs"]] == [(41, "parent"), (41, "change")]

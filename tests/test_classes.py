@@ -24,7 +24,7 @@ from csgroups.construct import (
     quaternion8,
     symmetric,
 )
-from csgroups.structure import core_p, derived_series, quotient
+from csgroups.structure import closure_members, core_p, derived_series, quotient
 
 CATALOG = [
     cyclic(12),
@@ -135,6 +135,39 @@ def cycle(order: np.ndarray) -> np.ndarray:
     return perm
 
 
+@st.composite
+def permutation_lists(draw):
+    """1-4 permutations of up to 600 points: random ones, and cycles
+    through a random subset of the points taken in sorted, reversed or
+    shuffled order, so that later maps hook labels that earlier maps moved
+    in the same round."""
+    n = draw(st.integers(1, 600))
+    maps = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["random", "up", "down", "shuffled"]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "random":
+            maps.append(rng.permutation(n))
+            continue
+        points = rng.choice(n, size=draw(st.integers(1, n)), replace=False)
+        points = {"up": np.sort(points), "down": np.sort(points)[::-1]}.get(kind, points)
+        perm = np.arange(n)
+        perm[points] = np.roll(points, -1)
+        maps.append(perm)
+    return maps, n
+
+
+class TestOrbitLabelsAgainstTheWalk:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(permutation_lists())
+    def test_labels_are_the_least_point_of_each_walked_orbit(self, case):
+        maps, n = case
+        index, reps, sizes = classes._walk_orbits(maps, n)
+        assert orbit_labels(maps, n).tolist() == np.array(reps)[index].tolist()
+        labelled = classes._label_orbits(maps, n)
+        assert (labelled[0].tolist(), labelled[1], labelled[2]) == (index.tolist(), reps, sizes)
+
+
 class TestOrbitLabels:
     N = 5000
 
@@ -198,7 +231,8 @@ class TestOrbitLabels:
 
     @pytest.mark.parametrize("G, N", [
         (symmetric(4), lambda G: core_p(G, 2)),
-        (direct_product(symmetric(4), frobenius_pq(7, 3)), lambda G: derived_series(G)[0][1]),
+        (direct_product(symmetric(4), frobenius_pq(7, 3)),
+         lambda G: closure_members(G, derived_series(G)[0][0])),
     ], ids=["sym(4)/V4-24", "sym(4)xF21/derived-504"])
     def test_both_paths_number_the_cosets_by_least_member(self, monkeypatch, G, N):
         N = N(G)

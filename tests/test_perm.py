@@ -123,6 +123,18 @@ class TestPermutation:
     def test_compose_associative(self, p, q, r):
         assert compose(compose(p, q), r) == compose(p, compose(q, r))
 
+    @given(perm_strategy(6), perm_strategy(6))
+    def test_products_and_inverses_are_checked_bijections(self, p, q):
+        # built unchecked, they equal the checked construction of the same images
+        for r in (compose(p, q), inverse(p)):
+            assert r == Permutation(r.images) and hash(r) == hash(Permutation(r.images))
+            assert type(r.images) is tuple and all(type(i) is int for i in r.images)
+
+    def test_outside_images_are_still_checked(self):
+        for images in ([0, 0, 1], [1, 2, 3], [0, -1]):
+            with pytest.raises(ValueError):
+                Permutation(images)
+
 
 class TestClosure:
     def test_symmetric_group_from_standard_generators(self):

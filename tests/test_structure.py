@@ -37,6 +37,7 @@ from csgroups.structure import (
     NotNilpotentError,
     center,
     centralizer_of_set,
+    closure_members,
     core_p,
     derived_series,
     fitting,
@@ -57,6 +58,13 @@ from csgroups.structure import (
 from csgroups.theorems import GroupAnalysis
 
 MAX_RANDOM_ORDER = 1000
+
+
+def derived_members(G: FiniteGroup) -> tuple[list[frozenset[int]], bool]:
+    """The derived series as member sets, G first, and whether it reaches
+    1: each term of ``derived_series`` looked up by ``closure_members``."""
+    terms, soluble = derived_series(G)
+    return [frozenset(range(G.order))] + [closure_members(G, t) for t in terms], soluble
 
 
 @st.composite
@@ -176,7 +184,7 @@ def _assert_lattice_complete(G: FiniteGroup) -> None:
 
 class TestSeries:
     def test_derived_series_symmetric_4(self):
-        series, soluble = derived_series(symmetric(4))
+        series, soluble = derived_members(symmetric(4))
         assert [len(step) for step in series] == [24, 12, 4, 1]
         assert soluble
 
@@ -185,7 +193,7 @@ class TestSeries:
 
     def test_derived_series_of_abelian_group(self):
         G = cyclic(12)
-        assert derived_series(G) == ([frozenset(range(12)), frozenset([0])], True)
+        assert derived_members(G) == ([frozenset(range(12)), frozenset([0])], True)
 
     def test_nilpotency(self):
         assert nilpotency_class(quaternion8()) == 2
@@ -257,7 +265,7 @@ def _nilpotency_class_by_index(G: FiniteGroup) -> Optional[int]:
 
 
 def _assert_series_match_reference(G: FiniteGroup) -> None:
-    assert derived_series(G) == _derived_series_by_index(G), G.name
+    assert derived_members(G) == _derived_series_by_index(G), G.name
     expected = _nilpotency_class_by_index(G)
     if expected is None:
         with pytest.raises(NotNilpotentError):
@@ -271,7 +279,7 @@ def _assert_series_invariants(G: FiniteGroup) -> None:
     strictly decreasing, the commutators of each term's generators lie
     in the next term (a perfect last term is its own next), and the strip
     is the same whether it is given G' or finds it."""
-    series, soluble = derived_series(G)
+    series, soluble = derived_members(G)
     assert series[0] == frozenset(range(G.order)) and soluble == (series[-1] == {0})
     for term in series:
         members = np.array(sorted(term))
@@ -321,16 +329,16 @@ class TestSeriesOnImageRows:
         _assert_series_invariants(G)
 
     def test_trivial_and_abelian_groups(self):
-        assert derived_series(make_builtin("cyclic(1)")) == ([frozenset([0])], True)
+        assert derived_members(make_builtin("cyclic(1)")) == ([frozenset([0])], True)
         assert nilpotency_class(make_builtin("cyclic(1)")) == 0
         G = make_builtin("cyclic(4)xcyclic(6)")
-        assert derived_series(G) == ([frozenset(range(24)), frozenset([0])], True)
+        assert derived_members(G) == ([frozenset(range(24)), frozenset([0])], True)
         assert nilpotency_class(G) == 1
 
     def test_perfect_group_is_its_own_derived_subgroup(self):
-        series, soluble = derived_series(alternating(5))
+        series, soluble = derived_members(alternating(5))
         assert series == [frozenset(range(60))] and not soluble
-        series, soluble = derived_series(make_builtin("sym(5)xfrobenius(13,3)"))
+        series, soluble = derived_members(make_builtin("sym(5)xfrobenius(13,3)"))
         assert [len(t) for t in series] == [4680, 780, 60] and not soluble
 
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -800,7 +808,7 @@ class TestStripAbelianFactors:
 
     def test_given_center_and_commutator_subgroup(self):
         G = make_builtin("q8xcyclic(4)xcyclic(2)")
-        series, _ = derived_series(G)
+        series, _ = derived_members(G)
         for core, factor in (strip_abelian_factors(G, series[1], center(G)),
                              strip_abelian_factors(G)):
             assert (core.order, len(factor)) == (8, 8)

@@ -87,6 +87,42 @@ class TestGroupAnalysis:
         assert sum(C.bit_count() for C in masks) == len(conjugacy_classes(G).classes) * G.order
 
 
+class TestSolubilityFromTermOrders:
+    """Solubility reads the orders of the derived terms; members of G' are
+    looked up only for the strip."""
+
+    def test_sweep_entry_looks_up_no_members(self, monkeypatch):
+        lookups = []
+        members = structure.closure_members
+        monkeypatch.setattr(structure, "closure_members",
+                            lambda G, c: (lookups.append(c.count), members(G, c))[1])
+        monkeypatch.setattr(theorems, "closure_members", structure.closure_members)
+        G = make_builtin("dihedral(11)xdihedral(8)xsym(3)")
+        entry, _ = entry_for_group(G.name, "builtin", G, {}, False)
+        assert entry["soluble"] and len(entry["composites"]) >= 3
+        assert lookups == []
+
+    def test_one_series_and_one_commutator_closure_for_solubility_and_strip(self, monkeypatch):
+        G = fixture_group("g162_5")
+        series, closures = [], []
+        derived, derived_subgroup = theorems.derived_series, structure._derived_subgroup
+        monkeypatch.setattr(theorems, "derived_series",
+                            lambda G: (series.append(G), derived(G))[1])
+        monkeypatch.setattr(structure, "_derived_subgroup",
+                            lambda G, gens, order: (closures.append(order),
+                                                    derived_subgroup(G, gens, order))[1])
+        lookups, members = [], theorems.closure_members
+        monkeypatch.setattr(theorems, "closure_members",
+                            lambda G, c: (lookups.append(c.count), members(G, c))[1])
+        a = GroupAnalysis(G)
+        assert a.soluble
+        core, factor = a.stripped
+        assert len(series) == 1 and closures.count(G.order) == 1
+        assert lookups == [a.derived[0][0].count]  # G', looked up once, for the strip
+        alone = structure.strip_abelian_factors(G)  # finds G' by its own closure
+        assert (core.order, factor) == (alone[0].order, alone[1])
+
+
 class TestVerdictsWithoutLattice:
     """No verdict enumerates a normal-subgroup lattice: Theorem A's P x H
     and the Frobenius test read O_pi from the class algebra."""
