@@ -120,7 +120,9 @@ class FiniteGroup:
     def inv(self) -> np.ndarray:
         """Index of each element's inverse, built on first read by one
         scan of the matrix per base point.  ``conjugate_by_all`` is its
-        one reader in the package's analyses; ``conjugate``, which none of
+        one reader in the package's analyses, and only the normalizer
+        ascent of ``structure.sylow`` calls that, when no centralizer of
+        a p-element is a Sylow subgroup; ``conjugate``, which none of
         them calls, reads it too, so that it stays an oracle independent
         of ``conjugate_many``, which inverts only the row of the element
         it conjugates by."""
@@ -176,7 +178,8 @@ class FiniteGroup:
         return self.table.indices_of_base(inverse.take(xg).T)
 
     def conjugate_by_all(self, x: int) -> np.ndarray:
-        """Indices of ``g^-1 x g`` for every g in the group (vectorized)."""
+        """Indices of ``g^-1 x g`` for every g in the group (vectorized),
+        read through the inverse table; see ``inv`` for its callers."""
         mat = self.table.matrix
         xg = mat[x].take(mat[:, self.table.base])     # row g -> x*g on the base
         starts = self.inv.astype(np.intp)[:, None] * self.deg  # g^-1's row in mat.ravel()

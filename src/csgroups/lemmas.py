@@ -279,8 +279,8 @@ def check_disconnected_class_sizes(G, analysis, report: LemmaReport):
 
 def _disconnected_conclusion(core: FiniteGroup, pi: set[int], analysis) -> bool:
     pi_prime = set(arithmetic_profile(core.order).primes) - pi
-    H = hall(core, pi)
-    L = hall(core, pi_prime)
+    H = hall(analysis.core_profile, pi)
+    L = hall(analysis.core_profile, pi_prime)
     if H is None or L is None:
         return False
     if not _normal_hall(core, L):
@@ -329,7 +329,7 @@ def check_mixed_prime_power_products(G, analysis, report: LemmaReport,
             if not arithmetic_profile(sxy).is_prime_power() or sxy == 1:
                 continue
             if core is None:  # once per t, and only for a t with an instance
-                syl = sylow(G, t)
+                syl = sylow(profile, t)
                 core = normal_core(profile, syl)
                 nonabelian = not _abelian(G, syl)
             sx, sy = profile.class_size_of(x), profile.class_size_of(y)

@@ -1,10 +1,12 @@
-"""Structural subgroup machinery: center, derived series, Sylow, normal
-cores (unions of classes, counted), O_p and O_pi, Fitting subgroups (found
-in G), quotients (of the verdicts, only the Frobenius test of G/N builds
-one), Hall subgroups, Frobenius detection from class sizes, nilpotency
-class, and stripping of abelian direct factors.  ``normal_subgroups``
-enumerates the whole normal-subgroup lattice; no analysis calls it, and
-the tests use it as their oracle.
+"""Structural subgroup machinery: center, derived series, Sylow
+subgroups (the centralizer of a p-element when it is one, else a
+normalizer ascent), normal cores (unions of classes, counted), O_p and
+O_pi, Fitting subgroups (found in G), quotients (of the verdicts, only
+the Frobenius test of G/N builds one), Hall subgroups, Frobenius
+detection from class sizes, nilpotency class, and stripping of abelian
+direct factors.  ``normal_subgroups`` enumerates the whole
+normal-subgroup lattice; no analysis calls it, and the tests use it as
+their oracle.
 
 A subgroup of G is the frozenset of its element indices in G; a subgroup
 that needs its own multiplication table is reified by
@@ -182,17 +184,31 @@ def derived_series(G: FiniteGroup) -> tuple[list[Closure], bool]:
     return terms, order == 1
 
 
-def sylow(G: FiniteGroup, p: int) -> frozenset[int]:
-    """A Sylow p-subgroup, grown by normalizer ascent.
+def sylow(profile: ClassProfile, p: int) -> frozenset[int]:
+    """A Sylow p-subgroup of G, the group of ``profile``.
+
+    A class of size |G|_p', the p'-part of |G|, has centralizers of
+    order |G|_p, so each is Sylow and holds its class's elements: they
+    are p-elements, and their class size is the largest that one prime
+    to p can be.  Then P is the centralizer of the first such class's
+    representative, one mask, with no normalizer and no closure.  When
+    no class has that size (every p-element of class size prime to p
+    central, say, in a group that is not a p-group), P is grown by
+    normalizer ascent instead.
 
     While |P| is short of the full p-part, P lies properly in a Sylow
     subgroup S, and N_S(P) is larger than P (normalizers grow in
     p-groups); so N_G(P) \\ P holds a p-element, an element whose order
     divides the p-part.  Adjoining the least one keeps the join a
     p-group, since P is normal in its normalizer.  The adjoined elements
-    generate P: the normalizer and each closure read them.
+    generate P: the normalizer and each closure read them.  Only the
+    ascent reads ``conjugate_by_all``, and so the inverse table.
     """
+    G = profile.group
     target = arithmetic_profile(G.order).part(p)
+    if G.order // target in profile.sizes:
+        z = profile.representatives[profile.sizes.index(G.order // target)]
+        return frozenset(np.flatnonzero(centralizer_mask(G, [z])).tolist())
     members: frozenset[int] = frozenset([0])
     gens: list[int] = []
     rows: dict[int, list[int]] = {}
@@ -218,23 +234,25 @@ def normal_core(profile: ClassProfile, members: frozenset[int]) -> frozenset[int
 
 
 def core_p(G: FiniteGroup, p: int) -> frozenset[int]:
-    """O_p(G): the normal core of a Sylow p-subgroup."""
-    return normal_core(conjugacy_classes(G), sylow(G, p))
+    """O_p(G): the normal core of a Sylow p-subgroup, both read on one class profile."""
+    profile = conjugacy_classes(G)
+    return normal_core(profile, sylow(profile, p))
 
 
 def fitting(G: FiniteGroup) -> frozenset[int]:
     """F(G): the join of the O_p(G) over the primes dividing |G|, on one class profile."""
     profile = conjugacy_classes(G)
     return G.subgroup_closure([g for p in arithmetic_profile(G.order).primes
-                               for g in generating_set(G, normal_core(profile, sylow(G, p)))])
+                               for g in generating_set(G, normal_core(profile, sylow(profile, p)))])
 
 
 def fitting2(profile: ClassProfile) -> frozenset[int]:
     """F2(G), the preimage of F(G/F(G)), found in G, the group of ``profile``:
     for P Sylow in G, PF/F is Sylow in G/F, so the preimage of O_p(G/F) is
-    the normal core of <P, F>.  F2 is the join of these cores, and F of the cores of the P."""
+    the normal core of <P, F>.  F2 is the join of these cores, and F of
+    the cores of the P; each P is ``sylow`` on the same profile."""
     G = profile.group
-    sylows = [sylow(G, p) for p in arithmetic_profile(G.order).primes]
+    sylows = [sylow(profile, p) for p in arithmetic_profile(G.order).primes]
     cores = [normal_core(profile, P) for P in sylows]
     fgens = [g for O in cores for g in generating_set(G, O)]
     order_F = math.prod(map(len, cores))  # F is the direct product of the O_p
@@ -371,18 +389,21 @@ def subgroup_as_group(G: FiniteGroup, members: frozenset[int],
     return H, back
 
 
-def hall(G: FiniteGroup, pi: set[int] | frozenset[int]) -> Optional[frozenset[int]]:
-    """A Hall pi-subgroup, or None when the search does not reach one.
+def hall(profile: ClassProfile, pi: set[int] | frozenset[int]) -> Optional[frozenset[int]]:
+    """A Hall pi-subgroup of G, the group of ``profile``, or None when the
+    search does not reach one: ``sylow`` for a prime-power pi-part.
 
-    A maximal pi-subgroup, grown greedily: walking the elements in index
-    order, each pi-element of prime-power order outside the subgroup is
-    adjoined while the join's order still divides the pi-part of |G|.
-    Such elements generate every pi-subgroup, and a rejected one stays
-    outside every pi-subgroup containing the final one, so the result is
-    a maximal pi-subgroup.  In a soluble group every pi-subgroup lies in
-    a Hall pi-subgroup (P. Hall, 1928), so there the result is Hall; in
-    a non-soluble group it may fall short, and None is returned.
+    Otherwise a maximal pi-subgroup, grown greedily: walking the elements
+    in index order, each pi-element of prime-power order outside the
+    subgroup is adjoined while the join's order still divides the
+    pi-part of |G|.  Such elements generate every pi-subgroup, and a
+    rejected one stays outside every pi-subgroup containing the final
+    one, so the result is a maximal pi-subgroup.  In a soluble group
+    every pi-subgroup lies in a Hall pi-subgroup (P. Hall, 1928), so
+    there the result is Hall; in a non-soluble group it may fall short,
+    and None is returned.
     """
+    G = profile.group
     prof = arithmetic_profile(G.order)
     target = math.prod(prof.part(p) for p in prof.primes if p in pi)
     if target == 1:
@@ -390,7 +411,7 @@ def hall(G: FiniteGroup, pi: set[int] | frozenset[int]) -> Optional[frozenset[in
     if target == G.order:
         return frozenset(range(G.order))
     if arithmetic_profile(target).is_prime_power():
-        return sylow(G, arithmetic_profile(target).primes[0])
+        return sylow(profile, arithmetic_profile(target).primes[0])
     rows: dict[int, list[int]] = {}
     gens: list[int] = []
     members: frozenset[int] = frozenset([0])

@@ -9,12 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from csgroups.catalog import FIXTURE_DIR
+from csgroups.catalog import FIXTURE_DIR, fixture_group
 from csgroups.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_USAGE,
     _worst_status,
+    build_parser,
+    effective_config,
+    entry_for_group,
     main,
     read_config_file,
     resolve_target,
@@ -81,6 +84,20 @@ class TestAnalyze:
         assert entry["cs"] == [1, 2, 4, 60]
         assert entry["theorems"]["C"]["status"] == "pass"
         assert entry["timings_ms"] is None
+
+    @pytest.mark.parametrize("name", ["g160_234", "g162_5", "g480_166", "g486_176", "psl_2_8"])
+    def test_entry_does_not_depend_on_the_presentation(self, name, relabel):
+        """Sylow subgroups, their cores and the centralizers read on the
+        way depend on the element numbering; the report entry does not."""
+        config = effective_config(build_parser().parse_args(["sweep"]))
+
+        def entry_json(G):
+            return json.dumps(entry_for_group(name, "fixture", G, config, False))
+
+        G = fixture_group(name)
+        expected = entry_json(G)
+        for seed in (1, 2, 3):
+            assert entry_json(relabel(G, seed)) == expected, seed
 
     def test_limit_does_not_reach_the_case_c_strip(self, tmp_path, capsys, refuse_lattice):
         # case (c) strips abelian factors, which reads Z(G) and G' but no

@@ -58,7 +58,7 @@ def reified_split(G, X: frozenset[int], r: int) -> tuple[bool, int]:
     |A|.  Decided on X's own table, with a Sylow subgroup and a direct
     factor check: the oracle for the order-based test of lemma 2.6."""
     Xgrp, _ = subgroup_as_group(G, X)
-    R = sylow(Xgrp, r)
+    R = sylow(conjugacy_classes(Xgrp), r)
     A = frozenset(i for i in range(Xgrp.order)
                   if math.gcd(int(Xgrp.element_orders[i]), r) == 1)
     ok = (Xgrp.subgroup_closure(sorted(A)) == A and commute(Xgrp, A, A)
@@ -186,10 +186,11 @@ class TestMinimalCentralizerOracle:
 
 def abelian_sylow_factor_by_search(G, p: int) -> bool:
     """The right side of lemma 2.1d by its definition: a Sylow p-subgroup P
-    from the normalizer ascent, O_p'(G) from the class algebra, and a
-    direct factor check; the oracle for the count on element orders."""
-    P = sylow(G, p)
-    O = o_pi(conjugacy_classes(G), set(arithmetic_profile(G.order).primes) - {p})
+    from ``sylow``, O_p'(G) from the class algebra, and a direct factor
+    check; the oracle for the count on element orders."""
+    profile = conjugacy_classes(G)
+    P = sylow(profile, p)
+    O = o_pi(profile, set(arithmetic_profile(G.order).primes) - {p})
     return commute(G, P, P) and direct_factor_check(G, P, O)
 
 
@@ -246,10 +247,10 @@ class TestCountedNormality:
         seen = Counter()
         for entry in iter_catalog():
             G = entry.group
-            primes = arithmetic_profile(G.order).primes
+            profile, primes = conjugacy_classes(G), arithmetic_profile(G.order).primes
             for r in range(1, len(primes)):
                 for pi in itertools.combinations(primes, r):
-                    L = hall(G, set(pi))
+                    L = hall(profile, set(pi))
                     if L is not None:
                         normal = is_normal(G, L, generating_set(G, L))
                         assert lemmas._normal_hall(G, L) == normal, (G.name, pi)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
 from csgroups import structure
-from csgroups.catalog import fixture_group, iter_catalog, make_builtin
+from csgroups.catalog import BUILTIN_GRID, fixture_group, iter_catalog, make_builtin
 from csgroups.arith import arithmetic_profile
 from csgroups.classes import conjugacy_classes
 from csgroups.lemmas import MAX_QUOTIENT_NORMALS, LemmaReport, check_pi_element_lifting
@@ -377,12 +377,12 @@ class TestCenterAndSylow:
         assert len(center(symmetric(4))) == 1
 
     def test_sylow_orders(self):
-        G = symmetric(4)
-        assert len(sylow(G, 2)) == 8
-        assert len(sylow(G, 3)) == 3
-        G = alternating(5)
-        assert len(sylow(G, 2)) == 4
-        assert len(sylow(G, 5)) == 5
+        profile = conjugacy_classes(symmetric(4))
+        assert len(sylow(profile, 2)) == 8
+        assert len(sylow(profile, 3)) == 3
+        profile = conjugacy_classes(alternating(5))
+        assert len(sylow(profile, 2)) == 4
+        assert len(sylow(profile, 5)) == 5
 
     def test_sylow_grows_no_generating_set(self, monkeypatch):
         """The p-elements the ascent adjoins generate P, so they serve the
@@ -393,8 +393,9 @@ class TestCenterAndSylow:
         monkeypatch.setattr(structure, "generating_set", refuse)
         for spec in ("sym(4)", "q8xsym(3)", "sym(5)", "dihedral(12)", "sym(4)xF21"):
             G = make_builtin(spec)
+            profile = conjugacy_classes(G)
             for p in arithmetic_profile(G.order).primes:
-                P = sylow(G, p)
+                P = sylow(profile, p)
                 assert len(P) == arithmetic_profile(G.order).part(p)
                 assert G.subgroup_closure(sorted(P)) == P
 
@@ -415,8 +416,9 @@ class TestCenterAndSylow:
                                       "dihedral(12)"])
     def test_core_p_is_intersection_of_conjugates(self, spec):
         G = make_builtin(spec)
+        profile = conjugacy_classes(G)
         for p in arithmetic_profile(G.order).primes:
-            P = sylow(G, p)
+            P = sylow(profile, p)
             core = frozenset(x for x in P
                              if all(G.conjugate(x, g) in P for g in range(G.order)))
             assert core_p(G, p) == core
@@ -471,6 +473,68 @@ class TestCenterAndSylow:
                                             for g in range(G.order)))
             assert normal_core(profile, H) == core
         assert len({len(normal_core(profile, H)) for H in subgroups}) >= 3
+
+
+FIXTURES = ("g160_234", "g162_5", "g480_166", "g486_176", "psl_2_8")
+
+
+class TestSylowFromCentralizer:
+    """``sylow(profile, p)`` reads P off C(z), for z a p-element of the
+    largest class size prime to p, when |C(z)| is the p-part of |G|, and
+    climbs by normalizers otherwise.  z and C(z) depend on the element
+    numbering, so the fixtures run under seeded relabellings too."""
+
+    @pytest.mark.parametrize("case", [*BUILTIN_GRID, *FIXTURES,
+                                      *(f"{name}@{seed}" for name in FIXTURES for seed in (1, 2, 3))])
+    def test_is_a_p_subgroup_of_full_order_with_the_counted_core(self, case, relabel):
+        name, _, seed = case.partition("@")
+        G = fixture_group(name) if name in FIXTURES else make_builtin(name)
+        if seed:
+            G = relabel(G, int(seed))
+        profile, prof = conjugacy_classes(G), arithmetic_profile(G.order)
+        for p in prof.primes:
+            P = sylow(profile, p)
+            members = np.array(sorted(P), dtype=np.intp)
+            assert len(P) == prof.part(p), (p, len(P))
+            assert P.issuperset(G.products(members, members).ravel().tolist())
+            assert (prof.part(p) % G.element_orders[members] == 0).all()
+            # the core at element level: the x in P with every g^-1 x g in P
+            conjugates = np.array([G.conjugate_many(members, g) for g in range(G.order)])
+            core = frozenset(members[np.isin(conjugates, members).all(axis=0)].tolist())
+            assert normal_core(profile, P) == core
+
+    @staticmethod
+    def _count_conjugate_by_all(monkeypatch) -> list[int]:
+        calls, by_all = [], FiniteGroup.conjugate_by_all
+        monkeypatch.setattr(FiniteGroup, "conjugate_by_all",
+                            lambda G, x: (calls.append(x), by_all(G, x))[1])
+        return calls
+
+    @pytest.mark.parametrize("name", ["g160_234", "g162_5", "g486_176", "psl_2_8"])
+    def test_reads_a_centralizer_without_the_inverse_table(self, monkeypatch, name):
+        calls = self._count_conjugate_by_all(monkeypatch)
+        G = fixture_group(name)
+        profile = conjugacy_classes(G)
+        for p in arithmetic_profile(G.order).primes:
+            assert len(sylow(profile, p)) == arithmetic_profile(G.order).part(p)
+        assert calls == [] and G._inv is None
+
+    def test_climbs_where_every_p_central_element_is_central(self, monkeypatch):
+        """In g480_166 every 2-element of odd class size is central, so
+        C(z) is G, and only the ascent finds the Sylow 2-subgroup."""
+        calls = self._count_conjugate_by_all(monkeypatch)
+        G = fixture_group("g480_166")
+        profile = conjugacy_classes(G)
+        odd_2_classes = [c for c, rep in enumerate(profile.representatives)
+                         if 32 % G.element_orders[rep] == 0 and profile.sizes[c] % 2]
+        assert {profile.sizes[c] for c in odd_2_classes} == {1}
+        climbed = set()
+        for p in arithmetic_profile(G.order).primes:
+            calls.clear()
+            assert len(sylow(profile, p)) == arithmetic_profile(G.order).part(p)
+            if calls:
+                climbed.add(p)
+        assert climbed == {2} and G._inv is not None
 
 
 def _agl_2_3() -> FiniteGroup:
@@ -577,7 +641,7 @@ class TestClassAlgebraOracles:
                 assert o_pi(profile, set(pi)) == largest
 
         for p in primes:
-            P = sylow(G, p)
+            P = sylow(profile, p)
             assert len(P) == arithmetic_profile(G.order).part(p) and brute.is_closed(sorted(P))
             p_normals = [N for N in normals if arithmetic_profile(len(N)).primes in ((), (p,))]
             assert core_p(G, p) == max(p_normals, key=len)
@@ -587,7 +651,7 @@ class TestClassAlgebraOracles:
         soluble = derived_series(G)[1]
         for r in range(2, len(primes)):
             for pi in itertools.combinations(primes, r):
-                H = hall(G, set(pi))
+                H = hall(profile, set(pi))
                 assert H is not None or not soluble
                 if H is not None:
                     assert len(H) == math.prod(arithmetic_profile(G.order).part(p) for p in pi)
@@ -664,20 +728,20 @@ class TestFrobeniusAndHall:
 
     def test_hall_subgroups_of_symmetric_4(self):
         G = symmetric(4)
-        assert len(hall(G, {2, 3})) == 24
-        assert len(hall(G, {2})) == 8
-        assert len(hall(G, {5})) == 1
+        assert len(hall(conjugacy_classes(G), {2, 3})) == 24
+        assert len(hall(conjugacy_classes(G), {2})) == 8
+        assert len(hall(conjugacy_classes(G), {5})) == 1
 
     def test_hall_in_soluble_group(self):
         G = frobenius_pq(7, 3)
-        assert len(hall(G, {7})) == 7
-        assert len(hall(G, {3})) == 3
+        assert len(hall(conjugacy_classes(G), {7})) == 7
+        assert len(hall(conjugacy_classes(G), {3})) == 3
 
     def test_hall_subgroups_for_two_primes(self):
         G = direct_product(symmetric(4), cyclic(5))
-        assert len(hall(G, {2, 3})) == 24
-        assert len(hall(G, {2, 5})) == 40
-        assert len(hall(G, {3, 5})) == 15
+        assert len(hall(conjugacy_classes(G), {2, 3})) == 24
+        assert len(hall(conjugacy_classes(G), {2, 5})) == 40
+        assert len(hall(conjugacy_classes(G), {3, 5})) == 15
 
     def test_affine_group_of_order_42_is_frobenius(self):
         # AGL(1, 7) on the points 0..6: x -> x + 1 and x -> 3x
@@ -690,8 +754,8 @@ class TestFrobeniusAndHall:
         assert verdict.kernel is not None and len(verdict.kernel) == 7
 
     def test_hall_subgroups_of_non_soluble_groups(self):
-        assert len(hall(alternating(5), {2, 3})) == 12
-        assert len(hall(fixture_group("psl_2_8"), {2, 7})) == 56
+        assert len(hall(conjugacy_classes(alternating(5)), {2, 3})) == 12
+        assert len(hall(conjugacy_classes(fixture_group("psl_2_8")), {2, 7})) == 56
 
 
 def _frobenius_by_lattice(Q: FiniteGroup) -> tuple[bool, Optional[frozenset[int]]]:
@@ -705,7 +769,7 @@ def _frobenius_by_lattice(Q: FiniteGroup) -> tuple[bool, Optional[frozenset[int]
             continue
         if not all(centralizer_of_set(Q, [k]) <= K for k in K if k != 0):
             continue
-        H = hall(Q, set(arithmetic_profile(n // len(K)).primes))
+        H = hall(conjugacy_classes(Q), set(arithmetic_profile(n // len(K)).primes))
         if H is not None and len(H) == n // len(K) and (H & K) == {0}:
             return True, K
     return False, None
@@ -833,7 +897,7 @@ class TestStripAbelianFactors:
 class TestSubgroupReification:
     def test_back_map_is_an_embedding(self):
         G = symmetric(4)
-        S = sylow(G, 2)
+        S = sylow(conjugacy_classes(G), 2)
         H, back = subgroup_as_group(G, S)
         assert H.order == 8
         for x in range(H.order):
@@ -843,7 +907,7 @@ class TestSubgroupReification:
     def test_elements_generators_and_orders_come_from_the_ambient_group(self):
         G = symmetric(4)
         G.element_orders  # computed first, so the subgroup takes its orders from G
-        S = sylow(G, 2)
+        S = sylow(conjugacy_classes(G), 2)
         H, back = subgroup_as_group(G, S)
         assert [H.element(i) for i in range(8)] == [G.element(back[i]) for i in range(8)]
         assert H.element_orders.tolist() == [element_order(H.element(i)) for i in range(8)]

@@ -290,7 +290,8 @@ class TestTheoremC:
         build, ascend = structure.quotient, structure.sylow
         monkeypatch.setattr(structure, "quotient",
                             lambda G, N: (quotients.append(G), build(G, N))[1])
-        monkeypatch.setattr(structure, "sylow", lambda G, p: (ascents.append(G), ascend(G, p))[1])
+        monkeypatch.setattr(structure, "sylow",
+                            lambda profile, p: (ascents.append(profile.group), ascend(profile, p))[1])
         for G in (symmetric(4), fixture_group("g160_234")):
             ascents.clear()
             verdict = check_theorem_C(G)
